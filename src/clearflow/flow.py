@@ -29,7 +29,7 @@ from .errors import (
     SingularSystemError,
     StalledError,
 )
-from .markov import active_set, closed_classes, fundamental_solve, is_transient, restrict
+from .markov import active_set, closed_classes, zero_group_solve
 from .network import FinancialNetwork, Partition, Status, initial_partition
 from .scalars import RATIONAL, Scalar, scalar_to_json
 
@@ -112,16 +112,18 @@ def balance_rates(
     net: FinancialNetwork, out: Sequence[Scalar]
 ) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
     """In-rates (columns of the proportion matrix applied to out-rates) and
-    the per-bank balance inflow - outflow; balances sum to zero."""
+    the per-bank balance inflow - outflow; balances sum to zero.
+
+    The one Q^T p kernel: the clamped payment map and the final cash of a
+    payment vector use it too, with payments in place of rates.
+    """
     zero, _ = _zero_one(net)
-    q = net.relative
-    inflow = []
-    for i in range(net.n):
-        acc = zero
-        for j in range(net.n):
-            if out[j] != 0 and q[j][i] != 0:
-                acc += out[j] * q[j][i]
-        inflow.append(acc)
+    inflow = [zero] * net.n
+    for j, rate in enumerate(out):
+        if rate:
+            for i, q in enumerate(net.relative[j]):
+                if q:
+                    inflow[i] += rate * q
     balance = tuple(inflow[i] - out[i] for i in range(net.n))
     return tuple(inflow), balance
 
@@ -143,11 +145,6 @@ def equilibrium_rates(
         out[i] = one
     solve_set = sorted(partition.zero - pinned)
     if solve_set:
-        sub = restrict(net.relative, solve_set)
-        if not is_transient(sub):
-            raise NonTransientZeroGroupError(
-                f"zero group {solve_set} contains a closed subnetwork"
-            )
         e = []
         for i in solve_set:
             acc = zero
@@ -155,9 +152,11 @@ def equilibrium_rates(
                 acc += net.relative[j][i]
             e.append(acc)
         try:
-            v = fundamental_solve(sub, e)
+            v = zero_group_solve(net, solve_set, e)
         except SingularSystemError as exc:
-            raise NonTransientZeroGroupError(str(exc)) from exc
+            raise NonTransientZeroGroupError(
+                f"zero group {solve_set} contains a closed subnetwork"
+            ) from exc
         for k, i in enumerate(solve_set):
             out[i] = v[k]
     inflow, balance = balance_rates(net, out)
@@ -230,19 +229,32 @@ def step(
     for t, i, kind in candidates:
         if t <= window:
             hits.setdefault(i, set()).add(kind)
-    movers = tuple(sorted(hits))
     tol = net.zero_tol
+    now = state.time + t_prime
+    where = f"event {index}, time {now}"
 
     debt = [state.remaining_debt[i] - rates.out[i] * t_prime for i in range(net.n)]
     cash = [state.cash[i] + rates.balance[i] * t_prime for i in range(net.n)]
     paid = [state.paid[i] + rates.out[i] * t_prime for i in range(net.n)]
     if net.mode != RATIONAL:
-        for vec in (debt, cash):
+        # a quantity snapped to zero moves its bank now: debt makes it
+        # absorbing, draining cash makes a positive bank zero (pinned banks
+        # never pay, so their debt never gets here)
+        for vec, kind in ((debt, "debt"), (cash, "cash")):
             for i, x in enumerate(vec):
                 if x < -tol:
-                    raise InvariantViolationError(f"negative quantity {x} at bank {i}")
+                    raise InvariantViolationError(
+                        f"negative {kind} {x} at bank {net.ids[i]} ({where})"
+                    )
                 if abs(x) <= tol:
                     vec[i] = 0.0
+                    if state.statuses[i] is Status.ABSORBING:
+                        continue
+                    if kind == "debt" or (
+                        state.statuses[i] is Status.POSITIVE and rates.balance[i] < 0
+                    ):
+                        hits.setdefault(i, set()).add(kind)
+    movers = tuple(sorted(hits))
 
     statuses = list(state.statuses)
     transitions = []
@@ -256,7 +268,10 @@ def step(
             after = Status.ZERO
             cash[i] = cash[i] * 0
         if before is Status.ABSORBING or (before is Status.ZERO and after is not Status.ABSORBING):
-            raise InvariantViolationError(f"forbidden transition {before} -> {after} for bank {i}")
+            raise InvariantViolationError(
+                f"forbidden transition {before.value} -> {after.value} "
+                f"for bank {net.ids[i]} ({where})"
+            )
         statuses[i] = after
         transitions.append(Transition(bank=i, before=before, after=after))
 
@@ -265,20 +280,25 @@ def step(
         for tr in transitions:
             if not (tr.before is Status.POSITIVE and tr.after is Status.ZERO
                     and state.cash[tr.bank] <= tol):
-                raise InvariantViolationError("zero-duration event outside degenerate case")
+                raise InvariantViolationError(
+                    "zero-duration event outside degenerate case: bank "
+                    f"{net.ids[tr.bank]} {tr.before.value} -> {tr.after.value} ({where})"
+                )
 
     total_before = sum(net.cash)
     total_after = sum(cash)
     if net.mode == RATIONAL:
         if total_after != total_before:
-            raise InvariantViolationError("cash conservation violated")
+            raise InvariantViolationError(f"cash conservation violated ({where})")
     else:
         scale = max(1.0, float(total_before))
         if abs(total_after - total_before) > 1e-9 * scale:
-            raise InvariantViolationError("cash conservation drifted beyond tolerance")
+            raise InvariantViolationError(
+                f"cash conservation drifted beyond tolerance ({where})"
+            )
 
     after_state = SystemState(
-        time=state.time + t_prime,
+        time=now,
         partition=Partition(tuple(statuses)),
         remaining_debt=tuple(debt),
         cash=tuple(cash),

@@ -1,18 +1,29 @@
 """Linear-algebraic and graph kernel behind the clearing solvers.
 
 Restriction of the proportion matrix to a bank subset, transience testing by
-graph reachability, exact fundamental-matrix solves, the active-set closure,
-the decomposition of nonactive banks (absorbing / transient / swamps), and
-invariant distributions of swamps.
+graph reachability, the balance solves v = e + Q_B^T v, the active-set
+closure, the decomposition of nonactive banks (absorbing / transient /
+swamps), and invariant distributions of swamps.
 
-All systems are desk-scale (a handful of banks), so solves are plain Gaussian
-elimination over the network's scalar type; in rational mode every result is
-exact.
+Every linear system goes through one elimination kernel, `solve_linear`. On
+exact input (ints and Fractions) it clears each row's denominators and runs
+fraction-free Bareiss elimination on Python ints, so every update is one
+exact integer division and no gcd is taken until the m quotients at the end;
+the answer is the unique exact solution. On floats it runs Gaussian
+elimination with partial pivoting and back substitution.
+
+The flow and the fictitious-defaults iteration solve the balance system on a
+set B of indebted banks in its column-scaled form: with w = v / b the
+equations v = e + Q_B^T v become (diag(b) - L^T)_B w = e, whose entries are
+the liabilities themselves, so no proportion is divided out before the
+solve (`zero_group_solve`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -31,9 +42,12 @@ Matrix = tuple[tuple[Scalar, ...], ...]
 
 @dataclass(frozen=True)
 class SubMatrix:
-    """Restriction of a row-stochastic matrix to an ordered bank subset."""
+    """Restriction of a square matrix to an ordered bank subset.
 
-    parent: Matrix
+    `parent` is the matrix it was taken from, shared rather than copied.
+    """
+
+    parent: Sequence[Sequence[Scalar]]
     index: tuple[int, ...]
     entries: Matrix
 
@@ -80,9 +94,8 @@ def restrict(matrix: Sequence[Sequence[Scalar]], banks: Sequence[int]) -> SubMat
         if b in seen:
             raise IndexOutOfRangeError(f"bank index {b} repeated in restriction")
         seen.add(b)
-    parent = tuple(tuple(row) for row in matrix)
-    entries = tuple(tuple(parent[r][s] for s in index) for r in index)
-    return SubMatrix(parent=parent, index=index, entries=entries)
+    entries = tuple(tuple(matrix[r][s] for s in index) for r in index)
+    return SubMatrix(parent=matrix, index=index, entries=entries)
 
 
 def is_transient(sub: SubMatrix) -> bool:
@@ -118,22 +131,99 @@ def is_transient(sub: SubMatrix) -> bool:
 
 
 def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar]:
-    """Gaussian elimination with partial pivoting; exact on Fractions."""
+    """Solve rows @ x = rhs for a square nonsingular system.
+
+    Exact on ints and Fractions (fraction-free Bareiss elimination, the
+    result in Fractions); Gaussian elimination with partial pivoting as soon
+    as any entry is a float. Raises `SingularSystemError` on a zero pivot
+    column.
+    """
+    if any(isinstance(x, float) for x in rhs) or any(
+        isinstance(x, float) for row in rows for x in row
+    ):
+        return _solve_float(rows, rhs)
+    return _solve_exact(rows, rhs)
+
+
+def _solve_exact(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Fraction]:
     m = len(rows)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(m):
-        pivot = max(range(col, m), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
+    # clear each row's denominators: an integer system with the same solution
+    a = []
+    for row, r in zip(rows, rhs):
+        full = [*row, r]
+        scale = lcm(*(x.denominator for x in full))
+        a.append([x.numerator * (scale // x.denominator) for x in full])
+    # Bareiss: after step k every entry is a (k+1)-minor, so the division by
+    # the previous pivot is exact
+    prev = 1
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if a[r][k]), None)
+        if pivot is None:
             raise SingularSystemError("linear system is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        for r in range(m):
-            if r == col or a[r][col] == 0:
-                continue
-            factor = a[r][col] / inv
-            for c in range(col, m + 1):
-                a[r][c] -= factor * a[col][c]
-    return [a[i][m] / a[i][i] for i in range(m)]
+        a[k], a[pivot] = a[pivot], a[k]
+        top = a[k]
+        p = top[k]
+        tail = top[k + 1:]
+        for r in range(k + 1, m):
+            row = a[r]
+            f = row[k]
+            if f:
+                row[k + 1:] = [(x * p - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+            elif p != prev:
+                row[k + 1:] = [x * p // prev for x in row[k + 1:]]
+        prev = p
+    # back substitution on y = det * x, an integer vector by Cramer's rule
+    det = prev
+    y = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = a[i]
+        acc = det * row[m] - sum(row[j] * y[j] for j in range(i + 1, m))
+        y[i] = acc // row[i]
+    return [Fraction(yi, det) for yi in y]
+
+
+def _solve_float(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[float]:
+    m = len(rows)
+    a = [[*row, r] for row, r in zip(rows, rhs)]
+    for k in range(m):
+        column = [abs(a[r][k]) for r in range(k, m)]
+        pivot = k + column.index(max(column))
+        if a[pivot][k] == 0:
+            raise SingularSystemError("linear system is singular")
+        a[k], a[pivot] = a[pivot], a[k]
+        top = a[k]
+        p = top[k]
+        tail = top[k + 1:]
+        for r in range(k + 1, m):
+            row = a[r]
+            f = row[k]
+            if f:
+                f /= p
+                row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], tail)]
+    x = [0.0] * m
+    for i in range(m - 1, -1, -1):
+        row = a[i]
+        x[i] = (row[m] - sum(row[j] * x[j] for j in range(i + 1, m))) / row[i]
+    return x
+
+
+def _balance_solve(
+    sub: SubMatrix, diagonal: Sequence[Scalar], e: Sequence[Scalar]
+) -> list[Scalar]:
+    """Solve (diag(diagonal) - S^T) w = e for the restriction S, after
+    checking that e is nonnegative and the restriction transient."""
+    if len(e) != sub.size:
+        raise IndexOutOfRangeError(f"input vector has length {len(e)}, expected {sub.size}")
+    if any(x < 0 for x in e):
+        raise NegativeInputError("input vector must be nonnegative")
+    if not is_transient(sub):
+        raise SingularSystemError("restriction is not transient; no unique solution")
+    m = sub.size
+    rows = [
+        [(diagonal[i] if i == j else 0) - sub.entries[j][i] for j in range(m)]
+        for i in range(m)
+    ]
+    return solve_linear(rows, list(e))
 
 
 def fundamental_solve(sub: SubMatrix, e: Sequence[Scalar]) -> list[Scalar]:
@@ -142,20 +232,22 @@ def fundamental_solve(sub: SubMatrix, e: Sequence[Scalar]) -> list[Scalar]:
     The input must be componentwise nonnegative; the solution then is as
     well (it is the transposed fundamental matrix applied to e).
     """
-    if len(e) != sub.size:
-        raise IndexOutOfRangeError(f"input vector has length {len(e)}, expected {sub.size}")
-    if any(x < 0 for x in e):
-        raise NegativeInputError("input vector must be nonnegative")
-    if not is_transient(sub):
-        raise SingularSystemError("restriction is not transient; no unique solution")
-    m = sub.size
-    # rows of (I - Q_B^T): entry (i, j) = delta_ij - q[ j ][ i ]
-    rows = [
-        [(1 if i == j else 0) - sub.entries[j][i] for j in range(m)]
-        for i in range(m)
-    ]
-    v = solve_linear(rows, list(e))
-    return v
+    return _balance_solve(sub, [1] * sub.size, e)
+
+
+def zero_group_solve(
+    net: FinancialNetwork, banks: Sequence[int], e: Sequence[Scalar]
+) -> list[Scalar]:
+    """`fundamental_solve` of the proportion matrix restricted to `banks`,
+    computed from the liabilities: (diag(b) - L^T)_B w = e, then v = b * w.
+
+    Every bank in `banks` must carry debt. Raises the same errors as
+    `fundamental_solve`.
+    """
+    sub = restrict(net.liabilities, banks)
+    debts = [net.total_debt[i] for i in sub.index]
+    w = _balance_solve(sub, debts, e)
+    return [b * x for b, x in zip(debts, w)]
 
 
 def active_set(net: FinancialNetwork) -> frozenset[int]:

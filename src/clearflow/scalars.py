@@ -90,8 +90,3 @@ def scalar_to_json(x: Scalar):
         return str(x)
     return x
 
-
-def format_scalar(x: Scalar) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(x)

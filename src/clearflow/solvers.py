@@ -23,15 +23,15 @@ from .errors import (
     SingularSystemError,
     VerificationFailedError,
 )
-from .flow import ClearingResult, run_flow
+from .flow import ClearingResult, balance_rates, run_flow
 from .markov import (
     SwampDecomposition,
     active_set,
     decompose_nonactive,
-    fundamental_solve,
     invariant_distribution,
     restrict,
     swamp_solution,
+    zero_group_solve,
 )
 from .network import FinancialNetwork, Partition, build_network, classify_status
 from .scalars import RATIONAL, Scalar, to_scalar
@@ -113,18 +113,6 @@ class BailoutPlan:
     verified: bool
 
 
-def _inflow(net: FinancialNetwork, p: Sequence[Scalar]) -> list[Scalar]:
-    q = net.relative
-    result = []
-    for i in range(net.n):
-        acc = net.cash[i] * 0
-        for j in range(net.n):
-            if p[j] != 0 and q[j][i] != 0:
-                acc += p[j] * q[j][i]
-        result.append(acc)
-    return result
-
-
 def phi(net: FinancialNetwork, p: Sequence[Scalar]) -> list[Scalar]:
     """One application of the clamped payment map min(cash + received, debt)."""
     if len(p) != net.n:
@@ -135,7 +123,7 @@ def phi(net: FinancialNetwork, p: Sequence[Scalar]) -> list[Scalar]:
             raise OutOfRangeError(
                 f"payment {x} for bank {i} outside [0, {net.total_debt[i]}]"
             )
-    received = _inflow(net, p)
+    received, _ = balance_rates(net, p)
     return [min(net.cash[i] + received[i], net.total_debt[i]) for i in range(net.n)]
 
 
@@ -150,7 +138,7 @@ def verify_clearing(net: FinancialNetwork, p: Sequence[Scalar]) -> Scalar:
 
 def _partition_for_payments(net: FinancialNetwork, p: Sequence[Scalar]) -> Partition:
     tol = net.zero_tol
-    received = _inflow(net, p)
+    received, _ = balance_rates(net, p)
     statuses = []
     for i in range(net.n):
         debt_left = net.total_debt[i] - p[i]
@@ -165,7 +153,7 @@ def result_from_payments(
     """Wrap a known clearing vector in a result, deriving the final partition
     and cash positions it implies."""
     partition = _partition_for_payments(net, p)
-    received = _inflow(net, p)
+    received, _ = balance_rates(net, p)
     final_cash = tuple(net.cash[i] + received[i] - p[i] for i in range(net.n))
     return ClearingResult(
         payments=tuple(p),
@@ -206,18 +194,18 @@ def fictitious_defaults(net: FinancialNetwork) -> tuple[ClearingResult, FDTrace]
 
     while d_current:
         solve_set = sorted(d_current)
-        sub = restrict(net.relative, solve_set)
         e = []
         for i in solve_set:
             acc = net.cash[i]
-            # non-defaulting active banks are treated as paying in full;
-            # nonactive banks pay nothing (and owe nothing to active ones)
+            # non-defaulting active banks are treated as paying in full
+            # (q_ji * b_j = L_ji); nonactive banks pay nothing (and owe
+            # nothing to active ones)
             for j in act:
-                if j not in d_current and net.relative[j][i] != 0:
-                    acc += net.relative[j][i] * b[j]
+                if j not in d_current and net.liabilities[j][i] != 0:
+                    acc += net.liabilities[j][i]
             e.append(acc)
         try:
-            r = fundamental_solve(sub, e)
+            r = zero_group_solve(net, solve_set, e)
         except SingularSystemError as exc:
             raise SingularSystemError(
                 f"defaulting set {solve_set} is not transient: {exc}"
@@ -282,7 +270,7 @@ def picard_iterate(
 
     p = list(net.total_debt)
     for _ in range(max_iter):
-        received = _inflow(net, p)
+        received, _ = balance_rates(net, p)
         nxt = [min(net.cash[i] + received[i], net.total_debt[i]) for i in range(net.n)]
         change = max(abs(nxt[i] - p[i]) for i in range(net.n))
         if rational:
@@ -294,7 +282,7 @@ def picard_iterate(
             if change <= tol:
                 # settle the last few bits so reruns are reproducible
                 for _ in range(200):
-                    received = _inflow(net, nxt)
+                    received, _ = balance_rates(net, nxt)
                     settled = [
                         min(net.cash[i] + received[i], net.total_debt[i])
                         for i in range(net.n)

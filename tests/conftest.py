@@ -8,6 +8,7 @@ unique, big-bang, and swamp regimes.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,53 @@ def example_net(a=F(1, 3), b=F(1, 2), eps=F(1, 36), cash1=F(1), mode=cf.RATIONAL
 def with_cash(net, cash):
     """Same liabilities, different cash vector."""
     return cf.build_network(net.liabilities, cash, mode=net.mode, ids=net.ids)
+
+
+def swampy_network(seed, mode=cf.RATIONAL):
+    """Sparse network of about 20 banks with every kind of bank.
+
+    Core banks hold 0 to 3/2 times their debt in cash, so some default;
+    cashless "fed" banks are owed by the core and forward what arrives;
+    cashless "stray" banks are owed by no active bank and owe the core and
+    the swamps; swamps are cashless rings (a chord on the larger one) owing
+    only each other; sinks owe nothing. Positions are shuffled.
+    """
+    rng = random.Random(seed)
+    sizes = {"core": 8, "fed": 4, "stray": 3, "sink": 2}
+    swamp_sizes = (2, 3)
+    roles = [role for role, count in sizes.items() for _ in range(count)]
+    roles += [f"swamp{k}" for k, size in enumerate(swamp_sizes) for _ in range(size)]
+    positions = list(range(len(roles)))
+    rng.shuffle(positions)
+    members = {}
+    for pos, role in zip(positions, roles):
+        members.setdefault(role, []).append(pos)
+    n = len(roles)
+
+    def amount():
+        return F(rng.randint(1, 8), rng.choice((1, 2, 3, 4, 6, 8)))
+
+    debts = [[F(0)] * n for _ in range(n)]
+    core, fed, stray = members["core"], members["fed"], members["stray"]
+    swamps = [members[f"swamp{k}"] for k in range(len(swamp_sizes))]
+    for i in core:
+        for j in rng.sample([x for x in core + fed + members["sink"] if x != i], 3):
+            debts[i][j] += amount()
+    for i in fed:
+        for j in rng.sample([x for x in core + fed if x != i], 2):
+            debts[i][j] += amount()
+    for i in stray:
+        for j in rng.sample([x for x in core + stray + swamps[0] if x != i], 2):
+            debts[i][j] += amount()
+    for ring in swamps:
+        for k, i in enumerate(ring):
+            debts[i][ring[(k + 1) % len(ring)]] += amount()
+        if len(ring) > 2:
+            debts[ring[0]][ring[2]] += amount()
+    cash = [F(0)] * n
+    for i in core:
+        cash[i] = sum(debts[i]) * F(rng.randint(0, 12), 8)
+    return cf.build_network(debts, cash, mode=mode)
 
 
 def statuses_of(partition):

@@ -1,5 +1,10 @@
 """Independent test oracles.
 
+`gauss_jordan_solve` is plain Gauss-Jordan elimination over the entries' own
+type, with partial pivoting: on Fractions it pays a gcd on every operation,
+which is why the library solves by integer Bareiss instead, and it is the
+reference the library's kernel must match exactly.
+
 The seed-cash probe resolves the time-zero classification without the
 combinatorial algorithm: give every active cashless bank a tiny amount of
 cash, run the flow, and watch which of them drain right back to zero during
@@ -16,6 +21,26 @@ from __future__ import annotations
 from fractions import Fraction
 
 import clearflow as cf
+from clearflow.errors import SingularSystemError
+
+
+def gauss_jordan_solve(rows: list[list], rhs: list) -> list:
+    """Solve rows @ x = rhs by eliminating below and above every pivot."""
+    m = len(rows)
+    a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    for col in range(m):
+        pivot = max(range(col, m), key=lambda r: abs(a[r][col]))
+        if a[pivot][col] == 0:
+            raise SingularSystemError("linear system is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = a[col][col]
+        for r in range(m):
+            if r == col or a[r][col] == 0:
+                continue
+            factor = a[r][col] / inv
+            for c in range(col, m + 1):
+                a[r][c] -= factor * a[col][c]
+    return [a[i][m] / a[i][i] for i in range(m)]
 
 
 def probe_revealed(net: cf.FinancialNetwork, retries: int = 4) -> frozenset[int]:

@@ -176,6 +176,15 @@ class TestBailout:
         assert doc["unpaid"] == ["0", "2/3", "7/3", "10/3", "0"]
         assert doc["injections"] == ["0", "0", "2", "1", "0"]
 
+    def test_float_generated_network(self, capsys, tmp_path):
+        path = str(tmp_path / "f.json")
+        code, _, _ = run_cli(capsys, "gen", "--seed", "1", "--n", "32", "--density", "0.3",
+                             "--cash-scale", "1/4", "--mode", "float", "--out", path)
+        assert code == 0
+        code, out, err = run_cli(capsys, "bailout", path, "--mode", "float")
+        assert code == 0, err
+        assert json.loads(out)["verified"] is True
+
 
 class TestTrace:
     def test_event_lines(self, capsys, net_1a_path):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import clearflow as cf
-from clearflow.errors import NonTransientZeroGroupError, StalledError
+from clearflow.errors import InvariantViolationError, NonTransientZeroGroupError, StalledError
 from conftest import statuses_of
 
 
@@ -142,6 +142,35 @@ class TestStep:
         assert event.time == 1
         assert event.transitions[0].after is cf.Status.ABSORBING
         assert event.state_after.cash[0] == 1
+
+    def test_float_debt_snapped_to_zero_is_absorbed_at_once(self):
+        # bank 2's debt runs out 5e-12 after bank 1's: outside the tie
+        # window, inside the zero band, so it must be absorbed now and not
+        # left for a zero-duration event
+        net = cf.build_network([[0, 0, 1], [0, 0, 1], [0, 0, 0]], [10, 10, 0], mode=cf.FLOAT)
+        state = cf.SystemState(
+            time=0.0,
+            partition=make_partition("ppa"),
+            remaining_debt=(1.0, 1.0 + 5e-12, 0.0),
+            cash=net.cash,
+            paid=(0.0, 0.0, 0.0),
+        )
+        event = cf.step(net, state)
+        assert event.time == 1.0
+        assert event.movers == (0, 1)
+        assert statuses_of(event.state_after.partition) == "aaa"
+
+    def test_invariant_errors_name_bank_event_and_time(self):
+        net = cf.build_network([[0, 1], [0, 0]], [1, 0], mode=cf.FLOAT)
+        state = cf.SystemState(
+            time=0.5,
+            partition=make_partition("pa"),
+            remaining_debt=net.total_debt,
+            cash=(-1.0, 0.0),
+            paid=(0.0, 0.0),
+        )
+        with pytest.raises(InvariantViolationError, match=r"bank 1 \(event 3, time 0\.5\)"):
+            cf.step(net, state, index=3)
 
 
 class TestBigBang:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import clearflow as cf
 from clearflow.errors import (
@@ -15,7 +16,11 @@ from clearflow.errors import (
     SingularSystemError,
     ZeroDebtInSwampError,
 )
-from conftest import with_cash
+from conftest import swampy_network, with_cash
+from oracles import gauss_jordan_solve
+
+#: float solves agree with exact ones to this fraction of the largest entry
+FLOAT_SOLVE_TOL = 1e-9
 
 
 class TestRestrict:
@@ -142,6 +147,83 @@ class TestFundamentalSolve:
                 break
             u = nxt
         assert max(abs(u[r] - v[r]) for r in range(3)) < F(1, 10**12)
+
+
+def balance_rows(sub):
+    """Rows of (I - Q_B^T) for a restriction of the proportion matrix."""
+    m = sub.size
+    return [[(1 if i == j else 0) - sub.entries[j][i] for j in range(m)] for i in range(m)]
+
+
+class TestSolveLinear:
+    def test_singular_system_rejected_in_both_modes(self):
+        for rows in ([[F(1), F(2)], [F(2), F(4)]], [[1.0, 2.0], [2.0, 4.0]]):
+            with pytest.raises(SingularSystemError):
+                cf.markov.solve_linear(rows, [rows[0][0], rows[0][0]])
+
+    def test_zero_leading_entry_needs_a_row_swap(self):
+        assert cf.markov.solve_linear([[0, F(1, 2)], [3, 0]], [1, 1]) == [F(1, 3), 2]
+        assert cf.markov.solve_linear([[0.0, 0.5], [3.0, 0.0]], [1.0, 1.0]) == [1 / 3, 2.0]
+
+    def test_integer_input_gives_exact_fractions(self):
+        x = cf.markov.solve_linear([[2, 1], [1, 3]], [1, 0])
+        assert x == [F(3, 5), F(-1, 5)]
+        assert all(isinstance(v, F) for v in x)
+
+    def test_empty_system(self):
+        assert cf.markov.solve_linear([], []) == []
+
+
+@st.composite
+def generated_restrictions(draw):
+    """A generated network, a transient set of 1 to 40 indebted banks, and a
+    nonnegative input vector on it."""
+    m = draw(st.integers(1, 40))
+    n = m + draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    density = draw(st.sampled_from((0.15, 0.3, 0.6)))
+    net = cf.generate_network(seed, n, density, "1/4")
+    indebted = [i for i in range(n) if net.total_debt[i] > 0]
+    assume(indebted)
+    banks = sorted(draw(st.permutations(indebted))[:m])
+    m = len(banks)
+    assume(cf.is_transient(cf.restrict(net.relative, banks)))
+    e = draw(st.lists(st.fractions(0, 4, max_denominator=12), min_size=m, max_size=m))
+    return net, banks, e
+
+
+@given(generated_restrictions())
+@settings(max_examples=30, deadline=None)
+def test_kernel_matches_gauss_jordan_oracle(case):
+    net, banks, e = case
+    sub = cf.restrict(net.relative, banks)
+    rows = balance_rows(sub)
+    expected = gauss_jordan_solve(rows, e)
+    assert cf.markov.solve_linear(rows, e) == expected
+    assert cf.fundamental_solve(sub, e) == expected
+    assert cf.markov.zero_group_solve(net, banks, e) == expected
+    # the same system in float mode, against the exact answer
+    approx = cf.markov.solve_linear(
+        [[float(x) for x in row] for row in rows], [float(x) for x in e]
+    )
+    scale = max(1.0, max(float(x) for x in expected))
+    assert max(abs(a - float(x)) for a, x in zip(approx, expected)) <= FLOAT_SOLVE_TOL * scale
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_flow_zero_group_solves_match_oracle_on_swamp_networks(seed):
+    # every zero group the flow solves, against Gauss-Jordan on (I - Q_B^T)
+    net = swampy_network(seed)
+    pinned = cf.pinned_banks(net)
+    partition, _ = cf.big_bang_partition(net)
+    for event in cf.run_flow(net).trajectory:
+        solve_set = sorted(partition.zero - pinned)
+        if solve_set:
+            e = [sum(net.relative[j][i] for j in partition.positive) for i in solve_set]
+            expected = gauss_jordan_solve(balance_rows(cf.restrict(net.relative, solve_set)), e)
+            assert [event.rates.out[i] for i in solve_set] == expected
+        partition = event.state_after.partition
 
 
 class TestActiveSet:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
 import clearflow as cf
+from conftest import swampy_network
+
+#: float payments agree with exact ones to this fraction of the largest debt
+FLOAT_PAYMENT_TOL = 1e-9
 
 amounts = st.fractions(min_value=0, max_value=4, max_denominator=8)
 positive_amounts = st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8)
@@ -113,12 +118,22 @@ def test_clipped_fixed_point_matches_unclipped_solution(net, data):
         ]
 
     assert clamped(v) == v
+    # the iterates stay above v and the gap u - v (1 at the start) shrinks
+    # at least as fast as powers of Q_B^T; once every row of Q_B^K sums to
+    # at most 1/2, each K steps halve its 1-norm (at most m), so this many
+    # steps bring it under 10**-9 however slowly the subset escapes
+    power, steps = [list(row) for row in sub.entries], 1
+    while max(sum(row) for row in power) > F(1, 2):
+        power = [
+            [sum(power[r][k] * power[k][c] for k in range(m)) for c in range(m)]
+            for r in range(m)
+        ]
+        steps *= 2
     u = list(caps)
-    for _ in range(300):
-        nxt = clamped(u)
-        if nxt == u:
+    for _ in range(steps * math.ceil(math.log2(m * 10**9))):
+        if max(abs(u[r] - v[r]) for r in range(m)) <= F(1, 10**9):
             break
-        u = nxt
+        u = clamped(u)
     assert max(abs(u[r] - v[r]) for r in range(m)) <= F(1, 10**9)
 
 
@@ -166,6 +181,32 @@ def test_three_algorithms_agree_without_swamps(net):
     scale = max(1.0, float(max(net.total_debt)))
     for a, b in zip(flow_result.payments, picard):
         assert abs(float(a) - b) <= 1e-9 * scale
+
+
+@given(networks())
+@settings(max_examples=60, deadline=None)
+def test_fd_equals_flow_with_cashless_banks(net):
+    assert cf.fictitious_defaults(net)[0].payments == cf.run_flow(net).payments
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_fd_equals_flow_on_swamp_networks(seed):
+    net = swampy_network(seed)
+    assert cf.decompose_nonactive(net, cf.active_set(net)).swamps
+    assert cf.fictitious_defaults(net)[0].payments == cf.run_flow(net).payments
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from((8, 16, 24)))
+@settings(max_examples=20, deadline=None)
+def test_float_payments_agree_with_rational(seed, n):
+    for exact in (cf.generate_network(seed, n, 0.3, "1/4"), swampy_network(seed)):
+        approx = cf.convert_network(exact, cf.FLOAT)
+        reference = cf.fictitious_defaults(exact)[0].payments
+        scale = float(max(exact.total_debt))
+        for result in (cf.run_flow(approx), cf.fictitious_defaults(approx)[0]):
+            drift = max(abs(a - float(b)) for a, b in zip(result.payments, reference))
+            assert drift <= FLOAT_PAYMENT_TOL * scale
 
 
 @given(networks(), st.data())

@@ -214,6 +214,27 @@ class TestBailout:
         assert plan.verified
 
 
+class TestFloatBailout:
+    #: float answers agree with exact ones to this fraction of the largest debt
+    TOL = 1e-9
+
+    @pytest.mark.parametrize("seed,n", [(1, 32)] + [(seed, 64) for seed in range(6)])
+    def test_generated_network_matches_rational(self, seed, n):
+        # the verification replay used to stop on a zero-duration event: a
+        # float debt snapped to zero without absorbing its bank
+        exact = cf.generate_network(seed, n, 0.3, "1/4")
+        plan = cf.bailout_vector(cf.convert_network(exact, cf.FLOAT))
+        assert plan.verified
+        paid = cf.fictitious_defaults(exact)[0].payments
+        b, c, liabilities = exact.total_debt, exact.cash, exact.liabilities
+        scale = float(max(b))
+        for i in range(n):
+            # least injection: whatever full payment by all others leaves short
+            least = max(F(0), b[i] - c[i] - sum(liabilities[j][i] for j in range(n)))
+            assert abs(plan.unpaid[i] - float(b[i] - paid[i])) <= self.TOL * scale
+            assert abs(plan.injections[i] - float(least)) <= self.TOL * scale
+
+
 class TestThreeWayAgreement:
     def test_examples_agree(self, net_1a, net_1a_boundary, net_1b):
         for net in (net_1a, net_1a_boundary, net_1b):
