@@ -9,19 +9,21 @@ input or configuration, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .errors import ClearingError, SolverError, ValidationError
 from .flow import run_flow, trace_line
 from .generate import generate_network
+from .markov import active_set, decompose_nonactive
 from .network import (
     FinancialNetwork,
     parse_network,
     parse_network_csv,
     serialize_network,
 )
-from .scalars import FLOAT, RATIONAL, scalar_to_json
+from .scalars import FLOAT, RATIONAL, scalar_to_json, zero_one
 from .solvers import (
     bailout_vector,
     fictitious_defaults,
@@ -60,15 +62,13 @@ def _write_output(args, payload: str) -> None:
         print(payload)
 
 
-def _result_payload(net: FinancialNetwork, result, residual) -> dict:
-    from .markov import active_set, decompose_nonactive
-
+def _result_payload(net: FinancialNetwork, result, unique: bool) -> dict:
     payload = {
         "algorithm": result.algorithm,
         "payments": [scalar_to_json(x) for x in result.payments],
         "defaults": [net.ids[i] for i in sorted(result.defaults)],
-        "unique": not decompose_nonactive(net, active_set(net)).swamps,
-        "residual": scalar_to_json(residual),
+        "unique": unique,
+        "residual": scalar_to_json(verify_clearing(net, result.payments)),
     }
     if result.total_time is not None:
         payload["total_time"] = scalar_to_json(result.total_time)
@@ -89,11 +89,12 @@ def _run_algorithm(net: FinancialNetwork, algorithm: str, args):
 
 def _cmd_solve(args) -> int:
     net = _load_network(args)
+    unique = not decompose_nonactive(net, active_set(net)).swamps
     if args.algorithm == "all":
         results = {}
         for name in ("flow", "fd", "picard"):
             results[name] = _run_algorithm(net, name, args)
-        diff = net.cash[0] * 0 if net.n else 0
+        diff, _ = zero_one(net.mode)
         names = list(results)
         for a in range(len(names)):
             for b in range(a + 1, len(names)):
@@ -104,8 +105,7 @@ def _cmd_solve(args) -> int:
         payload = {
             "algorithm": "all",
             "results": {
-                name: _result_payload(net, res, verify_clearing(net, res.payments))
-                for name, res in results.items()
+                name: _result_payload(net, res, unique) for name, res in results.items()
             },
             "max_difference": scalar_to_json(diff),
         }
@@ -115,7 +115,7 @@ def _cmd_solve(args) -> int:
     if args.trace and result.trajectory:
         for event in result.trajectory:
             print(json.dumps(trace_line(net, event)), file=sys.stderr)
-    payload = _result_payload(net, result, verify_clearing(net, result.payments))
+    payload = _result_payload(net, result, unique)
     _write_output(args, json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -148,6 +148,7 @@ def _cmd_bailout(args) -> int:
         "unpaid": [scalar_to_json(x) for x in plan.unpaid],
         "injections": [scalar_to_json(x) for x in plan.injections],
         "verified": plan.verified,
+        "seed_required": [[net.ids[i] for i in swamp] for swamp in plan.seed_required],
     }
     _write_output(args, json.dumps(payload, indent=2))
     return EXIT_OK
@@ -271,9 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: every parser holds reference cycles that only
+    # a full garbage collection frees
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "tol", None) is not None and args.mode == RATIONAL:
         print("error: --tol requires --mode float (rational mode is exact)",
               file=sys.stderr)

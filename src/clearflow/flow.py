@@ -20,7 +20,6 @@ out of every linear solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .markov import active_set, closed_classes, zero_group_solve
 from .network import FinancialNetwork, Partition, Status, initial_partition
-from .scalars import RATIONAL, Scalar, scalar_to_json
+from .scalars import RATIONAL, Scalar, scalar_to_json, zero_one
 
 #: rates live in [0, 1]; float-mode balances within this band count as zero
 RATE_EPS = 1e-12
@@ -93,12 +92,6 @@ class ClearingResult:
     algorithm: str
 
 
-def _zero_one(net: FinancialNetwork) -> tuple[Scalar, Scalar]:
-    if net.mode == RATIONAL:
-        return Fraction(0), Fraction(1)
-    return 0.0, 1.0
-
-
 def pinned_banks(net: FinancialNetwork) -> frozenset[int]:
     """Nonactive indebted banks: they hold zero status with zero rates forever."""
     act = active_set(net)
@@ -117,7 +110,7 @@ def balance_rates(
     The one Q^T p kernel: the clamped payment map and the final cash of a
     payment vector use it too, with payments in place of rates.
     """
-    zero, _ = _zero_one(net)
+    zero, _ = zero_one(net.mode)
     inflow = [zero] * net.n
     for j, rate in enumerate(out):
         if rate:
@@ -139,7 +132,7 @@ def equilibrium_rates(
     The zero-group system is solvable exactly when the group (minus pinned
     banks) is transient; during a well-formed run that is guaranteed.
     """
-    zero, one = _zero_one(net)
+    zero, one = zero_one(net.mode)
     out: list[Scalar] = [zero] * net.n
     for i in partition.positive:
         out[i] = one
@@ -163,12 +156,15 @@ def equilibrium_rates(
     return IntervalRates(out=tuple(out), inflow=inflow, balance=balance)
 
 
-def _event_candidates(
+def _select_event(
     net: FinancialNetwork, state: SystemState, rates: IntervalRates
-) -> list[tuple[Scalar, int, str]]:
-    """Potential event times: ("debt", bank) when its debt would run out,
-    ("cash", bank) when a positive bank's cash would drain."""
-    rate_eps = 0 if net.mode == RATIONAL else RATE_EPS
+) -> tuple[Scalar, dict[int, set[str]]]:
+    """Duration until the next status change and, for every bank moving at
+    it, what runs out: "debt" for a paying bank, "cash" for a positive bank
+    with negative balance. Candidates within the tie window move together."""
+    rational = net.mode == RATIONAL
+    rate_eps = 0 if rational else RATE_EPS
+    zero, _ = zero_one(net.mode)
     candidates: list[tuple[Scalar, int, str]] = []
     for i in range(net.n):
         status = state.statuses[i]
@@ -178,14 +174,16 @@ def _event_candidates(
             candidates.append((state.remaining_debt[i] / rates.out[i], i, "debt"))
         if status is Status.POSITIVE and rates.balance[i] < -rate_eps:
             t = -state.cash[i] / rates.balance[i]
-            candidates.append((t if t > 0 else t * 0, i, "cash"))
-    return candidates
-
-
-def _tie_window(net: FinancialNetwork, t_prime: Scalar) -> Scalar:
-    if net.mode == RATIONAL:
-        return t_prime
-    return t_prime + RATE_EPS * max(1.0, t_prime)
+            candidates.append((t if t > 0 else zero, i, "cash"))
+    if not candidates:
+        raise StalledError("no finite event candidate; positive group should be nonempty")
+    t_prime = min(t for t, _, _ in candidates)
+    window = t_prime if rational else t_prime + RATE_EPS * max(1.0, t_prime)
+    hits: dict[int, set[str]] = {}
+    for t, i, kind in candidates:
+        if t <= window:
+            hits.setdefault(i, set()).add(kind)
+    return t_prime, hits
 
 
 def next_event(
@@ -198,13 +196,8 @@ def next_event(
     arise for a positive bank already sitting at zero cash whose balance has
     turned negative; callers treat that as an instantaneous reclassification.
     """
-    candidates = _event_candidates(net, state, rates)
-    if not candidates:
-        raise StalledError("no finite event candidate; positive group should be nonempty")
-    t_prime = min(t for t, _, _ in candidates)
-    window = _tie_window(net, t_prime)
-    movers = {i for t, i, _ in candidates if t <= window}
-    return t_prime, tuple(sorted(movers))
+    t_prime, hits = _select_event(net, state, rates)
+    return t_prime, tuple(sorted(hits))
 
 
 def step(
@@ -220,15 +213,8 @@ def step(
     if not state.partition.positive:
         raise StalledError("cannot step: no positive banks remain")
     rates = equilibrium_rates(net, state.partition, pinned)
-    candidates = _event_candidates(net, state, rates)
-    if not candidates:
-        raise StalledError("no finite event candidate; positive group should be nonempty")
-    t_prime = min(t for t, _, _ in candidates)
-    window = _tie_window(net, t_prime)
-    hits: dict[int, set[str]] = {}
-    for t, i, kind in candidates:
-        if t <= window:
-            hits.setdefault(i, set()).add(kind)
+    t_prime, hits = _select_event(net, state, rates)
+    zero, _ = zero_one(net.mode)
     tol = net.zero_tol
     now = state.time + t_prime
     where = f"event {index}, time {now}"
@@ -247,7 +233,7 @@ def step(
                         f"negative {kind} {x} at bank {net.ids[i]} ({where})"
                     )
                 if abs(x) <= tol:
-                    vec[i] = 0.0
+                    vec[i] = zero
                     if state.statuses[i] is Status.ABSORBING:
                         continue
                     if kind == "debt" or (
@@ -262,11 +248,11 @@ def step(
         before = statuses[i]
         if "debt" in hits[i]:
             after = Status.ABSORBING
-            debt[i] = debt[i] * 0
+            debt[i] = zero
             paid[i] = net.total_debt[i]
         else:
             after = Status.ZERO
-            cash[i] = cash[i] * 0
+            cash[i] = zero
         if before is Status.ABSORBING or (before is Status.ZERO and after is not Status.ABSORBING):
             raise InvariantViolationError(
                 f"forbidden transition {before.value} -> {after.value} "
@@ -334,7 +320,7 @@ def big_bang_partition(net: FinancialNetwork) -> tuple[Partition, frozenset[int]
     if not zero_active:
         return part, frozenset()
 
-    one = Fraction(1) if net.mode == RATIONAL else 1.0
+    _, one = zero_one(net.mode)
     pinned = pinned_banks(net)
 
     revealed: set[int] = set()
@@ -374,7 +360,7 @@ def run_flow(net: FinancialNetwork, record_trajectory: bool = True) -> ClearingR
     remains. The resulting payment vector solves the clearing equation; total
     time never exceeds the largest single debt.
     """
-    zero, _ = _zero_one(net)
+    zero, _ = zero_one(net.mode)
     pinned = pinned_banks(net)
     start_partition, _revealed = big_bang_partition(net)
     state = SystemState(

@@ -35,7 +35,7 @@ from .errors import (
     ZeroDebtInSwampError,
 )
 from .network import FinancialNetwork
-from .scalars import Scalar
+from .scalars import FLOAT, RATIONAL, Scalar, zero_one
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 
@@ -374,13 +374,13 @@ def invariant_distribution(sub: SubMatrix) -> InvariantDistribution:
         if len(comps) != 1:
             raise NotErgodicError("set is not a single communicating class")
     # (I - Q_B^T) pi = 0 with the last equation replaced by sum(pi) = 1
-    one = sub.entries[0][0] * 0 + 1  # scalar one in the matrix's own type
+    zero, one = zero_one(FLOAT if isinstance(sub.entries[0][0], float) else RATIONAL)
     rows = [
-        [(one if r == s else one * 0) - sub.entries[s][r] for s in range(m)]
+        [(one if r == s else zero) - sub.entries[s][r] for s in range(m)]
         for r in range(m)
     ]
     rows[m - 1] = [one] * m
-    rhs = [one * 0] * (m - 1) + [one]
+    rhs = [zero] * (m - 1) + [one]
     weights = solve_linear(rows, rhs)
     if any(w <= 0 for w in weights):
         raise NotErgodicError("invariant distribution is not strictly positive")

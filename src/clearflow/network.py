@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
     SelfDebtError,
 )
-from .scalars import FLOAT_ZERO_REL, RATIONAL, Scalar, check_mode, scalar_to_json, to_scalar
+from .scalars import FLOAT_ZERO_REL, RATIONAL, Scalar, check_mode, scalar_to_json, to_scalar, zero_one
 
 
 class Status(enum.Enum):
@@ -110,14 +110,6 @@ class FinancialNetwork:
             raise SchemaError(f"unknown bank id {bank_id!r}") from exc
 
 
-def _zero(mode: str) -> Scalar:
-    return Fraction(0) if mode == RATIONAL else 0.0
-
-
-def _one(mode: str) -> Scalar:
-    return Fraction(1) if mode == RATIONAL else 1.0
-
-
 def build_network(
     liabilities: Sequence[Sequence],
     cash: Sequence,
@@ -158,14 +150,15 @@ def build_network(
         if c < 0:
             raise NegativeEntryError(f"cash[{i}] = {c} is negative")
 
-    total = tuple(sum(row, _zero(mode)) for row in rows)
+    zero, one = zero_one(mode)
+    total = tuple(sum(row, zero) for row in rows)
     relative: list[tuple[Scalar, ...]] = []
     for i, row in enumerate(rows):
         if total[i] > 0:
             relative.append(tuple(x / total[i] for x in row))
         else:
-            unit = [_zero(mode)] * n
-            unit[i] = _one(mode)
+            unit = [zero] * n
+            unit[i] = one
             relative.append(tuple(unit))
 
     if ids is None:
@@ -239,7 +232,7 @@ def network_from_document(doc, mode: str = RATIONAL) -> FinancialNetwork:
         raise SchemaError("bank ids must be unique")
     index = {bank_id: k for k, bank_id in enumerate(ids)}
     n = len(ids)
-    zero = _zero(mode)
+    zero, _ = zero_one(mode)
     matrix = [[zero] * n for _ in range(n)]
     liability_entries = doc.get("liabilities", [])
     if not isinstance(liability_entries, list):

@@ -36,6 +36,13 @@ def check_mode(mode: str) -> str:
     return mode
 
 
+def zero_one(mode: str) -> tuple[Scalar, Scalar]:
+    """The scalars 0 and 1 of `mode`."""
+    if mode == RATIONAL:
+        return Fraction(0), Fraction(1)
+    return 0.0, 1.0
+
+
 def to_scalar(value, mode: str) -> Scalar:
     """Convert a user-facing amount to the scalar type of `mode`.
 

@@ -34,7 +34,7 @@ from .markov import (
     zero_group_solve,
 )
 from .network import FinancialNetwork, Partition, build_network, classify_status
-from .scalars import RATIONAL, Scalar, to_scalar
+from .scalars import RATIONAL, Scalar, to_scalar, zero_one
 
 #: default stopping tolerance for fixed-point iteration
 PICARD_TOL = Fraction(1, 10**12)
@@ -101,16 +101,24 @@ class SolutionFamily:
 
 @dataclass(frozen=True)
 class BailoutPlan:
-    """Cash injections that make every bank pay in full.
+    """Least cash injections that make every bank pay in full, apart from
+    swamps that need only a seed of cash.
 
-    Replaying the flow with the injections added pays all debts; every
-    defaulter that received a positive injection finishes with zero cash
-    (one that needed nothing may end with a surplus fed by the others).
+    `unpaid` is each bank's shortfall without help and `injections` is
+    x* = max(0, b - c - Q^T b), at most `unpaid`. Replaying the flow with the
+    injections added pays all debts outside `seed_required`, and every bank
+    with a positive injection finishes with zero cash.
+
+    `seed_required` lists the swamps still without cash after the injections:
+    each member is owed exactly what it owes, so any positive amount of cash
+    anywhere in the swamp clears it in full, but no least such amount exists.
+    They are reported instead of given an injection.
     """
 
     unpaid: tuple[Scalar, ...]
     injections: tuple[Scalar, ...]
     verified: bool
+    seed_required: tuple[tuple[int, ...], ...]
 
 
 def phi(net: FinancialNetwork, p: Sequence[Scalar]) -> list[Scalar]:
@@ -130,7 +138,7 @@ def phi(net: FinancialNetwork, p: Sequence[Scalar]) -> list[Scalar]:
 def verify_clearing(net: FinancialNetwork, p: Sequence[Scalar]) -> Scalar:
     """Largest componentwise residual of the clearing equation; zero iff p clears."""
     image = phi(net, p)
-    residual = net.cash[0] * 0 if net.n else 0
+    residual, _ = zero_one(net.mode)
     for i in range(net.n):
         residual = max(residual, abs(p[i] - image[i]))
     return residual
@@ -179,7 +187,8 @@ def fictitious_defaults(net: FinancialNetwork) -> tuple[ClearingResult, FDTrace]
     act = active_set(net)
     tol = net.zero_tol
     b = net.total_debt
-    p0 = tuple(b[i] if i in act else b[i] * 0 for i in range(net.n))
+    zero, _ = zero_one(net.mode)
+    p0 = tuple(b[i] if i in act else zero for i in range(net.n))
     iterates = [p0]
     default_sets: list[frozenset[int]] = []
     solves = []
@@ -187,7 +196,7 @@ def fictitious_defaults(net: FinancialNetwork) -> tuple[ClearingResult, FDTrace]
     p = phi(net, p0)
     for i in range(net.n):
         if i not in act:
-            p[i] = p[i] * 0
+            p[i] = zero
     d_current = frozenset(i for i in act if p[i] < b[i] - tol)
     iterates.append(tuple(p))
     default_sets.append(d_current)
@@ -218,7 +227,7 @@ def fictitious_defaults(net: FinancialNetwork) -> tuple[ClearingResult, FDTrace]
         p = phi(net, s)
         for i in range(net.n):
             if i not in act:
-                p[i] = p[i] * 0
+                p[i] = zero
         d_next = frozenset(i for i in act if p[i] < b[i] - tol)
         iterates.append(tuple(p))
         default_sets.append(d_next)
@@ -308,7 +317,7 @@ def solution_family(net: FinancialNetwork) -> SolutionFamily:
     for banks in decomposition.swamps:
         dist = invariant_distribution(restrict(net.relative, banks))
         payments = swamp_solution(dist, net.total_debt)
-        scale = sum(payments, payments[0] * 0)  # weights sum to one
+        scale = sum(payments, zero_one(net.mode)[0])  # weights sum to one
         swamps.append(
             SwampSolution(
                 banks=banks,
@@ -330,53 +339,45 @@ def solution_family(net: FinancialNetwork) -> SolutionFamily:
 
 
 def bailout_vector(net: FinancialNetwork) -> BailoutPlan:
-    """Minimal injections in three passes: measure shortfalls, replay with
-    shortfalls covered to see what circulates back, then verify.
+    """Least injections in closed form, then one verifying replay.
 
-    Pass 1 runs the flow and records each defaulter's unpaid debt. Pass 2
-    reruns with exactly that much extra cash; every debt then clears, and
-    whatever a former defaulter holds at the end was overshoot, so its
-    injection shrinks by that amount (floored at zero: a defaulter whose
-    creditors overfeed it once they are bailed out needs nothing at all).
-    Pass 3 reruns with the reduced injections and demands that every debt
-    clears and every positively injected bank finishes empty; failure is
-    reported, never patched over.
+    Any injection x that makes every debt clear leaves b a fixed point of
+    p -> min(c + x + Q^T p, b), which forces x >= b - c - Q^T b, so
+    x* = max(0, b - c - Q^T b) is a lower bound; the replay shows it is
+    reached. x* is zero wherever the unassisted flow pays in full, so only
+    defaulters get one. The replay with x* added demands that every debt
+    outside the remaining cashless swamps clears and every positively
+    injected bank finishes empty; failure is reported, never patched over.
     """
     base = run_flow(net, record_trajectory=False)
-    zero = net.cash[0] * 0 if net.n else 0
+    zero, _ = zero_one(net.mode)
     defaults = sorted(base.defaults)
     unpaid = [zero] * net.n
     for i in defaults:
         unpaid[i] = net.total_debt[i] - base.payments[i]
     if not defaults:
         return BailoutPlan(
-            unpaid=tuple(unpaid), injections=tuple(unpaid), verified=True
+            unpaid=tuple(unpaid), injections=tuple(unpaid), verified=True, seed_required=()
         )
 
-    boosted = list(net.cash)
-    for i in defaults:
-        boosted[i] = boosted[i] + unpaid[i]
-    second = run_flow(
-        build_network(net.liabilities, boosted, mode=net.mode, ids=net.ids),
-        record_trajectory=False,
-    )
-    tol = net.zero_tol
+    received, _ = balance_rates(net, net.total_debt)
     injections = [zero] * net.n
+    boosted_cash = list(net.cash)
     for i in defaults:
-        injections[i] = max(unpaid[i] - second.final_cash[i], zero)
-
-    final_cash = list(net.cash)
-    for i in defaults:
-        final_cash[i] = final_cash[i] + injections[i]
-    third = run_flow(
-        build_network(net.liabilities, final_cash, mode=net.mode, ids=net.ids),
-        record_trajectory=False,
-    )
+        injections[i] = max(net.total_debt[i] - net.cash[i] - received[i], zero)
+        boosted_cash[i] = boosted_cash[i] + injections[i]
+    boosted = build_network(net.liabilities, boosted_cash, mode=net.mode, ids=net.ids)
+    replay = run_flow(boosted, record_trajectory=False)
+    seed_required = decompose_nonactive(boosted, active_set(boosted)).swamps
+    seeded = {i for swamp in seed_required for i in swamp}
+    tol = net.zero_tol
     all_paid = all(
-        net.total_debt[i] - third.payments[i] <= tol for i in range(net.n)
+        net.total_debt[i] - replay.payments[i] <= tol
+        for i in range(net.n)
+        if i not in seeded
     )
     injected_empty = all(
-        third.final_cash[i] <= tol for i in defaults if injections[i] > tol
+        replay.final_cash[i] <= tol for i in defaults if injections[i] > tol
     )
     if not (all_paid and injected_empty):
         raise VerificationFailedError(
@@ -385,5 +386,8 @@ def bailout_vector(net: FinancialNetwork) -> BailoutPlan:
             + ("" if injected_empty else "an injected bank kept cash")
         )
     return BailoutPlan(
-        unpaid=tuple(unpaid), injections=tuple(injections), verified=True
+        unpaid=tuple(unpaid),
+        injections=tuple(injections),
+        verified=True,
+        seed_required=seed_required,
     )

@@ -80,6 +80,17 @@ def swampy_network(seed, mode=cf.RATIONAL):
     return cf.build_network(debts, cash, mode=mode)
 
 
+#: two cashless swamps: banks 0 and 1 each owe the other 2/3; banks 2 and 3
+#: owe each other 2 and 1, and bank 4, owed nothing, owes bank 2 one more
+BESIDE_LIABILITIES = [
+    [0, F(2, 3), 0, 0, 0],
+    [F(2, 3), 0, 0, 0, 0],
+    [0, 0, 0, 2, 0],
+    [0, 0, 1, 0, 0],
+    [0, 0, 1, 0, 0],
+]
+
+
 def statuses_of(partition):
     """Compact view: 'p', 'z', 'a' per bank."""
     return "".join(s.value[0] for s in partition)

@@ -14,6 +14,10 @@ exact algorithm must reveal as positive.
 The readout is scale-based, so it is validated by rerunning with a much
 smaller seed; if the two runs disagree the seed was not small enough and
 both shrink. Exact rational arithmetic makes the comparison bit-precise.
+
+`least_injection` is the least bailout read straight off the liabilities:
+a bank that every debtor pays in full receives its column sum, so it needs
+max(0, b - c - L^T 1) on top of its cash, and no less.
 """
 
 from __future__ import annotations
@@ -41,6 +45,15 @@ def gauss_jordan_solve(rows: list[list], rhs: list) -> list:
             for c in range(col, m + 1):
                 a[r][c] -= factor * a[col][c]
     return [a[i][m] / a[i][i] for i in range(m)]
+
+
+def least_injection(net: cf.FinancialNetwork) -> tuple[Fraction, ...]:
+    """max(0, b - c - L^T 1) per bank, exact."""
+    assert net.mode == cf.RATIONAL, "the least-injection oracle runs exact"
+    owed = [sum((row[i] for row in net.liabilities), Fraction(0)) for i in range(net.n)]
+    return tuple(
+        max(Fraction(0), net.total_debt[i] - net.cash[i] - owed[i]) for i in range(net.n)
+    )
 
 
 def probe_revealed(net: cf.FinancialNetwork, retries: int = 4) -> frozenset[int]:

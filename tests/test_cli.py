@@ -8,7 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 import clearflow as cf
+from clearflow import cli
 from clearflow.cli import main
+from conftest import BESIDE_LIABILITIES
 
 
 @pytest.fixture
@@ -184,6 +186,42 @@ class TestBailout:
         code, out, err = run_cli(capsys, "bailout", path, "--mode", "float")
         assert code == 0, err
         assert json.loads(out)["verified"] is True
+
+
+    def test_balanced_swamp_reports_seed(self, capsys, tmp_path):
+        net = cf.build_network([[0, F(2, 3)], [F(2, 3), 0]], [0, 0], ids=["a", "b"])
+        path = tmp_path / "swamp.json"
+        path.write_text(cf.serialize_network(net))
+        code, out, err = run_cli(capsys, "bailout", str(path))
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["injections"] == ["0", "0"]
+        assert doc["seed_required"] == [["a", "b"]]
+        assert doc["verified"] is True
+
+    def test_balanced_swamp_beside_fed_swamp(self, capsys, tmp_path):
+        net = cf.build_network(BESIDE_LIABILITIES, [0] * 5)
+        path = tmp_path / "beside.json"
+        path.write_text(cf.serialize_network(net))
+        code, out, err = run_cli(capsys, "bailout", str(path))
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["injections"] == ["0", "0", "0", "0", "1"]
+        assert doc["seed_required"] == [["1", "2"]]
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch, net_1a_path):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run_cli(capsys, "solve", net_1a_path)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
 
 
 class TestTrace:

@@ -8,7 +8,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 import clearflow as cf
-from conftest import swampy_network
+from conftest import swampy_network, with_cash
+from oracles import least_injection
 
 #: float payments agree with exact ones to this fraction of the largest debt
 FLOAT_PAYMENT_TOL = 1e-9
@@ -273,3 +274,39 @@ def test_bailout_postconditions_on_active_networks(net):
     assert plan.verified
     if not result.defaults:
         assert all(x == 0 for x in plan.injections)
+
+
+def check_least_bailout(net):
+    """The plan injects exactly x* = max(0, b - c - L^T 1). With x* added,
+    fictitious defaults pays every debt outside the reported swamps; those
+    are balanced, and one seed of cash in each clears everything."""
+    plan = cf.bailout_vector(net)
+    assert plan.verified
+    assert plan.injections == least_injection(net)
+    boosted = [c + x for c, x in zip(net.cash, plan.injections)]
+    paid = cf.fictitious_defaults(with_cash(net, boosted))[0].payments
+    seeded = {i for swamp in plan.seed_required for i in swamp}
+    for i in range(net.n):
+        if i not in seeded:
+            assert paid[i] == net.total_debt[i]
+    for swamp in plan.seed_required:
+        for i in swamp:
+            assert boosted[i] == 0
+            owes = sum(net.liabilities[i][j] for j in swamp)
+            owed = sum(net.liabilities[j][i] for j in swamp)
+            assert owes == owed == net.total_debt[i] > 0
+        boosted[swamp[0]] += F(1, 8)
+    seeded_net = with_cash(net, boosted)
+    assert cf.fictitious_defaults(seeded_net)[0].payments == net.total_debt
+
+
+@given(networks())
+@settings(max_examples=60, deadline=None)
+def test_bailout_is_least_injection(net):
+    check_least_bailout(net)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_bailout_is_least_injection_on_swamp_networks(seed):
+    check_least_bailout(swampy_network(seed))

@@ -8,7 +8,8 @@ import pytest
 
 import clearflow as cf
 from clearflow.errors import NoConvergenceError, OutOfRangeError
-from conftest import with_cash
+from clearflow import solvers
+from conftest import BESIDE_LIABILITIES, with_cash
 
 
 class TestPhi:
@@ -212,6 +213,39 @@ class TestBailout:
         assert plan.unpaid == (0, 2, 3, 4, 0)
         assert plan.injections == (0, 0, 1, 1, 0)
         assert plan.verified
+
+
+    def test_one_verification_replay(self, net_1b, monkeypatch):
+        runs = []
+        real = solvers.run_flow
+        monkeypatch.setattr(
+            solvers, "run_flow", lambda *a, **k: runs.append(a) or real(*a, **k)
+        )
+        cf.bailout_vector(net_1b)
+        assert len(runs) == 2
+
+    def test_balanced_swamp_needs_a_seed(self):
+        # two cashless banks each owing the other 2/3: any cash at all clears
+        # both debts, so no least injection exists and none is made
+        net = cf.build_network([[0, F(2, 3)], [F(2, 3), 0]], [0, 0])
+        plan = cf.bailout_vector(net)
+        assert plan.unpaid == (F(2, 3), F(2, 3))
+        assert plan.injections == (0, 0)
+        assert plan.seed_required == ((0, 1),)
+        assert plan.verified
+
+    def test_balanced_swamp_beside_fed_swamp(self):
+        # banks 2 and 3 form a swamp that clears once bank 4, owed nothing,
+        # is injected and pays bank 2; banks 0 and 1 are a balanced swamp
+        net = cf.build_network(BESIDE_LIABILITIES, [0] * 5)
+        plan = cf.bailout_vector(net)
+        assert plan.unpaid == (F(2, 3), F(2, 3), 2, 1, 1)
+        assert plan.injections == (0, 0, 0, 0, 1)
+        assert plan.seed_required == ((0, 1),)
+        assert plan.verified
+        replay = cf.run_flow(with_cash(net, plan.injections))
+        assert replay.payments == (0, 0, 2, 1, 1)
+        assert replay.final_cash == (0, 0, 0, 1, 0)
 
 
 class TestFloatBailout:
