@@ -9,8 +9,10 @@ from zero to absorbing, so a run takes at most 2n events.
 
 The initial instant needs special care when some banks start indebted with
 no cash: whether such a bank behaves as "positive" depends on rates that in
-turn depend on that classification. `big_bang_partition` resolves this with
-an exact combinatorial iteration instead of numeric probing.
+turn depend on that classification. `big_bang_partition` resolves it as the
+greatest fixed point of the clamped rate map r = min(1, Q^T r), computed
+exactly by the same fictitious-defaults loop that gives `solvers` its
+clearing payments, instead of by numeric probing.
 
 Nonactive banks (no cash and unreachable from any cash along debt edges)
 never move money; they are pinned to zero rates for the whole run and stay
@@ -24,11 +26,12 @@ from typing import Sequence
 
 from .errors import (
     InvariantViolationError,
+    NoConvergenceError,
     NonTransientZeroGroupError,
     SingularSystemError,
     StalledError,
 )
-from .markov import active_set, closed_classes, zero_group_solve
+from .markov import active_set, zero_group_solve
 from .network import FinancialNetwork, Partition, Status, initial_partition
 from .scalars import RATIONAL, Scalar, scalar_to_json, zero_one
 
@@ -300,57 +303,92 @@ def step(
     )
 
 
+def _greatest_fixed_point(
+    net: FinancialNetwork,
+    banks: frozenset[int],
+    base: Sequence[Scalar],
+    cap: Sequence[Scalar],
+    held: Sequence[Scalar],
+    tol: Scalar,
+) -> tuple[list[tuple[Scalar, ...]], list[frozenset[int]], list[tuple]]:
+    """Greatest fixed point of x = min(cap, base + Q^T x) on `banks`, with
+    every other bank held at its value in `held` (fictitious defaults).
+
+    Starts with every bank in `banks` at its cap. Each round clamps, collects
+    the banks that fall short of their cap by more than `tol`, and solves
+    x = base + Q^T x exactly on that short set, the rest of `banks` at cap.
+    The short set only grows, so this stops within |banks| rounds. It never
+    holds a closed group fed from outside: the members' in-rates sum to
+    their out-rates plus the feed, so one of them stays at its cap.
+
+    Returns the iterates (the start, then each clamp), the short set of
+    each clamp and the (set, input, solution) triple of each solve.
+    """
+    zero, _ = zero_one(net.mode)
+    start = list(held)
+    for i in banks:
+        start[i] = cap[i]
+    iterates = [tuple(start)]
+    short_sets: list[frozenset[int]] = []
+    solves = []
+    x = start
+    previous: frozenset[int] = frozenset()
+    while True:
+        received, _ = balance_rates(net, x)
+        x = list(held)
+        for i in banks:
+            x[i] = min(base[i] + received[i], cap[i])
+        short = frozenset(i for i in banks if x[i] < cap[i] - tol)
+        iterates.append(tuple(x))
+        short_sets.append(short)
+        if short == previous:
+            return iterates, short_sets, solves
+        if not previous <= short:
+            raise NoConvergenceError("defaulting sets did not grow monotonically")
+        previous = short
+
+        fed = list(start)
+        for i in short:
+            fed[i] = zero
+        inflow, _ = balance_rates(net, fed)
+        solve_set = sorted(short)
+        e = [base[i] + inflow[i] for i in solve_set]
+        try:
+            r = zero_group_solve(net, solve_set, e)
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                f"defaulting set {solve_set} is not transient: {exc}"
+            ) from exc
+        solves.append((tuple(solve_set), tuple(e), tuple(r)))
+        x = list(start)
+        for k, i in enumerate(solve_set):
+            x[i] = r[k]
+
+
 def big_bang_partition(net: FinancialNetwork) -> tuple[Partition, frozenset[int]]:
     """Resolve the time-zero classification of cashless indebted banks.
 
-    Iterates exact equilibrium solves: members of closed groups inside the
-    active zero set are revealed as positive up front (their inflow has
-    nowhere to drain, so no balanced rate below capacity exists); then any
-    bank whose solved rate reaches capacity is revealed, and revealed banks
-    whose in-rate falls below capacity under the refined rates are demoted
-    again. The revealed set shrinks monotonically, so this ends in at most
-    as many rounds as there are cashless banks.
+    Their time-zero rates are the greatest fixed point of
+    r = min(1, Q^T r) over the active cashless banks, with positive banks
+    held at rate 1 and every other bank at 0, found exactly by the
+    fictitious-defaults loop. A bank whose rate stays at 1 is revealed as
+    positive: its in-rate covers its unit out-rate.
 
     Returns the modified partition for the first interval and the revealed
     set. Nonactive banks are never candidates; they stay zero with no flow.
     """
     part = initial_partition(net)
-    act = active_set(net)
-    zero_active = sorted(part.zero & act)
-    if not zero_active:
-        return part, frozenset()
-
-    _, one = zero_one(net.mode)
-    pinned = pinned_banks(net)
-
-    revealed: set[int] = set()
-    for group in closed_classes(net, set(zero_active)):
-        revealed.update(group)
-
-    def rates_for(reveal: set[int]) -> IntervalRates:
-        statuses = list(part.statuses)
-        for i in reveal:
-            statuses[i] = Status.POSITIVE
-        return equilibrium_rates(net, Partition(tuple(statuses)), pinned)
-
-    # first solve: move every zero bank whose balanced rate reaches capacity
-    first = rates_for(revealed)
-    for i in zero_active:
-        if i not in revealed and first.out[i] >= one:
-            revealed.add(i)
-
-    # shrink: a revealed bank stays only while its in-rate holds at capacity
-    while revealed:
-        rates = rates_for(revealed)
-        demoted = {i for i in revealed if rates.inflow[i] < one}
-        if not demoted:
-            break
-        revealed -= demoted
-
+    cashless = part.zero & active_set(net)
+    zero, one = zero_one(net.mode)
+    held = [one if s is Status.POSITIVE else zero for s in part.statuses]
+    _, short_sets, _ = _greatest_fixed_point(
+        net, cashless, [zero] * net.n, [one] * net.n, held, zero
+    )
+    revealed = cashless - short_sets[-1]
     statuses = list(part.statuses)
     for i in revealed:
         statuses[i] = Status.POSITIVE
-    return Partition(tuple(statuses)), frozenset(revealed)
+    return Partition(tuple(statuses)), revealed
 
 
 def run_flow(net: FinancialNetwork, record_trajectory: bool = True) -> ClearingResult:

@@ -13,6 +13,7 @@ form ("p/q" strings in rational mode, plain numbers in float mode).
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -28,6 +29,11 @@ Scalar = Fraction | float
 #: relative factor for float-mode zero detection, scaled by the largest
 #: initial cash/debt entry of the network at hand
 FLOAT_ZERO_REL = 1e-12
+
+#: digits allowed in the integer form of one decimal amount: the limit that
+#: Python's int() already puts on each side of a "p/q" amount, so that no
+#: short string like "1e100000000" can demand a huge integer
+MAX_AMOUNT_DIGITS = sys.int_info.default_max_str_digits
 
 
 def check_mode(mode: str) -> str:
@@ -66,11 +72,15 @@ def to_scalar(value, mode: str) -> Scalar:
             return _fraction_from_str(value)
         raise SchemaError(f"cannot read amount of type {type(value).__name__}: {value!r}")
     # float mode
-    if isinstance(value, (int, float, Fraction)):
-        return float(value)
-    if isinstance(value, str):
-        return float(_fraction_from_str(value))
-    raise SchemaError(f"cannot read amount of type {type(value).__name__}: {value!r}")
+    exact = _fraction_from_str(value) if isinstance(value, str) else value
+    if not isinstance(exact, (int, float, Fraction)):
+        raise SchemaError(f"cannot read amount of type {type(value).__name__}: {value!r}")
+    try:
+        return float(exact)
+    except OverflowError as exc:
+        # the repr of an int or Fraction past 4300 digits raises ValueError
+        shown = repr(value) if isinstance(value, str) else f"of type {type(value).__name__}"
+        raise SchemaError(f"amount {shown} is beyond float range") from exc
 
 
 def _fraction_from_str(text: str) -> Fraction:
@@ -86,9 +96,17 @@ def _fraction_from_str(text: str) -> Fraction:
             raise SchemaError(f"rational string must have a positive denominator: {text!r}")
         return Fraction(p, q)
     try:
-        return Fraction(Decimal(s))
-    except (InvalidOperation, ValueError) as exc:
+        number = Decimal(s)
+    except InvalidOperation as exc:
         raise SchemaError(f"malformed number {text!r}") from exc
+    if not number.is_finite():
+        raise SchemaError(f"amount is not finite: {text!r}")
+    _, digits, exponent = number.as_tuple()
+    if len(digits) + abs(exponent) > MAX_AMOUNT_DIGITS:
+        raise SchemaError(
+            f"amount {text!r} has more than {MAX_AMOUNT_DIGITS} digits in integer form"
+        )
+    return Fraction(number)
 
 
 def scalar_to_json(x: Scalar):

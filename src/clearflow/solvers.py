@@ -17,13 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    NoConvergenceError,
-    OutOfRangeError,
-    SingularSystemError,
-    VerificationFailedError,
-)
-from .flow import ClearingResult, balance_rates, run_flow
+from .errors import NoConvergenceError, OutOfRangeError, VerificationFailedError
+from .flow import ClearingResult, _greatest_fixed_point, balance_rates, run_flow
 from .markov import (
     SwampDecomposition,
     active_set,
@@ -31,7 +26,6 @@ from .markov import (
     invariant_distribution,
     restrict,
     swamp_solution,
-    zero_group_solve,
 )
 from .network import FinancialNetwork, Partition, build_network, classify_status
 from .scalars import RATIONAL, Scalar, to_scalar, zero_one
@@ -144,25 +138,20 @@ def verify_clearing(net: FinancialNetwork, p: Sequence[Scalar]) -> Scalar:
     return residual
 
 
-def _partition_for_payments(net: FinancialNetwork, p: Sequence[Scalar]) -> Partition:
-    tol = net.zero_tol
-    received, _ = balance_rates(net, p)
-    statuses = []
-    for i in range(net.n):
-        debt_left = net.total_debt[i] - p[i]
-        cash_left = net.cash[i] + received[i] - p[i]
-        statuses.append(classify_status(debt_left, cash_left, tol))
-    return Partition(tuple(statuses))
-
-
 def result_from_payments(
     net: FinancialNetwork, p: Sequence[Scalar], algorithm: str
 ) -> ClearingResult:
     """Wrap a known clearing vector in a result, deriving the final partition
     and cash positions it implies."""
-    partition = _partition_for_payments(net, p)
+    tol = net.zero_tol
     received, _ = balance_rates(net, p)
     final_cash = tuple(net.cash[i] + received[i] - p[i] for i in range(net.n))
+    partition = Partition(
+        tuple(
+            classify_status(net.total_debt[i] - p[i], final_cash[i], tol)
+            for i in range(net.n)
+        )
+    )
     return ClearingResult(
         payments=tuple(p),
         final_partition=partition,
@@ -177,66 +166,18 @@ def result_from_payments(
 def fictitious_defaults(net: FinancialNetwork) -> tuple[ClearingResult, FDTrace]:
     """Iterate: clamp, collect the defaulting set, solve payments on it exactly.
 
-    Starts from full payment of every debt. Each round solves the balance
-    system restricted to the current defaulting set (treating everyone else
-    as paying in full), re-clamps, and stops once the defaulting set stops
-    growing; that takes at most n rounds. Nonactive banks never pay and are
-    excluded from the solves, which keeps the restrictions transient on
-    networks with swamps.
+    The greatest fixed point of p = min(c + Q^T p, b) over the active banks,
+    from the loop shared with `flow.big_bang_partition`: start from full
+    payment of every debt, solve the balance system restricted to the
+    current defaulting set (everyone else paying in full), re-clamp, and
+    stop once the defaulting set stops growing; that takes at most n rounds.
+    Nonactive banks never pay and are excluded from the solves, which keeps
+    the restrictions transient on networks with swamps.
     """
-    act = active_set(net)
-    tol = net.zero_tol
-    b = net.total_debt
     zero, _ = zero_one(net.mode)
-    p0 = tuple(b[i] if i in act else zero for i in range(net.n))
-    iterates = [p0]
-    default_sets: list[frozenset[int]] = []
-    solves = []
-
-    p = phi(net, p0)
-    for i in range(net.n):
-        if i not in act:
-            p[i] = zero
-    d_current = frozenset(i for i in act if p[i] < b[i] - tol)
-    iterates.append(tuple(p))
-    default_sets.append(d_current)
-
-    while d_current:
-        solve_set = sorted(d_current)
-        e = []
-        for i in solve_set:
-            acc = net.cash[i]
-            # non-defaulting active banks are treated as paying in full
-            # (q_ji * b_j = L_ji); nonactive banks pay nothing (and owe
-            # nothing to active ones)
-            for j in act:
-                if j not in d_current and net.liabilities[j][i] != 0:
-                    acc += net.liabilities[j][i]
-            e.append(acc)
-        try:
-            r = zero_group_solve(net, solve_set, e)
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                f"defaulting set {solve_set} is not transient: {exc}"
-            ) from exc
-        solves.append((tuple(solve_set), tuple(e), tuple(r)))
-
-        s = list(p0)
-        for k, i in enumerate(solve_set):
-            s[i] = r[k]
-        p = phi(net, s)
-        for i in range(net.n):
-            if i not in act:
-                p[i] = zero
-        d_next = frozenset(i for i in act if p[i] < b[i] - tol)
-        iterates.append(tuple(p))
-        default_sets.append(d_next)
-        if d_next == d_current:
-            break
-        if not d_current <= d_next or len(default_sets) > net.n + 1:
-            raise NoConvergenceError("defaulting sets did not grow monotonically")
-        d_current = d_next
-
+    iterates, default_sets, solves = _greatest_fixed_point(
+        net, active_set(net), net.cash, net.total_debt, [zero] * net.n, net.zero_tol
+    )
     trace = FDTrace(
         iterates=tuple(iterates),
         default_sets=tuple(default_sets),

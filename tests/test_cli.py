@@ -109,6 +109,13 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
+    def test_amount_beyond_float_range_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"banks": [{"id": "a", "cash": 1e400}, {"id": "b", "cash": 0}]}')
+        code, _out, err = run_cli(capsys, "solve", str(path), "--mode", "float")
+        assert code == 2
+        assert err.startswith("error: amount '1e400' is beyond float range")
+
     def test_tol_rejected_in_rational_mode(self, capsys, net_1a_path):
         code, _out, err = run_cli(capsys, "solve", net_1a_path, "--tol", "1e-9")
         assert code == 2

@@ -8,7 +8,8 @@ import pytest
 
 import clearflow as cf
 from clearflow.errors import InvariantViolationError, NonTransientZeroGroupError, StalledError
-from conftest import statuses_of
+from conftest import statuses_of, swampy_network
+from oracles import probe_revealed
 
 
 def make_partition(pattern: str) -> cf.Partition:
@@ -217,6 +218,28 @@ class TestBigBang:
         result = cf.run_flow(net)
         assert result.payments == (1, 1)
         assert cf.verify_clearing(net, result.payments) == 0
+
+
+    def test_closed_group_partly_revealed(self):
+        # the cashless group {1, 2, 3} owes only itself, and bank 0 feeds
+        # bank 2 at rate 1/10: bank 1 receives 1 + 1/10 and stays at unit
+        # rate, while banks 2 and 3 settle at 6/10 and 5/10
+        net = cf.build_network(
+            [[0, 0, 1, 0, 9], [0, 0, 1, 1, 0], [0, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0] * 5],
+            [1, 0, 0, 0, 0],
+        )
+        partition, revealed = cf.big_bang_partition(net)
+        assert revealed == frozenset({1}) == probe_revealed(net)
+        assert statuses_of(partition) == "ppzza"
+        rates = cf.equilibrium_rates(net, partition, cf.pinned_banks(net))
+        assert rates.out == (1, 1, F(6, 10), F(5, 10), 0)
+        assert cf.verify_clearing(net, cf.run_flow(net).payments) == 0
+
+    def test_matches_probe_on_swamp_networks(self):
+        revealed = [cf.big_bang_partition(swampy_network(seed))[1] for seed in range(60)]
+        for seed, found in enumerate(revealed):
+            assert found == probe_revealed(swampy_network(seed)), seed
+        assert sum(1 for found in revealed if found) > 45
 
 
 class TestRunFlow:

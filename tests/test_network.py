@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -168,6 +169,32 @@ class TestSerialization:
         assert net.mode == cf.FLOAT
         assert net.cash == (0.5, 1.0)
         assert isinstance(net.zero_tol, float) and net.zero_tol > 0
+
+    def test_amount_beyond_float_range_is_schema_error(self):
+        doc = '{"banks": [{"id": "a", "cash": 1e400}, {"id": "b", "cash": 0}]}'
+        with pytest.raises(SchemaError, match="1e400"):
+            cf.parse_network(doc, mode=cf.FLOAT)
+        assert cf.parse_network(doc).cash[0] == 10**400
+        for amount in (10**400, 10**5000, F(10**5000, 3)):
+            with pytest.raises(SchemaError, match="beyond float range"):
+                cf.build_network([[0]], [amount], mode=cf.FLOAT)
+
+    def test_decimal_amount_digits_are_bounded(self):
+        start = time.perf_counter()
+        for mode in (cf.RATIONAL, cf.FLOAT):
+            with pytest.raises(SchemaError, match="1e100000000"):
+                cf.parse_network('{"banks": [{"id": "a", "cash": 1e100000000}]}', mode)
+        assert time.perf_counter() - start < 1
+        # the bound counts digits of the integer form, as int() does for "p/q"
+        longest = "9" * 4300
+        net = cf.parse_network(
+            f'{{"banks": [{{"id": "a", "cash": {longest}}}, {{"id": "b", "cash": 1e-4299}},'
+            ' {"id": "c", "cash": 0.1}, {"id": "d", "cash": "12.5e3"}]}'
+        )
+        assert net.cash == (F(10**4300 - 1), F(1, 10**4299), F(1, 10), F(12500))
+        for amount in ("9" * 4301, "1e-4300", "1.5e4300"):
+            with pytest.raises(SchemaError, match="4300 digits"):
+                cf.parse_network(f'{{"banks": [{{"id": "a", "cash": "{amount}"}}]}}')
 
 
 class TestConvert:

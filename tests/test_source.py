@@ -1,0 +1,50 @@
+"""Static checks on the package source, with the standard library only."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "clearflow"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads; names listed in its `__all__`
+    count as read, which exempts the re-exports of `__init__`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [
+        f"{path.name}:{line} {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
+
+
+def test_no_unused_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+def test_unused_import_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import os.path\nimport sys\nfrom json import dumps, loads as read\n"
+        "from typing import Sequence\n__all__ = ['dumps']\n"
+        "def f(x: Sequence) -> str:\n    return os.path.join(x)\n"
+    )
+    assert unused_imports(module) == ["sample.py:2 sys", "sample.py:3 read"]
