@@ -15,6 +15,7 @@ import csv
 import enum
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -134,9 +135,7 @@ def build_network(
             raise DimensionMismatchError(f"liability row {i} has length {len(raw_row)}, expected {n}")
         row = tuple(to_scalar(x, mode) for x in raw_row)
         for j, x in enumerate(row):
-            if isinstance(x, float) and x != x:  # NaN guard; inf caught below
-                raise NegativeEntryError(f"liability[{i}][{j}] is not finite")
-            if isinstance(x, float) and x in (float("inf"), float("-inf")):
+            if isinstance(x, float) and not math.isfinite(x):
                 raise NegativeEntryError(f"liability[{i}][{j}] is not finite")
             if x < 0:
                 raise NegativeEntryError(f"liability[{i}][{j}] = {x} is negative")
@@ -145,17 +144,17 @@ def build_network(
         rows.append(row)
     cash_vec = tuple(to_scalar(x, mode) for x in cash)
     for i, c in enumerate(cash_vec):
-        if isinstance(c, float) and not (c == c and abs(c) != float("inf")):
+        if isinstance(c, float) and not math.isfinite(c):
             raise NegativeEntryError(f"cash[{i}] is not finite")
         if c < 0:
             raise NegativeEntryError(f"cash[{i}] = {c} is negative")
 
     zero, one = zero_one(mode)
-    total = tuple(sum(row, zero) for row in rows)
+    total = tuple(sum((x for x in row if x), zero) for row in rows)
     relative: list[tuple[Scalar, ...]] = []
     for i, row in enumerate(rows):
         if total[i] > 0:
-            relative.append(tuple(x / total[i] for x in row))
+            relative.append(tuple(x / total[i] if x else zero for x in row))
         else:
             unit = [zero] * n
             unit[i] = one

@@ -7,18 +7,18 @@ without swamps all three agree; with swamps the flow and fictitious defaults
 produce the least vector while fixed-point iteration started from the debt
 vector descends to the greatest one.
 
-Also here: the residual check for the clearing equation, the parametric
-family of all clearing vectors, and the minimal-injection bailout plan.
+Also here: the clearing residual, and the solution family and the least
+bailout, which need no flow trajectory and so run on fictitious defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import NoConvergenceError, OutOfRangeError, VerificationFailedError
-from .flow import ClearingResult, _greatest_fixed_point, balance_rates, run_flow
+from .flow import ClearingResult, _greatest_fixed_point, balance_rates
 from .markov import (
     SwampDecomposition,
     active_set,
@@ -27,7 +27,7 @@ from .markov import (
     restrict,
     swamp_solution,
 )
-from .network import FinancialNetwork, Partition, build_network, classify_status
+from .network import FinancialNetwork, Partition, classify_status
 from .scalars import RATIONAL, Scalar, to_scalar, zero_one
 
 #: default stopping tolerance for fixed-point iteration
@@ -99,7 +99,7 @@ class BailoutPlan:
     swamps that need only a seed of cash.
 
     `unpaid` is each bank's shortfall without help and `injections` is
-    x* = max(0, b - c - Q^T b), at most `unpaid`. Replaying the flow with the
+    x* = max(0, b - c - Q^T b), at most `unpaid`. Clearing again with the
     injections added pays all debts outside `seed_required`, and every bank
     with a positive injection finishes with zero cash.
 
@@ -246,13 +246,13 @@ def picard_iterate(
 
 
 def solution_family(net: FinancialNetwork) -> SolutionFamily:
-    """Basic vector from the flow, one generator per swamp, and their sum.
+    """Least vector by fictitious defaults, a generator per swamp, their sum.
 
     Every clearing vector is the basic one plus an independent [0, 1]-scaled
     contribution from each swamp; the family is a point exactly when no
     swamps exist.
     """
-    basic = run_flow(net, record_trajectory=False).payments
+    basic = fictitious_defaults(net)[0].payments
     decomposition = decompose_nonactive(net, active_set(net))
     swamps = []
     for banks in decomposition.swamps:
@@ -285,12 +285,13 @@ def bailout_vector(net: FinancialNetwork) -> BailoutPlan:
     Any injection x that makes every debt clear leaves b a fixed point of
     p -> min(c + x + Q^T p, b), which forces x >= b - c - Q^T b, so
     x* = max(0, b - c - Q^T b) is a lower bound; the replay shows it is
-    reached. x* is zero wherever the unassisted flow pays in full, so only
-    defaulters get one. The replay with x* added demands that every debt
-    outside the remaining cashless swamps clears and every positively
+    reached. x* is zero wherever the least clearing vector pays in full, so
+    only defaulters get one. Fictitious defaults gives both vectors, the
+    replay's on a copy of `net` with x* added to the cash; the replay demands
+    that every debt outside the remaining cashless swamps clears and every
     injected bank finishes empty; failure is reported, never patched over.
     """
-    base = run_flow(net, record_trajectory=False)
+    base, _ = fictitious_defaults(net)
     zero, _ = zero_one(net.mode)
     defaults = sorted(base.defaults)
     unpaid = [zero] * net.n
@@ -307,8 +308,8 @@ def bailout_vector(net: FinancialNetwork) -> BailoutPlan:
     for i in defaults:
         injections[i] = max(net.total_debt[i] - net.cash[i] - received[i], zero)
         boosted_cash[i] = boosted_cash[i] + injections[i]
-    boosted = build_network(net.liabilities, boosted_cash, mode=net.mode, ids=net.ids)
-    replay = run_flow(boosted, record_trajectory=False)
+    boosted = replace(net, cash=tuple(boosted_cash))
+    replay, _ = fictitious_defaults(boosted)
     seed_required = decompose_nonactive(boosted, active_set(boosted)).swamps
     seeded = {i for swamp in seed_required for i in swamp}
     tol = net.zero_tol

@@ -80,6 +80,20 @@ def swampy_network(seed, mode=cf.RATIONAL):
     return cf.build_network(debts, cash, mode=mode)
 
 
+def wide_magnitude_network(seed, mode=cf.FLOAT):
+    """Up to 24 banks with debts and cash spread over twelve orders of
+    magnitude, 1e-6 to 1e6; about 30 % of the banks hold no cash."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 24)
+    liabilities = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < 0.4:
+                liabilities[i][j] = 10 ** rng.uniform(-6, 6)
+    cash = [10 ** rng.uniform(-6, 6) if rng.random() < 0.7 else 0.0 for _ in range(n)]
+    return cf.build_network(liabilities, cash, mode=mode)
+
+
 #: two cashless swamps: banks 0 and 1 each owe the other 2/3; banks 2 and 3
 #: owe each other 2 and 1, and bank 4, owed nothing, owes bank 2 one more
 BESIDE_LIABILITIES = [

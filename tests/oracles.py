@@ -18,6 +18,13 @@ both shrink. Exact rational arithmetic makes the comparison bit-precise.
 `least_injection` is the least bailout read straight off the liabilities:
 a bank that every debtor pays in full receives its column sum, so it needs
 max(0, b - c - L^T 1) on top of its cash, and no less.
+
+`dense_proportions` derives total debts and proportions the plain way, with
+every entry of every row summed and divided, zeros included.
+
+`flow_bailout` is the same closed-form plan with both clearing runs made by
+the continuous flow on networks built from scratch, the route the library
+took before it ran them on fictitious defaults.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import clearflow as cf
-from clearflow.errors import SingularSystemError
+from clearflow.errors import SingularSystemError, VerificationFailedError
+from clearflow.scalars import zero_one
 
 
 def gauss_jordan_solve(rows: list[list], rhs: list) -> list:
@@ -54,6 +62,50 @@ def least_injection(net: cf.FinancialNetwork) -> tuple[Fraction, ...]:
     return tuple(
         max(Fraction(0), net.total_debt[i] - net.cash[i] - owed[i]) for i in range(net.n)
     )
+
+
+def dense_proportions(net: cf.FinancialNetwork) -> tuple[tuple, tuple]:
+    """(relative, total_debt) from the liabilities, no entry skipped."""
+    zero, one = zero_one(net.mode)
+    total = tuple(sum(row, zero) for row in net.liabilities)
+    relative = []
+    for i, row in enumerate(net.liabilities):
+        if total[i] > 0:
+            relative.append(tuple(x / total[i] for x in row))
+        else:
+            relative.append(tuple(one if j == i else zero for j in range(net.n)))
+    return tuple(relative), total
+
+
+def flow_bailout(net: cf.FinancialNetwork) -> cf.BailoutPlan:
+    """x* = max(0, b - c - Q^T b) for each flow defaulter, checked by a replay
+    of the flow on the network rebuilt with x* added to the cash."""
+    base = cf.run_flow(net, record_trajectory=False)
+    zero, _ = zero_one(net.mode)
+    defaults = sorted(base.defaults)
+    unpaid = [zero] * net.n
+    for i in defaults:
+        unpaid[i] = net.total_debt[i] - base.payments[i]
+    if not defaults:
+        return cf.BailoutPlan(tuple(unpaid), tuple(unpaid), True, ())
+    received, _ = cf.balance_rates(net, net.total_debt)
+    injections = [zero] * net.n
+    boosted_cash = list(net.cash)
+    for i in defaults:
+        injections[i] = max(net.total_debt[i] - net.cash[i] - received[i], zero)
+        boosted_cash[i] += injections[i]
+    boosted = cf.build_network(net.liabilities, boosted_cash, mode=net.mode, ids=net.ids)
+    replay = cf.run_flow(boosted, record_trajectory=False)
+    seed_required = cf.decompose_nonactive(boosted, cf.active_set(boosted)).swamps
+    seeded = {i for swamp in seed_required for i in swamp}
+    tol = net.zero_tol
+    if any(
+        net.total_debt[i] - replay.payments[i] > tol
+        for i in range(net.n)
+        if i not in seeded
+    ) or any(replay.final_cash[i] > tol for i in defaults if injections[i] > tol):
+        raise VerificationFailedError("flow replay did not verify")
+    return cf.BailoutPlan(tuple(unpaid), tuple(injections), True, seed_required)
 
 
 def probe_revealed(net: cf.FinancialNetwork, retries: int = 4) -> frozenset[int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 from fractions import Fraction as F
 
@@ -16,7 +17,8 @@ from clearflow.errors import (
     SchemaError,
     SelfDebtError,
 )
-from conftest import statuses_of
+from conftest import statuses_of, swampy_network, with_cash
+from oracles import dense_proportions
 
 
 class TestBuildNetwork:
@@ -74,6 +76,50 @@ class TestBuildNetwork:
     def test_rejects_nonfinite_float(self):
         with pytest.raises(NegativeEntryError):
             cf.build_network([[0.0, float("nan")], [0.0, 0.0]], [1.0, 1.0], mode=cf.FLOAT)
+
+    def test_nonfinite_errors_name_the_entry(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(NegativeEntryError, match=r"cash\[1\] is not finite"):
+                cf.build_network([[0.0, 1.0], [0.0, 0.0]], [1.0, bad], mode=cf.FLOAT)
+        with pytest.raises(NegativeEntryError, match=r"liability\[0\]\[1\] is not finite"):
+            cf.build_network([[0.0, float("-inf")], [0.0, 0.0]], [1.0, 1.0], mode=cf.FLOAT)
+
+    def test_huge_fraction_is_accepted(self):
+        # exact amounts are never converted to float, so none can overflow
+        huge = F(10**400, 3)
+        net = cf.build_network([[0, huge], [0, 0]], [huge, 0])
+        assert net.total_debt == (huge, 0)
+
+    @pytest.mark.parametrize("mode,kind", [(cf.RATIONAL, F), (cf.FLOAT, float)])
+    def test_proportions_have_the_mode_type(self, mode, kind):
+        zero = kind(0)
+        nets = [
+            cf.build_network([[0, 1, 0], [0, 0, 0], [2, 3, 0]], [1, 0, 0], mode=mode),
+            cf.generate_network(3, 12, 0.3, "1/4", mode=mode),
+            swampy_network(3, mode=mode),
+        ]
+        for net in nets:
+            for row in net.relative:
+                assert all(type(x) is kind for x in row)
+                assert all(repr(x) == repr(zero) for x in row if x == 0)
+                if mode == cf.RATIONAL:
+                    assert sum(row) == 1
+            assert all(type(b) is kind for b in net.total_debt)
+
+    def test_proportions_match_dense_construction(self):
+        # the networks of acceptance criterion 9, and float gen at n=64
+        rng = random.Random(9)
+        nets = []
+        for k in range(500):
+            n = 2 + k % 7
+            net = cf.generate_network(seed=20_000 + k, n=n, density=0.55, cash_scale=1)
+            cash = list(net.cash)
+            for i in rng.sample(range(n), 1 + rng.randrange(n)):
+                cash[i] = F(0)
+            nets.append(with_cash(net, cash))
+        nets += [cf.generate_network(s, 64, 0.3, "1/4", mode=cf.FLOAT) for s in range(6)]
+        for net in nets:
+            assert repr((net.relative, net.total_debt)) == repr(dense_proportions(net))
 
 
 class TestInitialPartition:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import clearflow as cf
 from conftest import swampy_network, with_cash
-from oracles import least_injection
+from oracles import flow_bailout, least_injection
 
 #: float payments agree with exact ones to this fraction of the largest debt
 FLOAT_PAYMENT_TOL = 1e-9
@@ -310,3 +311,45 @@ def test_bailout_is_least_injection(net):
 @settings(max_examples=30, deadline=None)
 def test_bailout_is_least_injection_on_swamp_networks(seed):
     check_least_bailout(swampy_network(seed))
+
+
+def check_matches_flow(net):
+    """Bailout plan and least vector equal the flow-based ones in value and
+    type."""
+    assert repr(cf.bailout_vector(net)) == repr(flow_bailout(net))
+    basic = cf.solution_family(net).basic
+    assert repr(basic) == repr(cf.run_flow(net, record_trajectory=False).payments)
+
+
+@given(networks())
+@settings(max_examples=60, deadline=None)
+def test_bailout_and_family_match_flow(net):
+    check_matches_flow(net)
+
+
+def test_bailout_and_family_match_flow_on_swamp_networks():
+    for seed in range(30):
+        check_matches_flow(swampy_network(seed))
+
+
+def test_bailout_and_family_match_flow_on_generated_networks():
+    for seed in range(10):
+        check_matches_flow(cf.generate_network(seed, 20, 0.3, "1/4"))
+
+
+@pytest.mark.parametrize("seed,n", [(1, 32)] + [(seed, 64) for seed in range(6)])
+def test_float_bailout_and_family_match_flow(seed, n):
+    net = cf.generate_network(seed, n, 0.3, "1/4", mode=cf.FLOAT)
+    plan, reference = cf.bailout_vector(net), flow_bailout(net)
+    flow_result = cf.run_flow(net, record_trajectory=False)
+    bound = 1e-12 * max(net.total_debt)
+    for got, want in [
+        (plan.unpaid, reference.unpaid),
+        (plan.injections, reference.injections),
+        (cf.solution_family(net).basic, flow_result.payments),
+    ]:
+        assert max(abs(a - b) for a, b in zip(got, want)) <= bound
+    defaulters = [i for i, k in enumerate(plan.unpaid) if k > 0]
+    assert defaulters == [i for i, k in enumerate(reference.unpaid) if k > 0]
+    assert cf.fictitious_defaults(net)[0].defaults == flow_result.defaults
+    assert plan.seed_required == reference.seed_required

@@ -8,8 +8,8 @@ import pytest
 
 import clearflow as cf
 from clearflow.errors import NoConvergenceError, OutOfRangeError
-from clearflow import solvers
-from conftest import BESIDE_LIABILITIES, with_cash
+from clearflow import flow, solvers
+from conftest import BESIDE_LIABILITIES, wide_magnitude_network, with_cash
 
 
 class TestPhi:
@@ -215,14 +215,26 @@ class TestBailout:
         assert plan.verified
 
 
-    def test_one_verification_replay(self, net_1b, monkeypatch):
+    def test_one_verification_replay(self, net_1b, net_1c, monkeypatch):
+        # payments and final cash come from fictitious defaults: one run for
+        # the plan, one for the replay, one for a family, and no flow at all
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(flow, "run_flow", no_flow)
         runs = []
-        real = solvers.run_flow
+        real = solvers.fictitious_defaults
         monkeypatch.setattr(
-            solvers, "run_flow", lambda *a, **k: runs.append(a) or real(*a, **k)
+            solvers, "fictitious_defaults", lambda net: runs.append(net) or real(net)
         )
+        assert not hasattr(solvers, "run_flow")
         cf.bailout_vector(net_1b)
         assert len(runs) == 2
+        assert runs[1].liabilities is net_1b.liabilities
+        assert runs[1].relative is net_1b.relative
+        runs.clear()
+        cf.solution_family(net_1c)
+        assert len(runs) == 1
 
     def test_balanced_swamp_needs_a_seed(self):
         # two cashless banks each owing the other 2/3: any cash at all clears
@@ -267,6 +279,27 @@ class TestFloatBailout:
             least = max(F(0), b[i] - c[i] - sum(liabilities[j][i] for j in range(n)))
             assert abs(plan.unpaid[i] - float(b[i] - paid[i])) <= self.TOL * scale
             assert abs(plan.injections[i] - float(least)) <= self.TOL * scale
+
+    @pytest.mark.parametrize("seed", [224, 369])
+    def test_wide_magnitude_network_matches_rational(self, seed):
+        # the float flow fails its cash-conservation check on these networks;
+        # neither the plan nor the family runs the flow
+        approx = wide_magnitude_network(seed)
+        exact = cf.convert_network(approx, cf.RATIONAL)
+        plan, reference = cf.bailout_vector(approx), cf.bailout_vector(exact)
+        basic = cf.solution_family(approx).basic
+        least = cf.solution_family(exact).basic
+        assert plan.verified
+        assert plan.seed_required == reference.seed_required
+        bound = 1e-12 * float(max(exact.total_debt))
+        for got, want in [
+            (plan.unpaid, reference.unpaid),
+            (plan.injections, reference.injections),
+            (basic, least),
+        ]:
+            assert max(abs(a - float(b)) for a, b in zip(got, want)) <= bound
+        defaulters = [i for i, k in enumerate(plan.unpaid) if k > 0]
+        assert defaulters == [i for i, k in enumerate(reference.unpaid) if k > 0]
 
 
 class TestThreeWayAgreement:
