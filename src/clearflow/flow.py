@@ -17,6 +17,11 @@ clearing payments, instead of by numeric probing.
 Nonactive banks (no cash and unreachable from any cash along debt edges)
 never move money; they are pinned to zero rates for the whole run and stay
 out of every linear solve.
+
+Both arithmetic modes run the same code, with every zero test derived from
+one relative factor ε (`FinancialNetwork.zero_rel`, 0 in rational mode): a
+rate within ε counts as zero, and so does an amount within `zero_tol`, ε
+times the largest cash or debt entry. Cash changes only by the linear update.
 """
 
 from __future__ import annotations
@@ -33,10 +38,7 @@ from .errors import (
 )
 from .markov import active_set, zero_group_solve
 from .network import FinancialNetwork, Partition, Status, initial_partition
-from .scalars import RATIONAL, Scalar, scalar_to_json, zero_one
-
-#: rates live in [0, 1]; float-mode balances within this band count as zero
-RATE_EPS = 1e-12
+from .scalars import Scalar, scalar_to_json, zero_one
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,8 @@ class ClearingResult:
 
 def pinned_banks(net: FinancialNetwork) -> frozenset[int]:
     """Nonactive indebted banks: they hold zero status with zero rates forever."""
-    act = active_set(net)
-    tol = net.zero_tol
-    return frozenset(
-        i for i in range(net.n) if i not in act and net.total_debt[i] > tol
-    )
+    act, tol = active_set(net), net.zero_tol
+    return frozenset(i for i in range(net.n) if i not in act and net.total_debt[i] > tol)
 
 
 def balance_rates(
@@ -161,46 +160,42 @@ def equilibrium_rates(
 
 def _select_event(
     net: FinancialNetwork, state: SystemState, rates: IntervalRates
-) -> tuple[Scalar, dict[int, set[str]]]:
-    """Duration until the next status change and, for every bank moving at
-    it, what runs out: "debt" for a paying bank, "cash" for a positive bank
-    with negative balance. Candidates within the tie window move together."""
-    rational = net.mode == RATIONAL
-    rate_eps = 0 if rational else RATE_EPS
+) -> tuple[Scalar, list[tuple[Scalar, int, str]]]:
+    """Duration t' until the next status change, and every candidate as
+    (time, bank, kind): "debt" runs out for a paying bank, "cash" for a
+    positive bank with negative balance. Rates within ε count as zero."""
+    eps, low = net.zero_rel, -net.zero_rel
     zero, _ = zero_one(net.mode)
     candidates: list[tuple[Scalar, int, str]] = []
     for i in range(net.n):
         status = state.statuses[i]
         if status is Status.ABSORBING:
             continue
-        if rates.out[i] > rate_eps:
+        if rates.out[i] > eps:
             candidates.append((state.remaining_debt[i] / rates.out[i], i, "debt"))
-        if status is Status.POSITIVE and rates.balance[i] < -rate_eps:
+        if status is Status.POSITIVE and rates.balance[i] < low:
             t = -state.cash[i] / rates.balance[i]
             candidates.append((t if t > 0 else zero, i, "cash"))
     if not candidates:
         raise StalledError("no finite event candidate; positive group should be nonempty")
-    t_prime = min(t for t, _, _ in candidates)
-    window = t_prime if rational else t_prime + RATE_EPS * max(1.0, t_prime)
-    hits: dict[int, set[str]] = {}
-    for t, i, kind in candidates:
-        if t <= window:
-            hits.setdefault(i, set()).add(kind)
-    return t_prime, hits
+    return min(t for t, _, _ in candidates), candidates
 
 
 def next_event(
     net: FinancialNetwork, state: SystemState, rates: IntervalRates
 ) -> tuple[Scalar, tuple[int, ...]]:
-    """Duration until the next status change and every bank moving at it.
+    """Duration until the next status change and every bank whose candidate
+    time is exactly that minimum (`step` also moves the near-ties).
 
     Candidates: debt runs out (any paying bank) or cash runs out (positive
-    banks with negative balance). Ties are grouped. A zero duration can only
-    arise for a positive bank already sitting at zero cash whose balance has
-    turned negative; callers treat that as an instantaneous reclassification.
+    banks with negative balance). A zero duration can only arise for a
+    positive bank already sitting at zero cash whose balance has turned
+    negative; callers treat that as an instantaneous reclassification.
+    `step` never meets the no-candidate `StalledError`: it runs only with
+    positive banks, which pay at rate 1.
     """
-    t_prime, hits = _select_event(net, state, rates)
-    return t_prime, tuple(sorted(hits))
+    t_prime, candidates = _select_event(net, state, rates)
+    return t_prime, tuple(sorted({i for t, i, _ in candidates if t == t_prime}))
 
 
 def step(
@@ -210,13 +205,19 @@ def step(
     index: int = 0,
 ) -> FlowEvent:
     """Advance to the next event: compute rates, move time forward linearly,
-    and reclassify every mover (debt hitting zero wins over cash hitting zero)."""
+    and reclassify every mover (debt hitting zero wins over cash hitting zero).
+
+    A candidate moves when its debt or cash at t' is within `zero_tol` of 0
+    (in rational mode: when its time is exactly t'). Only a debt mover's
+    debt and payment are set; cash changes by the linear update alone."""
     if pinned is None:
         pinned = pinned_banks(net)
     if not state.partition.positive:
-        raise StalledError("cannot step: no positive banks remain")
+        raise StalledError(
+            f"cannot step: no positive banks remain (event {index}, time {state.time})"
+        )
     rates = equilibrium_rates(net, state.partition, pinned)
-    t_prime, hits = _select_event(net, state, rates)
+    t_prime, candidates = _select_event(net, state, rates)
     zero, _ = zero_one(net.mode)
     tol = net.zero_tol
     now = state.time + t_prime
@@ -225,24 +226,15 @@ def step(
     debt = [state.remaining_debt[i] - rates.out[i] * t_prime for i in range(net.n)]
     cash = [state.cash[i] + rates.balance[i] * t_prime for i in range(net.n)]
     paid = [state.paid[i] + rates.out[i] * t_prime for i in range(net.n)]
-    if net.mode != RATIONAL:
-        # a quantity snapped to zero moves its bank now: debt makes it
-        # absorbing, draining cash makes a positive bank zero (pinned banks
-        # never pay, so their debt never gets here)
-        for vec, kind in ((debt, "debt"), (cash, "cash")):
-            for i, x in enumerate(vec):
-                if x < -tol:
-                    raise InvariantViolationError(
-                        f"negative {kind} {x} at bank {net.ids[i]} ({where})"
-                    )
-                if abs(x) <= tol:
-                    vec[i] = zero
-                    if state.statuses[i] is Status.ABSORBING:
-                        continue
-                    if kind == "debt" or (
-                        state.statuses[i] is Status.POSITIVE and rates.balance[i] < 0
-                    ):
-                        hits.setdefault(i, set()).add(kind)
+    hits: dict[int, set[str]] = {}
+    for _, i, kind in candidates:
+        quantity = debt[i] if kind == "debt" else cash[i]
+        if quantity <= tol:
+            if quantity < -tol:
+                raise InvariantViolationError(
+                    f"negative {kind} {quantity} at bank {net.ids[i]} ({where})"
+                )
+            hits.setdefault(i, set()).add(kind)
     movers = tuple(sorted(hits))
 
     statuses = list(state.statuses)
@@ -255,7 +247,6 @@ def step(
             paid[i] = net.total_debt[i]
         else:
             after = Status.ZERO
-            cash[i] = zero
         if before is Status.ABSORBING or (before is Status.ZERO and after is not Status.ABSORBING):
             raise InvariantViolationError(
                 f"forbidden transition {before.value} -> {after.value} "
@@ -274,17 +265,9 @@ def step(
                     f"{net.ids[tr.bank]} {tr.before.value} -> {tr.after.value} ({where})"
                 )
 
-    total_before = sum(net.cash)
-    total_after = sum(cash)
-    if net.mode == RATIONAL:
-        if total_after != total_before:
-            raise InvariantViolationError(f"cash conservation violated ({where})")
-    else:
-        scale = max(1.0, float(total_before))
-        if abs(total_after - total_before) > 1e-9 * scale:
-            raise InvariantViolationError(
-                f"cash conservation drifted beyond tolerance ({where})"
-            )
+    total = sum(net.cash)
+    if abs(sum(cash) - total) > 1000 * net.zero_rel * max(1, total):
+        raise InvariantViolationError(f"cash conservation violated ({where})")
 
     after_state = SystemState(
         time=now,
@@ -371,8 +354,8 @@ def big_bang_partition(net: FinancialNetwork) -> tuple[Partition, frozenset[int]
     Their time-zero rates are the greatest fixed point of
     r = min(1, Q^T r) over the active cashless banks, with positive banks
     held at rate 1 and every other bank at 0, found exactly by the
-    fictitious-defaults loop. A bank whose rate stays at 1 is revealed as
-    positive: its in-rate covers its unit out-rate.
+    fictitious-defaults loop. A bank whose rate stays within ε of 1 is
+    revealed as positive: its in-rate covers its unit out-rate.
 
     Returns the modified partition for the first interval and the revealed
     set. Nonactive banks are never candidates; they stay zero with no flow.
@@ -382,7 +365,7 @@ def big_bang_partition(net: FinancialNetwork) -> tuple[Partition, frozenset[int]
     zero, one = zero_one(net.mode)
     held = [one if s is Status.POSITIVE else zero for s in part.statuses]
     _, short_sets, _ = _greatest_fixed_point(
-        net, cashless, [zero] * net.n, [one] * net.n, held, zero
+        net, cashless, [zero] * net.n, [one] * net.n, held, net.zero_rel
     )
     revealed = cashless - short_sets[-1]
     statuses = list(part.statuses)

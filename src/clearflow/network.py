@@ -97,12 +97,15 @@ class FinancialNetwork:
         return len(self.cash)
 
     @cached_property
+    def zero_rel(self) -> Scalar:
+        """Relative factor ε of every zero test (0 in rational mode); a rate within ε is zero."""
+        return Fraction(0) if self.mode == RATIONAL else FLOAT_ZERO_REL
+
+    @cached_property
     def zero_tol(self) -> Scalar:
-        """Threshold below which a quantity counts as zero (0 in rational mode)."""
-        if self.mode == RATIONAL:
-            return Fraction(0)
-        scale = max([abs(x) for x in self.cash + self.total_debt], default=0.0)
-        return FLOAT_ZERO_REL * float(scale)
+        """ε times the largest cash or debt entry: an amount within it counts as zero."""
+        zero, _ = zero_one(self.mode)
+        return self.zero_rel * max([abs(x) for x in self.cash + self.total_debt], default=zero)
 
     def index_of(self, bank_id: str) -> int:
         try:

@@ -26,8 +26,9 @@ MODES = (RATIONAL, FLOAT)
 
 Scalar = Fraction | float
 
-#: relative factor for float-mode zero detection, scaled by the largest
-#: initial cash/debt entry of the network at hand
+#: ε, the one relative factor of every float-mode zero test: a rate within ε
+#: counts as zero, and so does an amount within ε times the network's largest
+#: cash or debt entry (`FinancialNetwork.zero_tol`)
 FLOAT_ZERO_REL = 1e-12
 
 #: digits allowed in the integer form of one decimal amount: the limit that

@@ -10,7 +10,7 @@ import pytest
 import clearflow as cf
 from clearflow import cli
 from clearflow.cli import main
-from conftest import BESIDE_LIABILITIES
+from conftest import BESIDE_LIABILITIES, wide_magnitude_network
 
 
 @pytest.fixture
@@ -101,6 +101,16 @@ class TestSolve:
         events = [json.loads(line) for line in err.strip().splitlines()]
         assert len(events) == 4
         assert events[0]["movers"] == ["3"]
+
+    @pytest.mark.parametrize("command", ["solve", "trace"])
+    def test_float_flow_on_wide_magnitudes(self, capsys, tmp_path, command):
+        # revealed bank index 2 gains 5.9e-9 of cash in the first interval:
+        # less than zero_tol (7.1e-7), more than the conservation bound (3.1e-9)
+        path = tmp_path / "wide.json"
+        path.write_text(cf.serialize_network(wide_magnitude_network(224)))
+        code, out, err = run_cli(capsys, command, str(path), "--mode", "float")
+        assert code == 0, err
+        assert out
 
     def test_validation_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

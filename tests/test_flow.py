@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import clearflow as cf
 from clearflow.errors import InvariantViolationError, NonTransientZeroGroupError, StalledError
-from conftest import statuses_of, swampy_network
+from conftest import statuses_of, swampy_network, wide_magnitude_network, with_cash
 from oracles import probe_revealed
 
 
@@ -145,9 +146,9 @@ class TestStep:
         assert event.state_after.cash[0] == 1
 
     def test_float_debt_snapped_to_zero_is_absorbed_at_once(self):
-        # bank 2's debt runs out 5e-12 after bank 1's: outside the tie
-        # window, inside the zero band, so it must be absorbed now and not
-        # left for a zero-duration event
+        # bank 2's debt runs out 5e-12 after bank 1's: not an exact tie, but
+        # its debt at that time is within zero_tol, so it must be absorbed
+        # now and not left for a zero-duration event
         net = cf.build_network([[0, 0, 1], [0, 0, 1], [0, 0, 0]], [10, 10, 0], mode=cf.FLOAT)
         state = cf.SystemState(
             time=0.0,
@@ -172,6 +173,11 @@ class TestStep:
         )
         with pytest.raises(InvariantViolationError, match=r"bank 1 \(event 3, time 0\.5\)"):
             cf.step(net, state, index=3)
+
+    def test_stall_error_names_event_and_time(self, net_1a):
+        state = initial_state(net_1a, make_partition("zzzza"))
+        with pytest.raises(StalledError, match=r"\(event 4, time 0\)"):
+            cf.step(net_1a, state, index=4)
 
 
 class TestBigBang:
@@ -234,6 +240,30 @@ class TestBigBang:
         rates = cf.equilibrium_rates(net, partition, cf.pinned_banks(net))
         assert rates.out == (1, 1, F(6, 10), F(5, 10), 0)
         assert cf.verify_clearing(net, cf.run_flow(net).payments) == 0
+
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_unit_in_rate_revealed_despite_rounding(self, mode):
+        # bank 3's in-rate is 7/10 + 2/10 + 1/10 = 1, which sums to
+        # 0.9999999999999999 in floats: a rate within ε of 1 stays at 1
+        net = cf.build_network(
+            [[0, 0, 0, 7, 3], [0, 0, 0, 2, 8], [0, 0, 0, 1, 9], [0, 0, 0, 0, 5], [0] * 5],
+            [20, 20, 20, 0, 0],
+            mode=mode,
+        )
+        assert cf.big_bang_partition(net)[1] == frozenset({3})
+
+    def test_float_reveal_matches_rational(self):
+        # the 500 networks of acceptance criterion 9
+        rng = random.Random(9)
+        for k in range(500):
+            n = 2 + k % 7
+            net = cf.generate_network(seed=20_000 + k, n=n, density=0.55, cash_scale=1)
+            cash = list(net.cash)
+            for i in rng.sample(range(n), 1 + rng.randrange(n)):
+                cash[i] = F(0)
+            net = with_cash(net, cash)
+            approx = cf.convert_network(net, cf.FLOAT)
+            assert cf.big_bang_partition(approx)[1] == cf.big_bang_partition(net)[1], k
 
     def test_matches_probe_on_swamp_networks(self):
         revealed = [cf.big_bang_partition(swampy_network(seed))[1] for seed in range(60)]
@@ -300,6 +330,20 @@ class TestRunFlow:
         approx = cf.run_flow(cf.convert_network(net_1a, cf.FLOAT))
         for x, y in zip(exact.payments, approx.payments):
             assert abs(float(x) - y) < 1e-12
+
+    def test_float_matches_rational_on_wide_magnitudes(self):
+        # amounts from 1e-6 to 1e6, so cash gains below zero_tol can still
+        # exceed the conservation bound (seeds 224 and 369)
+        for seed in range(400):
+            approx = wide_magnitude_network(seed)
+            exact = cf.convert_network(approx, cf.RATIONAL)
+            result = cf.run_flow(approx, record_trajectory=False)
+            reference = cf.fictitious_defaults(exact)[0]
+            assert result.defaults == reference.defaults, seed
+            scale = float(max(exact.total_debt))
+            if scale:
+                drift = max(abs(a - float(b)) for a, b in zip(result.payments, reference.payments))
+                assert drift <= 1e-10 * scale, seed
 
     def test_terminal_debt_balance(self, net_1b):
         result = cf.run_flow(net_1b)

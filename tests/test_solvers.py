@@ -282,8 +282,8 @@ class TestFloatBailout:
 
     @pytest.mark.parametrize("seed", [224, 369])
     def test_wide_magnitude_network_matches_rational(self, seed):
-        # the float flow fails its cash-conservation check on these networks;
-        # neither the plan nor the family runs the flow
+        # neither the plan nor the family runs the flow; test_flow.py checks
+        # the float flow on these networks
         approx = wide_magnitude_network(seed)
         exact = cf.convert_network(approx, cf.RATIONAL)
         plan, reference = cf.bailout_vector(approx), cf.bailout_vector(exact)

@@ -34,6 +34,49 @@ def unused_imports(path: Path) -> list[str]:
     ]
 
 
+def mode_decisions(path: Path) -> list[str]:
+    """Places where a module names a mode constant (`RATIONAL`, `FLOAT`) or
+    compares something with an arithmetic mode: a `.mode` or a mode name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            name = node.name
+        else:
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in ("RATIONAL", "FLOAT"):
+            found.add((node.lineno, name))
+        elif isinstance(node, ast.Compare) and any(
+            (isinstance(side, ast.Attribute) and side.attr == "mode")
+            or (isinstance(side, ast.Constant) and side.value in ("rational", "float"))
+            for side in [node.left, *node.comparators]
+        ):
+            found.add((node.lineno, "mode comparison"))
+    return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_flow_makes_no_mode_decision():
+    # the flow runs one code path; modes differ only through the network's
+    # zero_rel and zero_tol and the scalars' zero_one
+    assert mode_decisions(PACKAGE / "flow.py") == []
+
+
+def test_mode_decision_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from .scalars import RATIONAL, zero_one\nfrom . import scalars\n"
+        "def f(net, x):\n    zero, _ = zero_one(net.mode)\n"
+        "    if net.mode != 'float' and x > zero:\n        return scalars.FLOAT\n"
+        "    return 'rational' == x\n"
+    )
+    assert mode_decisions(module) == [
+        "sample.py:1 RATIONAL",
+        "sample.py:5 mode comparison",
+        "sample.py:6 FLOAT",
+        "sample.py:7 mode comparison",
+    ]
+
+
 def test_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 1
