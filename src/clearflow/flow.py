@@ -18,6 +18,12 @@ Nonactive banks (no cash and unreachable from any cash along debt edges)
 never move money; they are pinned to zero rates for the whole run and stay
 out of every linear solve.
 
+The zero group changes by a bank or two per event, so `run_flow` carries
+one `markov.ZeroGroupFactor` through its events and updates it rather than
+solving each interval's system afresh; `step` and `equilibrium_rates`,
+called on their own, start from a fresh one. A join that makes the group
+non-transient raises `NonTransientZeroGroupError`.
+
 Both arithmetic modes run the same code, with every zero test derived from
 one relative factor ε (`FinancialNetwork.zero_rel`, 0 in rational mode): a
 rate within ε counts as zero, and so does an amount within `zero_tol`, ε
@@ -36,7 +42,7 @@ from .errors import (
     SingularSystemError,
     StalledError,
 )
-from .markov import active_set, zero_group_solve
+from .markov import ZeroGroupFactor, active_set, zero_group_solve
 from .network import FinancialNetwork, Partition, Status, initial_partition
 from .scalars import Scalar, scalar_to_json, zero_one
 
@@ -134,6 +140,17 @@ def equilibrium_rates(
     The zero-group system is solvable exactly when the group (minus pinned
     banks) is transient; during a well-formed run that is guaranteed.
     """
+    return _equilibrium_rates(net, partition, pinned, ZeroGroupFactor(net))
+
+
+def _equilibrium_rates(
+    net: FinancialNetwork,
+    partition: Partition,
+    pinned: frozenset[int],
+    factor: ZeroGroupFactor,
+) -> IntervalRates:
+    """`equilibrium_rates`, solving the zero group with `factor`, which is
+    left on this interval's zero group for the next one."""
     zero, one = zero_one(net.mode)
     out: list[Scalar] = [zero] * net.n
     for i in partition.positive:
@@ -147,7 +164,7 @@ def equilibrium_rates(
                 acc += net.relative[j][i]
             e.append(acc)
         try:
-            v = zero_group_solve(net, solve_set, e)
+            v = factor.solve(solve_set, e)
         except SingularSystemError as exc:
             raise NonTransientZeroGroupError(
                 f"zero group {solve_set} contains a closed subnetwork"
@@ -212,11 +229,22 @@ def step(
     debt and payment are set; cash changes by the linear update alone."""
     if pinned is None:
         pinned = pinned_banks(net)
+    return _step(net, state, pinned, index, ZeroGroupFactor(net))
+
+
+def _step(
+    net: FinancialNetwork,
+    state: SystemState,
+    pinned: frozenset[int],
+    index: int,
+    factor: ZeroGroupFactor,
+) -> FlowEvent:
+    """`step`, with the zero group solved by `factor` (see `_equilibrium_rates`)."""
     if not state.partition.positive:
         raise StalledError(
             f"cannot step: no positive banks remain (event {index}, time {state.time})"
         )
-    rates = equilibrium_rates(net, state.partition, pinned)
+    rates = _equilibrium_rates(net, state.partition, pinned, factor)
     t_prime, candidates = _select_event(net, state, rates)
     zero, _ = zero_one(net.mode)
     tol = net.zero_tol
@@ -392,9 +420,10 @@ def run_flow(net: FinancialNetwork, record_trajectory: bool = True) -> ClearingR
         paid=(zero,) * net.n,
     )
     events: list[FlowEvent] = []
+    factor = ZeroGroupFactor(net)
     k = 0
     while state.partition.positive:
-        event = step(net, state, pinned, k)
+        event = _step(net, state, pinned, k, factor)
         state = event.state_after
         if record_trajectory:
             events.append(event)

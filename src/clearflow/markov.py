@@ -5,7 +5,7 @@ graph reachability, the balance solves v = e + Q_B^T v, the active-set
 closure, the decomposition of nonactive banks (absorbing / transient /
 swamps), and invariant distributions of swamps.
 
-Every linear system goes through one elimination kernel, `solve_linear`. On
+One elimination kernel, `solve_linear`, solves every system from scratch. On
 exact input (ints and Fractions) it clears each row's denominators and runs
 fraction-free Bareiss elimination on Python ints, so every update is one
 exact integer division and no gcd is taken until the m quotients at the end;
@@ -16,7 +16,12 @@ The flow and the fictitious-defaults iteration solve the balance system on a
 set B of indebted banks in its column-scaled form: with w = v / b the
 equations v = e + Q_B^T v become (diag(b) - L^T)_B w = e, whose entries are
 the liabilities themselves, so no proportion is divided out before the
-solve (`zero_group_solve`).
+solve (`zero_group_solve`). The flow's zero group changes by about one bank
+per event, so the flow solves it with a `ZeroGroupFactor` instead: the
+exact adjugate and determinant (the inverse, on floats) of that matrix,
+carried from event to event and updated in O(m^2) per bank that joins or
+leaves. The fictitious-defaults sets arrive in large jumps and keep the
+elimination kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -207,15 +213,19 @@ def _solve_float(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[float]:
     return x
 
 
+def _check_input(e: Sequence[Scalar], m: int) -> None:
+    if len(e) != m:
+        raise IndexOutOfRangeError(f"input vector has length {len(e)}, expected {m}")
+    if any(x < 0 for x in e):
+        raise NegativeInputError("input vector must be nonnegative")
+
+
 def _balance_solve(
     sub: SubMatrix, diagonal: Sequence[Scalar], e: Sequence[Scalar]
 ) -> list[Scalar]:
     """Solve (diag(diagonal) - S^T) w = e for the restriction S, after
     checking that e is nonnegative and the restriction transient."""
-    if len(e) != sub.size:
-        raise IndexOutOfRangeError(f"input vector has length {len(e)}, expected {sub.size}")
-    if any(x < 0 for x in e):
-        raise NegativeInputError("input vector must be nonnegative")
+    _check_input(e, sub.size)
     if not is_transient(sub):
         raise SingularSystemError("restriction is not transient; no unique solution")
     m = sub.size
@@ -248,6 +258,133 @@ def zero_group_solve(
     debts = [net.total_debt[i] for i in sub.index]
     w = _balance_solve(sub, debts, e)
     return [b * x for b, x in zip(debts, w)]
+
+
+class ZeroGroupFactor:
+    """`zero_group_solve` on a bank set that changes a little between calls.
+
+    Holds, for the current ordered set B, the matrix K_B = D (diag(b) - L^T)_B:
+    in rational mode D is the lcm of the liability denominators, so K_B is an
+    integer matrix and the factor is the exact pair (adj K_B, det K_B); in
+    float mode D = 1 and the factor is the inverse of K_B. `solve` moves it to
+    a new set by deleting each leaver (Jacobi's identity) and bordering each
+    joiner (Sylvester's identity), O(m^2) per bank; a fresh factor borders
+    from the empty set. Every division of the exact updates is exact.
+
+    K_B is a Z-matrix whose column sums are D times each bank's debt outside
+    B, so det K_B > 0 exactly when B is transient, and every subset of a
+    transient set is transient. A zero Schur pivot on a join therefore means
+    the new set is not transient. In float mode a join also runs the graph
+    test, and a Schur pivot not above ε K_jj (ε = `net.zero_rel`) drops the
+    factor and answers that call with `zero_group_solve`.
+    """
+
+    def __init__(self, net: FinancialNetwork):
+        self.net = net
+        self.exact = net.mode == RATIONAL
+        self.scale = (
+            lcm(*(x.denominator for row in net.liabilities for x in row if x))
+            if self.exact else 1
+        )
+        self.banks: list[int] = []
+        #: adj K_B in rational mode, K_B^-1 in float mode; rows follow `banks`
+        self.adj: list[list[Scalar]] = []
+        self.det = 1
+
+    def _entry(self, x: Scalar) -> Scalar:
+        """D * x, an int in rational mode."""
+        return x.numerator * (self.scale // x.denominator) if self.exact else x
+
+    def _reset(self) -> None:
+        self.banks, self.adj, self.det = [], [], 1
+
+    def _delete(self, p: int) -> bool:
+        """Remove position p; False when a float pivot is too small."""
+        adj, pivot = self.adj, self.adj[p][p]
+        row_p = adj[p][:p] + adj[p][p + 1:]
+        rest = [(row[:p] + row[p + 1:], row[p]) for i, row in enumerate(adj) if i != p]
+        if self.exact:
+            det = self.det
+            self.adj = [
+                [(x * pivot - f * y) // det for x, y in zip(row, row_p)] for row, f in rest
+            ]
+            self.det = pivot
+        else:
+            # the Schur pivot of position p is 1 / pivot
+            k_pp = self.net.total_debt[self.banks[p]]
+            if not (pivot > 0 and 1 / pivot > self.net.zero_rel * k_pp):
+                return False
+            self.adj = [[x - f / pivot * y for x, y in zip(row, row_p)] for row, f in rest]
+        del self.banks[p]
+        return True
+
+    def _border(self, k: int) -> bool:
+        """Append bank k; False when the Schur pivot is not above ε K_kk."""
+        liab, entry, adj = self.net.liabilities, self._entry, self.adj
+        # K's new column (w_k in the members' equations) and row (bank k's)
+        u = [-entry(liab[k][b]) if liab[k][b] else 0 for b in self.banks]
+        v = [-entry(liab[b][k]) if liab[b][k] else 0 for b in self.banks]
+        d = entry(self.net.total_debt[k])
+        au = [sum(map(mul, row, u)) for row in adj]
+        va = [sum(map(mul, column, v)) for column in zip(*adj)]
+        if self.exact:
+            det = self.det
+            new_det = d * det - sum(map(mul, v, au))
+            if new_det <= 0:
+                self._reset()
+                raise SingularSystemError("restriction is not transient; no unique solution")
+            self.adj = [
+                [(new_det * x + a * y) // det for x, y in zip(row, va)] + [-a]
+                for row, a in zip(adj, au)
+            ]
+            self.adj.append([-y for y in va] + [det])
+            self.det = new_det
+        else:
+            s = d - sum(map(mul, v, au))
+            if not s > self.net.zero_rel * d:
+                return False
+            ga = [a / s for a in au]
+            self.adj = [
+                [x + g * y for x, y in zip(row, va)] + [-g] for row, g in zip(adj, ga)
+            ]
+            self.adj.append([-y / s for y in va] + [1 / s])
+        self.banks.append(k)
+        return True
+
+    def solve(self, banks: Sequence[int], e: Sequence[Scalar]) -> list[Scalar]:
+        """`zero_group_solve(net, banks, e)`, after moving the factor to
+        `banks`, distinct indebted banks in any order."""
+        _check_input(e, len(banks))
+        wanted, current = set(banks), set(self.banks)
+        leavers = [p for p, b in enumerate(self.banks) if b not in wanted]
+        joiners = [b for b in banks if b not in current]
+        if joiners and not self.exact and not is_transient(restrict(self.net.liabilities, banks)):
+            raise SingularSystemError("restriction is not transient; no unique solution")
+        for p in reversed(leavers):
+            if not self._delete(p):
+                return self._fallback(banks, e)
+        for k in joiners:
+            if not self._border(k):
+                return self._fallback(banks, e)
+        position = {b: p for p, b in enumerate(self.banks)}
+        if self.exact:
+            # w = D adj e / det, with e cleared to integers over their lcm
+            common = lcm(*(x.denominator for x in e))
+            scaled = [0] * len(banks)
+            for b, x in zip(banks, e):
+                scaled[position[b]] = x.numerator * (common // x.denominator)
+            total = common * self.det
+            w = [Fraction(self.scale * sum(map(mul, row, scaled)), total) for row in self.adj]
+        else:
+            scaled = [0.0] * len(banks)
+            for b, x in zip(banks, e):
+                scaled[position[b]] = x
+            w = [sum(map(mul, row, scaled)) for row in self.adj]
+        return [self.net.total_debt[b] * w[position[b]] for b in banks]
+
+    def _fallback(self, banks: Sequence[int], e: Sequence[Scalar]) -> list[Scalar]:
+        self._reset()
+        return zero_group_solve(self.net, banks, e)
 
 
 def active_set(net: FinancialNetwork) -> frozenset[int]:

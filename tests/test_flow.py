@@ -52,9 +52,11 @@ class TestEquilibriumRates:
             rates = cf.equilibrium_rates(net_1a, make_partition(pattern))
             assert sum(rates.balance) == 0
 
-    def test_swamp_in_zero_group_raises(self, net_1c):
-        with pytest.raises(NonTransientZeroGroupError):
-            cf.equilibrium_rates(net_1c, make_partition("pzzza"))
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_swamp_in_zero_group_raises(self, net_1c, mode):
+        net = cf.convert_network(net_1c, mode)
+        with pytest.raises(NonTransientZeroGroupError, match="contains a closed subnetwork"):
+            cf.equilibrium_rates(net, make_partition("pzzza"))
 
     def test_pinned_banks_are_excluded(self, net_1c):
         pinned = cf.pinned_banks(net_1c)
@@ -179,6 +181,15 @@ class TestStep:
         with pytest.raises(StalledError, match=r"\(event 4, time 0\)"):
             cf.step(net_1a, state, index=4)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_step_alone_matches_the_recorded_event(self, seed):
+        # on its own, step builds a fresh factor; run_flow carries one
+        net = cf.generate_network(seed, 20, 0.3, "1/4")
+        state = initial_state(net, cf.big_bang_partition(net)[0])
+        for event in cf.run_flow(net).trajectory:
+            assert repr(cf.step(net, state, index=event.index)) == repr(event)
+            state = event.state_after
+
 
 class TestBigBang:
     def test_example_1b_reveals_bank_two(self, net_1b):
@@ -273,6 +284,28 @@ class TestBigBang:
 
 
 class TestRunFlow:
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_events_solve_nothing_from_scratch(self, mode, monkeypatch):
+        # the only eliminations of a run are those of its big-bang fixed
+        # point; every event updates the carried zero-group factor
+        net = cf.generate_network(1, 20, 0.3, "1/4", mode=mode)
+        solves = []
+        kernel = cf.markov.solve_linear
+
+        def counted(rows, rhs):
+            solves.append(len(rows))
+            return kernel(rows, rhs)
+
+        monkeypatch.setattr(cf.markov, "solve_linear", counted)
+        cf.big_bang_partition(net)
+        big_bang = len(solves)
+        solves.clear()
+        result = cf.run_flow(net)
+        pinned = cf.pinned_banks(net)
+        zero_groups = [e for e in result.trajectory if e.state_after.partition.zero - pinned]
+        assert len(zero_groups) > 10
+        assert len(solves) == big_bang
+
     def test_example_1a_exact(self, net_1a):
         eps = F(1, 36)
         result = cf.run_flow(net_1a)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -210,11 +211,8 @@ def test_kernel_matches_gauss_jordan_oracle(case):
     assert max(abs(a - float(x)) for a, x in zip(approx, expected)) <= FLOAT_SOLVE_TOL * scale
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_flow_zero_group_solves_match_oracle_on_swamp_networks(seed):
-    # every zero group the flow solves, against Gauss-Jordan on (I - Q_B^T)
-    net = swampy_network(seed)
+def assert_flow_solves_match_oracle(net):
+    """Every zero group the flow solves, against Gauss-Jordan on (I - Q_B^T)."""
     pinned = cf.pinned_banks(net)
     partition, _ = cf.big_bang_partition(net)
     for event in cf.run_flow(net).trajectory:
@@ -224,6 +222,97 @@ def test_flow_zero_group_solves_match_oracle_on_swamp_networks(seed):
             expected = gauss_jordan_solve(balance_rows(cf.restrict(net.relative, solve_set)), e)
             assert [event.rates.out[i] for i in solve_set] == expected
         partition = event.state_after.partition
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_flow_zero_group_solves_match_oracle_on_swamp_networks(seed):
+    assert_flow_solves_match_oracle(swampy_network(seed))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_flow_zero_group_solves_match_oracle_on_cascades(seed):
+    # the zero group grows towards n, and banks that pay off leave it, so
+    # the flow's factor borders and deletes on every run
+    assert_flow_solves_match_oracle(cf.generate_network(seed, 20, 0.3, "1/4"))
+
+
+def integer_balance_matrix(net, banks, scale):
+    """K_B = scale * (diag(b) - L^T)_B of a rational network, as ints."""
+    return [
+        [int(scale * ((net.total_debt[i] if i == j else 0) - net.liabilities[j][i]))
+         for j in banks]
+        for i in banks
+    ]
+
+
+@pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+def test_factor_follows_scripted_transitions(mode):
+    # every proper subset of this network's banks is transient
+    net = cf.generate_network(3, 12, 0.4, "1/4", mode=mode)
+    script = [
+        [4, 0, 7],  # from the empty set
+        [0, 4, 7, 9],  # one bank joins
+        [0, 4, 9],  # one bank is absorbed
+        [0, 4, 9],  # unchanged
+        [2, 4],  # two out, one in
+        [],  # empty
+        [1, 3, 5, 6, 8, 10, 11],  # grown again
+    ]
+    rng = random.Random(mode)
+    factor = cf.markov.ZeroGroupFactor(net)
+    for banks in script:
+        e = [F(rng.randint(0, 9), rng.randint(1, 7)) for _ in banks]
+        if mode == cf.FLOAT:
+            e = [float(x) for x in e]
+        got = factor.solve(banks, e)
+        assert sorted(factor.banks) == sorted(banks)  # carried, not rebuilt
+        expected = cf.markov.zero_group_solve(net, banks, e) if banks else []
+        if mode == cf.RATIONAL:
+            assert got == expected
+            k = integer_balance_matrix(net, factor.banks, factor.scale)
+            m = len(k)
+            # K_B adj K_B = det K_B I
+            product = [
+                [sum(k[i][t] * factor.adj[t][j] for t in range(m)) for j in range(m)]
+                for i in range(m)
+            ]
+            assert product == [[factor.det if i == j else 0 for j in range(m)] for i in range(m)]
+        else:
+            scale = max([1.0, *map(abs, expected)])
+            assert max([0.0, *(abs(a - b) for a, b in zip(got, expected))]) <= 1e-12 * scale
+
+
+def test_float_factor_is_dropped_on_a_small_pivot():
+    # banks 1 and 2 owe each other 1 and bank 0 only 1e-14: the Schur pivot
+    # of the second join is about 2e-14, not above ε K_22
+    net = cf.build_network([[0, 0, 0], [1e-14, 0, 1], [1e-14, 1, 0]], [1, 0, 0], mode=cf.FLOAT)
+    factor = cf.markov.ZeroGroupFactor(net)
+    factor.solve([1], [0.5])
+    assert factor.banks == [1]
+    assert factor.solve([1, 2], [0.5, 0.5]) == cf.markov.zero_group_solve(net, [1, 2], [0.5, 0.5])
+    assert factor.banks == []
+
+
+@given(st.integers(0, 2**16), st.data())
+@settings(max_examples=40, deadline=None)
+def test_bordering_determinant_vanishes_exactly_off_transient_sets(seed, data):
+    # swampy networks hold closed rings, so random sets are often not transient
+    net = swampy_network(seed)
+    indebted = [i for i in range(net.n) if net.total_debt[i] > 0]
+    start = data.draw(st.lists(st.sampled_from(indebted), unique=True))
+    target = data.draw(st.lists(st.sampled_from(indebted), min_size=1, unique=True))
+    factor = cf.markov.ZeroGroupFactor(net)
+    if start and cf.is_transient(cf.restrict(net.relative, start)):
+        factor.solve(start, [F(0)] * len(start))
+    try:
+        factor.solve(target, [F(0)] * len(target))
+        bordered = True
+    except SingularSystemError:
+        bordered = False
+    assert bordered == cf.is_transient(cf.restrict(net.relative, target))
+    if bordered:
+        assert factor.det > 0 and sorted(factor.banks) == sorted(target)
 
 
 class TestActiveSet:
