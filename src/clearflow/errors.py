@@ -27,7 +27,7 @@ class DimensionMismatchError(ValidationError):
 
 
 class NegativeEntryError(ValidationError):
-    """A liability or cash entry is negative or not finite."""
+    """A liability, cash or total-debt amount is negative or not finite."""
 
 
 class SelfDebtError(ValidationError):

@@ -18,11 +18,13 @@ Nonactive banks (no cash and unreachable from any cash along debt edges)
 never move money; they are pinned to zero rates for the whole run and stay
 out of every linear solve.
 
-The zero group changes by a bank or two per event, so `run_flow` carries
-one `markov.ZeroGroupFactor` through its events and updates it rather than
-solving each interval's system afresh; `step` and `equilibrium_rates`,
-called on their own, start from a fresh one. A join that makes the group
-non-transient raises `NonTransientZeroGroupError`.
+Every linear solve here is a `markov.ZeroGroupFactor` of (diag(b) - L^T)_B,
+carried rather than rebuilt. The zero group changes by a bank or two per
+event, so `run_flow` carries one through its events; `step` and
+`equilibrium_rates`, called on their own, start from a fresh one. The
+fictitious-defaults loop carries one through its rounds, where the short
+set only grows, so each round borders just the banks new to it. A join that
+makes the zero group non-transient raises `NonTransientZeroGroupError`.
 
 Both arithmetic modes run the same code, with every zero test derived from
 one relative factor ε (`FinancialNetwork.zero_rel`, 0 in rational mode): a
@@ -42,7 +44,7 @@ from .errors import (
     SingularSystemError,
     StalledError,
 )
-from .markov import ZeroGroupFactor, active_set, zero_group_solve
+from .markov import ZeroGroupFactor, active_set
 from .network import FinancialNetwork, Partition, Status, initial_partition
 from .scalars import Scalar, scalar_to_json, zero_one
 
@@ -109,6 +111,14 @@ def pinned_banks(net: FinancialNetwork) -> frozenset[int]:
     return frozenset(i for i in range(net.n) if i not in act and net.total_debt[i] > tol)
 
 
+def _network_factor(
+    net: FinancialNetwork, scope: frozenset[int] | None = None
+) -> ZeroGroupFactor:
+    """A factor of (diag(b) - L^T)_B for zero groups and default sets B
+    within `scope`."""
+    return ZeroGroupFactor(net.liabilities, net.total_debt, net.mode, scope)
+
+
 def balance_rates(
     net: FinancialNetwork, out: Sequence[Scalar]
 ) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
@@ -140,7 +150,7 @@ def equilibrium_rates(
     The zero-group system is solvable exactly when the group (minus pinned
     banks) is transient; during a well-formed run that is guaranteed.
     """
-    return _equilibrium_rates(net, partition, pinned, ZeroGroupFactor(net))
+    return _equilibrium_rates(net, partition, pinned, _network_factor(net))
 
 
 def _equilibrium_rates(
@@ -229,7 +239,7 @@ def step(
     debt and payment are set; cash changes by the linear update alone."""
     if pinned is None:
         pinned = pinned_banks(net)
-    return _step(net, state, pinned, index, ZeroGroupFactor(net))
+    return _step(net, state, pinned, index, _network_factor(net))
 
 
 def _step(
@@ -328,9 +338,11 @@ def _greatest_fixed_point(
     Starts with every bank in `banks` at its cap. Each round clamps, collects
     the banks that fall short of their cap by more than `tol`, and solves
     x = base + Q^T x exactly on that short set, the rest of `banks` at cap.
-    The short set only grows, so this stops within |banks| rounds. It never
-    holds a closed group fed from outside: the members' in-rates sum to
-    their out-rates plus the feed, so one of them stays at its cap.
+    The short set only grows, so this stops within |banks| rounds, and one
+    factor, scaled over `banks`, serves every round by bordering the banks
+    new to the set. It never holds a closed group fed from outside: the
+    members' in-rates sum to their out-rates plus the feed, so one of them
+    stays at its cap.
 
     Returns the iterates (the start, then each clamp), the short set of
     each clamp and the (set, input, solution) triple of each solve.
@@ -344,6 +356,7 @@ def _greatest_fixed_point(
     solves = []
     x = start
     previous: frozenset[int] = frozenset()
+    factor = _network_factor(net, banks)
     while True:
         received, _ = balance_rates(net, x)
         x = list(held)
@@ -365,7 +378,7 @@ def _greatest_fixed_point(
         solve_set = sorted(short)
         e = [base[i] + inflow[i] for i in solve_set]
         try:
-            r = zero_group_solve(net, solve_set, e)
+            r = factor.solve(solve_set, e)
         except SingularSystemError as exc:
             raise SingularSystemError(
                 f"defaulting set {solve_set} is not transient: {exc}"
@@ -420,7 +433,7 @@ def run_flow(net: FinancialNetwork, record_trajectory: bool = True) -> ClearingR
         paid=(zero,) * net.n,
     )
     events: list[FlowEvent] = []
-    factor = ZeroGroupFactor(net)
+    factor = _network_factor(net)
     k = 0
     while state.partition.positive:
         event = _step(net, state, pinned, k, factor)

@@ -5,23 +5,21 @@ graph reachability, the balance solves v = e + Q_B^T v, the active-set
 closure, the decomposition of nonactive banks (absorbing / transient /
 swamps), and invariant distributions of swamps.
 
-One elimination kernel, `solve_linear`, solves every system from scratch. On
-exact input (ints and Fractions) it clears each row's denominators and runs
-fraction-free Bareiss elimination on Python ints, so every update is one
-exact integer division and no gcd is taken until the m quotients at the end;
-the answer is the unique exact solution. On floats it runs Gaussian
-elimination with partial pivoting and back substitution.
-
-The flow and the fictitious-defaults iteration solve the balance system on a
-set B of indebted banks in its column-scaled form: with w = v / b the
-equations v = e + Q_B^T v become (diag(b) - L^T)_B w = e, whose entries are
-the liabilities themselves, so no proportion is divided out before the
-solve (`zero_group_solve`). The flow's zero group changes by about one bank
-per event, so the flow solves it with a `ZeroGroupFactor` instead: the
-exact adjugate and determinant (the inverse, on floats) of that matrix,
-carried from event to event and updated in O(m^2) per bank that joins or
-leaves. The fictitious-defaults sets arrive in large jumps and keep the
-elimination kernel.
+Every linear system the package solves is one balance system: for a square
+matrix M with diagonal weights d (the liabilities with the total debts, or
+the proportions with ones) and a transient bank set B,
+(diag(d) - M^T)_B w = e, whose v = d * w solves v = e + Q_B^T v with
+Q = M / d row by row. On the liabilities no proportion is divided out
+before the solve. One kernel, `ZeroGroupFactor`, solves it: the exact
+adjugate and determinant of D (diag(d) - M^T)_B in rational mode (D clears
+the denominators, so the updates run on Python ints and only the answer is
+reduced), and its inverse in float mode, updated in O(m^2) per bank that
+joins or leaves B. The flow carries one factor from event to event,
+fictitious defaults from round to round (where it only borders, since the
+default sets only grow), and `zero_group_solve`, `fundamental_solve` and
+`invariant_distribution` start a fresh one on the block they solve.
+`solve_linear`, Gaussian elimination with partial pivoting, answers only a
+float solve whose Schur pivot is too small.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from .errors import (
     ZeroDebtInSwampError,
 )
 from .network import FinancialNetwork
-from .scalars import FLOAT, RATIONAL, Scalar, zero_one
+from .scalars import FLOAT, FLOAT_ZERO_REL, RATIONAL, Scalar, zero_one
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 
@@ -137,58 +135,11 @@ def is_transient(sub: SubMatrix) -> bool:
 
 
 def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar]:
-    """Solve rows @ x = rhs for a square nonsingular system.
+    """Solve rows @ x = rhs for a square nonsingular system by Gaussian
+    elimination with partial pivoting and back substitution.
 
-    Exact on ints and Fractions (fraction-free Bareiss elimination, the
-    result in Fractions); Gaussian elimination with partial pivoting as soon
-    as any entry is a float. Raises `SingularSystemError` on a zero pivot
-    column.
+    Raises `SingularSystemError` on a zero pivot column.
     """
-    if any(isinstance(x, float) for x in rhs) or any(
-        isinstance(x, float) for row in rows for x in row
-    ):
-        return _solve_float(rows, rhs)
-    return _solve_exact(rows, rhs)
-
-
-def _solve_exact(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Fraction]:
-    m = len(rows)
-    # clear each row's denominators: an integer system with the same solution
-    a = []
-    for row, r in zip(rows, rhs):
-        full = [*row, r]
-        scale = lcm(*(x.denominator for x in full))
-        a.append([x.numerator * (scale // x.denominator) for x in full])
-    # Bareiss: after step k every entry is a (k+1)-minor, so the division by
-    # the previous pivot is exact
-    prev = 1
-    for k in range(m):
-        pivot = next((r for r in range(k, m) if a[r][k]), None)
-        if pivot is None:
-            raise SingularSystemError("linear system is singular")
-        a[k], a[pivot] = a[pivot], a[k]
-        top = a[k]
-        p = top[k]
-        tail = top[k + 1:]
-        for r in range(k + 1, m):
-            row = a[r]
-            f = row[k]
-            if f:
-                row[k + 1:] = [(x * p - f * y) // prev for x, y in zip(row[k + 1:], tail)]
-            elif p != prev:
-                row[k + 1:] = [x * p // prev for x in row[k + 1:]]
-        prev = p
-    # back substitution on y = det * x, an integer vector by Cramer's rule
-    det = prev
-    y = [0] * m
-    for i in range(m - 1, -1, -1):
-        row = a[i]
-        acc = det * row[m] - sum(row[j] * y[j] for j in range(i + 1, m))
-        y[i] = acc // row[i]
-    return [Fraction(yi, det) for yi in y]
-
-
-def _solve_float(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[float]:
     m = len(rows)
     a = [[*row, r] for row, r in zip(rows, rhs)]
     for k in range(m):
@@ -220,20 +171,20 @@ def _check_input(e: Sequence[Scalar], m: int) -> None:
         raise NegativeInputError("input vector must be nonnegative")
 
 
+def _mode_of(sub: SubMatrix) -> str:
+    return FLOAT if isinstance(sub.entries[0][0], float) else RATIONAL
+
+
 def _balance_solve(
-    sub: SubMatrix, diagonal: Sequence[Scalar], e: Sequence[Scalar]
+    sub: SubMatrix, diagonal: Sequence[Scalar], mode: str, e: Sequence[Scalar]
 ) -> list[Scalar]:
-    """Solve (diag(diagonal) - S^T) w = e for the restriction S, after
-    checking that e is nonnegative and the restriction transient."""
+    """v = d * w for (diag(d) - M^T)_B w = e, M the restriction's parent and
+    B its index, after checking that e is nonnegative and B transient; a
+    fresh factor solves it, its scale taken over B alone."""
     _check_input(e, sub.size)
     if not is_transient(sub):
         raise SingularSystemError("restriction is not transient; no unique solution")
-    m = sub.size
-    rows = [
-        [(diagonal[i] if i == j else 0) - sub.entries[j][i] for j in range(m)]
-        for i in range(m)
-    ]
-    return solve_linear(rows, list(e))
+    return ZeroGroupFactor(sub.parent, diagonal, mode, sub.index).solve(sub.index, e)
 
 
 def fundamental_solve(sub: SubMatrix, e: Sequence[Scalar]) -> list[Scalar]:
@@ -242,7 +193,9 @@ def fundamental_solve(sub: SubMatrix, e: Sequence[Scalar]) -> list[Scalar]:
     The input must be componentwise nonnegative; the solution then is as
     well (it is the transposed fundamental matrix applied to e).
     """
-    return _balance_solve(sub, [1] * sub.size, e)
+    mode = _mode_of(sub)
+    _, one = zero_one(mode)
+    return _balance_solve(sub, [one] * len(sub.parent), mode, e)
 
 
 def zero_group_solve(
@@ -254,38 +207,50 @@ def zero_group_solve(
     Every bank in `banks` must carry debt. Raises the same errors as
     `fundamental_solve`.
     """
-    sub = restrict(net.liabilities, banks)
-    debts = [net.total_debt[i] for i in sub.index]
-    w = _balance_solve(sub, debts, e)
-    return [b * x for b, x in zip(debts, w)]
+    return _balance_solve(restrict(net.liabilities, banks), net.total_debt, net.mode, e)
 
 
 class ZeroGroupFactor:
-    """`zero_group_solve` on a bank set that changes a little between calls.
+    """The balance solve (diag(d) - M^T)_B w = e, v = d * w, on a bank set B
+    that changes a little between calls.
 
-    Holds, for the current ordered set B, the matrix K_B = D (diag(b) - L^T)_B:
-    in rational mode D is the lcm of the liability denominators, so K_B is an
+    M is a square matrix and d a vector, both indexed by bank. The factor
+    holds, for the current ordered set B, the matrix K_B = D (diag(d) - M^T)_B:
+    in rational mode D is the lcm of the denominators of d and M over
+    `scope`, the banks that B is drawn from (all by default), so K_B is an
     integer matrix and the factor is the exact pair (adj K_B, det K_B); in
-    float mode D = 1 and the factor is the inverse of K_B. `solve` moves it to
-    a new set by deleting each leaver (Jacobi's identity) and bordering each
-    joiner (Sylvester's identity), O(m^2) per bank; a fresh factor borders
-    from the empty set. Every division of the exact updates is exact.
+    float mode D = 1 and the factor is the inverse of K_B. `solve` moves it
+    to a new set by deleting each leaver (Jacobi's identity) and bordering
+    each joiner (Sylvester's identity), O(m^2) per bank; a fresh factor
+    borders from the empty set. Every division of the exact updates is exact.
 
-    K_B is a Z-matrix whose column sums are D times each bank's debt outside
-    B, so det K_B > 0 exactly when B is transient, and every subset of a
-    transient set is transient. A zero Schur pivot on a join therefore means
-    the new set is not transient. In float mode a join also runs the graph
-    test, and a Schur pivot not above ε K_jj (ε = `net.zero_rel`) drops the
-    factor and answers that call with `zero_group_solve`.
+    When each d_i is the sum of row i of M, K_B is a Z-matrix whose column
+    sums are D times each member's row mass outside B, so det K_B > 0
+    exactly when B is transient, and every subset of a transient set is
+    transient. A join whose Schur pivot is not positive therefore means the
+    new set is not transient. In float mode a Schur pivot not above ε K_jj
+    (ε = `FLOAT_ZERO_REL`) drops the factor instead, and that call is
+    answered by the graph test and `solve_linear`.
     """
 
-    def __init__(self, net: FinancialNetwork):
-        self.net = net
-        self.exact = net.mode == RATIONAL
-        self.scale = (
-            lcm(*(x.denominator for row in net.liabilities for x in row if x))
-            if self.exact else 1
-        )
+    def __init__(
+        self,
+        matrix: Sequence[Sequence[Scalar]],
+        diagonal: Sequence[Scalar],
+        mode: str,
+        scope: Sequence[int] | None = None,
+    ):
+        self.matrix, self.diagonal = matrix, diagonal
+        self.exact = mode == RATIONAL
+        self.zero_rel = 0 if self.exact else FLOAT_ZERO_REL
+        self.scale = 1
+        if self.exact:
+            scope = range(len(diagonal)) if scope is None else scope
+            denominators = {diagonal[i].denominator for i in scope}
+            for i in scope:
+                row = matrix[i]
+                denominators.update(row[j].denominator for j in scope if row[j])
+            self.scale = lcm(*denominators)
         self.banks: list[int] = []
         #: adj K_B in rational mode, K_B^-1 in float mode; rows follow `banks`
         self.adj: list[list[Scalar]] = []
@@ -294,6 +259,10 @@ class ZeroGroupFactor:
     def _entry(self, x: Scalar) -> Scalar:
         """D * x, an int in rational mode."""
         return x.numerator * (self.scale // x.denominator) if self.exact else x
+
+    def _pivot(self, k: int) -> Scalar:
+        """K_kk / D."""
+        return self.diagonal[k] - self.matrix[k][k]
 
     def _reset(self) -> None:
         self.banks, self.adj, self.det = [], [], 1
@@ -311,20 +280,19 @@ class ZeroGroupFactor:
             self.det = pivot
         else:
             # the Schur pivot of position p is 1 / pivot
-            k_pp = self.net.total_debt[self.banks[p]]
-            if not (pivot > 0 and 1 / pivot > self.net.zero_rel * k_pp):
+            if not (pivot > 0 and 1 / pivot > self.zero_rel * self._pivot(self.banks[p])):
                 return False
             self.adj = [[x - f / pivot * y for x, y in zip(row, row_p)] for row, f in rest]
         del self.banks[p]
         return True
 
     def _border(self, k: int) -> bool:
-        """Append bank k; False when the Schur pivot is not above ε K_kk."""
-        liab, entry, adj = self.net.liabilities, self._entry, self.adj
+        """Append bank k; False when a float Schur pivot is not above ε K_kk."""
+        matrix, entry, adj = self.matrix, self._entry, self.adj
         # K's new column (w_k in the members' equations) and row (bank k's)
-        u = [-entry(liab[k][b]) if liab[k][b] else 0 for b in self.banks]
-        v = [-entry(liab[b][k]) if liab[b][k] else 0 for b in self.banks]
-        d = entry(self.net.total_debt[k])
+        u = [-entry(matrix[k][b]) if matrix[k][b] else 0 for b in self.banks]
+        v = [-entry(matrix[b][k]) if matrix[b][k] else 0 for b in self.banks]
+        d = entry(self._pivot(k))
         au = [sum(map(mul, row, u)) for row in adj]
         va = [sum(map(mul, column, v)) for column in zip(*adj)]
         if self.exact:
@@ -341,7 +309,7 @@ class ZeroGroupFactor:
             self.det = new_det
         else:
             s = d - sum(map(mul, v, au))
-            if not s > self.net.zero_rel * d:
+            if not s > self.zero_rel * d:
                 return False
             ga = [a / s for a in au]
             self.adj = [
@@ -352,14 +320,12 @@ class ZeroGroupFactor:
         return True
 
     def solve(self, banks: Sequence[int], e: Sequence[Scalar]) -> list[Scalar]:
-        """`zero_group_solve(net, banks, e)`, after moving the factor to
-        `banks`, distinct indebted banks in any order."""
+        """v = d * w, where (diag(d) - M^T)_B w = e for B = `banks`, distinct
+        banks in any order, after moving the factor to B."""
         _check_input(e, len(banks))
         wanted, current = set(banks), set(self.banks)
         leavers = [p for p, b in enumerate(self.banks) if b not in wanted]
         joiners = [b for b in banks if b not in current]
-        if joiners and not self.exact and not is_transient(restrict(self.net.liabilities, banks)):
-            raise SingularSystemError("restriction is not transient; no unique solution")
         for p in reversed(leavers):
             if not self._delete(p):
                 return self._fallback(banks, e)
@@ -380,11 +346,20 @@ class ZeroGroupFactor:
             for b, x in zip(banks, e):
                 scaled[position[b]] = x
             w = [sum(map(mul, row, scaled)) for row in self.adj]
-        return [self.net.total_debt[b] * w[position[b]] for b in banks]
+        return [self.diagonal[b] * w[position[b]] for b in banks]
 
     def _fallback(self, banks: Sequence[int], e: Sequence[Scalar]) -> list[Scalar]:
+        """Float mode, on a small Schur pivot: drop the factor and solve from
+        scratch, after the graph test."""
         self._reset()
-        return zero_group_solve(self.net, banks, e)
+        if not is_transient(restrict(self.matrix, banks)):
+            raise SingularSystemError("restriction is not transient; no unique solution")
+        rows = [
+            [(self.diagonal[i] if i == j else 0) - self.matrix[j][i] for j in banks]
+            for i in banks
+        ]
+        w = solve_linear(rows, list(e))
+        return [self.diagonal[b] * x for b, x in zip(banks, w)]
 
 
 def active_set(net: FinancialNetwork) -> frozenset[int]:
@@ -510,15 +485,17 @@ def invariant_distribution(sub: SubMatrix) -> InvariantDistribution:
         comps = _strongly_connected_components(list(range(m)), edges)
         if len(comps) != 1:
             raise NotErgodicError("set is not a single communicating class")
-    # (I - Q_B^T) pi = 0 with the last equation replaced by sum(pi) = 1
-    zero, one = zero_one(FLOAT if isinstance(sub.entries[0][0], float) else RATIONAL)
-    rows = [
-        [(one if r == s else zero) - sub.entries[s][r] for s in range(m)]
-        for r in range(m)
-    ]
-    rows[m - 1] = [one] * m
-    rhs = [zero] * (m - 1) + [one]
-    weights = solve_linear(rows, rhs)
+    # with the last member's weight fixed at 1 the others form a transient
+    # set fed by that member's row: one balance solve, then normalise
+    *rest, last = sub.index
+    mode = _mode_of(sub)
+    _, one = zero_one(mode)
+    raw = [one]
+    if rest:
+        factor = ZeroGroupFactor(sub.parent, [one] * len(sub.parent), mode, rest)
+        raw = factor.solve(rest, [sub.parent[last][r] for r in rest]) + raw
+    total = sum(raw)
+    weights = [w / total for w in raw]
     if any(w <= 0 for w in weights):
         raise NotErgodicError("invariant distribution is not strictly positive")
     return InvariantDistribution(support=sub.index, weights=tuple(weights))

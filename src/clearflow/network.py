@@ -122,9 +122,9 @@ def build_network(
 ) -> FinancialNetwork:
     """Validate raw data and derive the total-debt vector and proportion matrix.
 
-    Rejects non-square matrices, entries that are negative or not finite,
-    and any nonzero diagonal (self-debt is an input error, not something to
-    normalize away).
+    Rejects non-square matrices, entries that are negative or not finite, a
+    total debt that overflows to infinity, and any nonzero diagonal
+    (self-debt is an input error, not something to normalize away).
     """
     check_mode(mode)
     n = len(cash)
@@ -154,6 +154,9 @@ def build_network(
 
     zero, one = zero_one(mode)
     total = tuple(sum((x for x in row if x), zero) for row in rows)
+    for i, t in enumerate(total):
+        if isinstance(t, float) and not math.isfinite(t):
+            raise NegativeEntryError(f"total debt of bank {i} is not finite")
     relative: list[tuple[Scalar, ...]] = []
     for i, row in enumerate(rows):
         if total[i] > 0:

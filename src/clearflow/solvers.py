@@ -191,8 +191,9 @@ def _default_cap(net: FinancialNetwork) -> int:
     positives += [c for c in net.cash if c > 0]
     if not positives:
         return 10 * max(net.n, 1)
-    ratio = float(sum(net.total_debt) / min(positives))
-    return min(PICARD_MAX_CAP, max(1000, int(10 * net.n * (1 + ratio))))
+    # clamped before the conversion: the bound can overflow a float
+    bound = 10 * net.n * (1 + sum(net.total_debt) / min(positives))
+    return int(min(PICARD_MAX_CAP, max(1000, bound)))
 
 
 def picard_iterate(

@@ -2,8 +2,8 @@
 
 `gauss_jordan_solve` is plain Gauss-Jordan elimination over the entries' own
 type, with partial pivoting: on Fractions it pays a gcd on every operation,
-which is why the library solves by integer Bareiss instead, and it is the
-reference the library's kernel must match exactly.
+which is why the library solves with an integer adjugate instead, and it is
+the reference the library's kernel must match exactly.
 
 The seed-cash probe resolves the time-zero classification without the
 combinatorial algorithm: give every active cashless bank a tiny amount of

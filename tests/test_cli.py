@@ -126,6 +126,38 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error: amount '1e400' is beyond float range")
 
+    @pytest.mark.parametrize("command", ["solve", "family", "bailout"])
+    def test_total_debt_beyond_float_range_exit_code(self, capsys, tmp_path, command):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "banks": [{"id": "a", "cash": 1}, {"id": "b", "cash": 0}, {"id": "c", "cash": 0}],
+            "liabilities": [
+                {"from": "a", "to": "b", "amount": 1e308},
+                {"from": "a", "to": "c", "amount": 1e308},
+            ],
+        }))
+        code, out, err = run_cli(capsys, command, str(path), "--mode", "float")
+        assert code == 2 and out == ""
+        assert err.startswith("error: total debt of bank 0 is not finite")
+
+    @pytest.mark.parametrize("liabilities, cash", [
+        ([[0, 1e300], [0, 0]], [1e-300, 0]),
+        ([[0, 1e308], [1e308, 0]], [0, 0]),
+    ])
+    @pytest.mark.parametrize("algorithm", ["picard", "all"])
+    def test_picard_cap_beyond_float_range(self, capsys, tmp_path, liabilities, cash, algorithm):
+        # the default iteration cap divides the debts by the smallest entry
+        net = cf.build_network(liabilities, cash, mode=cf.FLOAT)
+        path = tmp_path / "wide.json"
+        path.write_text(cf.serialize_network(net))
+        code, out, _ = run_cli(
+            capsys, "solve", str(path), "--mode", "float", "--algorithm", algorithm
+        )
+        assert code == 0
+        doc = json.loads(out)
+        payments = doc["results"]["picard"]["payments"] if algorithm == "all" else doc["payments"]
+        assert payments == cf.picard_iterate(net)
+
     def test_tol_rejected_in_rational_mode(self, capsys, net_1a_path):
         code, _out, err = run_cli(capsys, "solve", net_1a_path, "--tol", "1e-9")
         assert code == 2

@@ -286,8 +286,8 @@ class TestBigBang:
 class TestRunFlow:
     @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
     def test_events_solve_nothing_from_scratch(self, mode, monkeypatch):
-        # the only eliminations of a run are those of its big-bang fixed
-        # point; every event updates the carried zero-group factor
+        # neither the big-bang fixed point nor any event eliminates from
+        # scratch: each updates a carried factor
         net = cf.generate_network(1, 20, 0.3, "1/4", mode=mode)
         solves = []
         kernel = cf.markov.solve_linear
@@ -304,7 +304,7 @@ class TestRunFlow:
         pinned = cf.pinned_banks(net)
         zero_groups = [e for e in result.trajectory if e.state_after.partition.zero - pinned]
         assert len(zero_groups) > 10
-        assert len(solves) == big_bang
+        assert len(solves) == big_bang == 0
 
     def test_example_1a_exact(self, net_1a):
         eps = F(1, 36)

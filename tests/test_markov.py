@@ -115,6 +115,14 @@ class TestFundamentalSolve:
         hi = cf.fundamental_solve(sub, [F(1, 3), F(1, 9), F(1, 8)])
         assert all(x <= y for x, y in zip(lo, hi))
 
+    def test_integer_input_gives_exact_fractions(self, net_1a):
+        sub = cf.restrict(net_1a.relative, [1, 2, 3])
+        solves = (cf.fundamental_solve(sub, [1, 0, 0]),
+                  cf.markov.zero_group_solve(net_1a, [1, 2, 3], [1, 0, 0]))
+        for v in solves:
+            assert v == [2, 1, 1]
+            assert all(isinstance(x, F) for x in v)
+
     def test_negative_input_rejected(self, net_1a):
         sub = cf.restrict(net_1a.relative, [1, 2])
         with pytest.raises(NegativeInputError):
@@ -165,11 +173,6 @@ class TestSolveLinear:
     def test_zero_leading_entry_needs_a_row_swap(self):
         assert cf.markov.solve_linear([[0, F(1, 2)], [3, 0]], [1, 1]) == [F(1, 3), 2]
         assert cf.markov.solve_linear([[0.0, 0.5], [3.0, 0.0]], [1.0, 1.0]) == [1 / 3, 2.0]
-
-    def test_integer_input_gives_exact_fractions(self):
-        x = cf.markov.solve_linear([[2, 1], [1, 3]], [1, 0])
-        assert x == [F(3, 5), F(-1, 5)]
-        assert all(isinstance(v, F) for v in x)
 
     def test_empty_system(self):
         assert cf.markov.solve_linear([], []) == []
@@ -237,6 +240,92 @@ def test_flow_zero_group_solves_match_oracle_on_cascades(seed):
     assert_flow_solves_match_oracle(cf.generate_network(seed, 20, 0.3, "1/4"))
 
 
+def assert_fd_solves_match_oracle(net):
+    """Every default set fictitious defaults solves, against Gauss-Jordan on
+    (I - Q_B^T); returns the number of solves."""
+    _, trace = cf.fictitious_defaults(net)
+    for banks, e, r in trace.solves:
+        assert list(r) == gauss_jordan_solve(balance_rows(cf.restrict(net.relative, banks)), list(e))
+    return len(trace.solves)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fd_solves_match_oracle_on_cascades(seed):
+    # the default set grows over several rounds, so the carried factor borders
+    assert assert_fd_solves_match_oracle(cf.generate_network(seed, 20, 0.3, "1/4")) > 1
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_fd_solves_match_oracle_on_swamp_networks(seed):
+    assert_fd_solves_match_oracle(swampy_network(seed))
+
+
+@pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+def test_invariant_distribution_matches_oracle(mode):
+    # (I - Q_S^T) pi = 0 with its last equation replaced by sum(pi) = 1
+    swamps = 0
+    for seed in range(30):
+        net = swampy_network(seed, mode)
+        for swamp in cf.decompose_nonactive(net, cf.active_set(net)).swamps:
+            sub = cf.restrict(net.relative, swamp)
+            rows = balance_rows(sub)
+            rows[-1] = [1] * sub.size
+            expected = gauss_jordan_solve(rows, [0] * (sub.size - 1) + [1])
+            weights = cf.invariant_distribution(sub).weights
+            if mode == cf.RATIONAL:
+                assert list(weights) == expected
+            else:
+                assert max(abs(a - b) for a, b in zip(weights, expected)) <= 1e-12
+            swamps += 1
+    assert swamps >= 60
+
+
+def test_rational_mode_never_eliminates(monkeypatch, net_1a, net_1a_boundary, net_1b, net_1c, net_1c_variant):
+    # every rational solve is the bordered factor's; partial pivoting is
+    # only the float factor's fallback
+    def refuse(rows, rhs):
+        raise AssertionError("solve_linear called in rational mode")
+
+    monkeypatch.setattr(cf.markov, "solve_linear", refuse)
+    nets = [net_1a, net_1a_boundary, net_1b, net_1c, net_1c_variant]
+    nets += [cf.generate_network(seed, 20, 0.3, "1/4") for seed in range(10)]
+    nets += [swampy_network(seed) for seed in range(10)]
+    solves = swamps = 0
+    for net in nets:
+        cf.run_flow(net)
+        cf.big_bang_partition(net)
+        cf.solution_family(net)
+        cf.bailout_vector(net)
+        _, trace = cf.fictitious_defaults(net)
+        for banks, e, r in trace.solves:
+            assert cf.markov.zero_group_solve(net, banks, e) == list(r)
+            assert cf.fundamental_solve(cf.restrict(net.relative, banks), e) == list(r)
+            solves += 1
+        for swamp in cf.decompose_nonactive(net, cf.active_set(net)).swamps:
+            cf.invariant_distribution(cf.restrict(net.relative, swamp))
+            swamps += 1
+    assert solves > 20 and swamps > 10
+
+
+def test_float_joins_decide_by_pivot(monkeypatch):
+    # on these cascades no Schur pivot is small, so no solve falls back to
+    # the graph test and elimination
+    def refuse(*args):
+        raise AssertionError("fallback taken")
+
+    monkeypatch.setattr(cf.markov, "solve_linear", refuse)
+    monkeypatch.setattr(cf.markov, "is_transient", refuse)
+    for seed in range(6):
+        net = cf.generate_network(seed, 64, 0.3, "1/4", mode=cf.FLOAT)
+        assert cf.run_flow(net).defaults == cf.fictitious_defaults(net)[0].defaults
+
+
+def network_factor(net):
+    """The factor the flow carries: (diag(b) - L^T)_B over every bank."""
+    return cf.markov.ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
+
+
 def integer_balance_matrix(net, banks, scale):
     """K_B = scale * (diag(b) - L^T)_B of a rational network, as ints."""
     return [
@@ -260,7 +349,7 @@ def test_factor_follows_scripted_transitions(mode):
         [1, 3, 5, 6, 8, 10, 11],  # grown again
     ]
     rng = random.Random(mode)
-    factor = cf.markov.ZeroGroupFactor(net)
+    factor = network_factor(net)
     for banks in script:
         e = [F(rng.randint(0, 9), rng.randint(1, 7)) for _ in banks]
         if mode == cf.FLOAT:
@@ -287,11 +376,26 @@ def test_float_factor_is_dropped_on_a_small_pivot():
     # banks 1 and 2 owe each other 1 and bank 0 only 1e-14: the Schur pivot
     # of the second join is about 2e-14, not above ε K_22
     net = cf.build_network([[0, 0, 0], [1e-14, 0, 1], [1e-14, 1, 0]], [1, 0, 0], mode=cf.FLOAT)
-    factor = cf.markov.ZeroGroupFactor(net)
+    factor = network_factor(net)
     factor.solve([1], [0.5])
     assert factor.banks == [1]
     assert factor.solve([1, 2], [0.5, 0.5]) == cf.markov.zero_group_solve(net, [1, 2], [0.5, 0.5])
     assert factor.banks == []
+
+
+def test_float_fallback_solves_the_balance_system():
+    # bank 2 owes bank 1 twice what bank 1 owes it, so the system is not
+    # symmetric; the Schur pivot of the second join is about 3e-14
+    net = cf.build_network([[0, 0, 0], [1e-14, 0, 1], [1e-14, 2, 0]], [1, 0, 0], mode=cf.FLOAT)
+    factor = network_factor(net)
+    e = [0.5, 0.25]
+    v = factor.solve([1, 2], e)
+    assert factor.banks == []
+    # v = e + Q_B^T v
+    q = net.relative
+    for k, i in enumerate([1, 2]):
+        inflow = e[k] + q[1][i] * v[0] + q[2][i] * v[1]
+        assert abs(v[k] - inflow) <= 1e-12 * max(v)
 
 
 @given(st.integers(0, 2**16), st.data())
@@ -302,7 +406,7 @@ def test_bordering_determinant_vanishes_exactly_off_transient_sets(seed, data):
     indebted = [i for i in range(net.n) if net.total_debt[i] > 0]
     start = data.draw(st.lists(st.sampled_from(indebted), unique=True))
     target = data.draw(st.lists(st.sampled_from(indebted), min_size=1, unique=True))
-    factor = cf.markov.ZeroGroupFactor(net)
+    factor = network_factor(net)
     if start and cf.is_transient(cf.restrict(net.relative, start)):
         factor.solve(start, [F(0)] * len(start))
     try:

@@ -84,6 +84,16 @@ class TestBuildNetwork:
         with pytest.raises(NegativeEntryError, match=r"liability\[0\]\[1\] is not finite"):
             cf.build_network([[0.0, float("-inf")], [0.0, 0.0]], [1.0, 1.0], mode=cf.FLOAT)
 
+    def test_rejects_total_debt_beyond_float_range(self):
+        # two finite debts of 1e308 sum to inf, which would make every
+        # proportion 0 and zero_tol infinite
+        with pytest.raises(NegativeEntryError, match=r"total debt of bank 0 is not finite"):
+            cf.build_network(
+                [[0.0, 1e308, 1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                [1.0, 0.0, 0.0],
+                mode=cf.FLOAT,
+            )
+
     def test_huge_fraction_is_accepted(self):
         # exact amounts are never converted to float, so none can overflow
         huge = F(10**400, 3)

@@ -118,6 +118,16 @@ class TestPicard:
         drift = max(abs(float(a) - b) for a, b in zip(flow_payments, approx))
         assert drift <= 1e-12
 
+    @pytest.mark.parametrize("liabilities, cash, expected", [
+        ([[0, 1e300], [0, 0]], [1e-300, 0], [1e-300, 0.0]),
+        ([[0, 1e308], [1e308, 0]], [0, 0], [1e308, 1e308]),
+    ])
+    def test_default_cap_beyond_float_range(self, liabilities, cash, expected):
+        # total debt over the smallest entry overflows a float here
+        net = cf.build_network(liabilities, cash, mode=cf.FLOAT)
+        assert solvers._default_cap(net) == solvers.PICARD_MAX_CAP
+        assert cf.picard_iterate(net) == expected
+
     def test_iteration_cap_reported(self, net_1a):
         with pytest.raises(NoConvergenceError):
             cf.picard_iterate(net_1a, max_iter=3, tol=F(0))
