@@ -20,11 +20,12 @@ out of every linear solve.
 
 Every linear solve here is a `markov.ZeroGroupFactor` of (diag(b) - L^T)_B,
 carried rather than rebuilt. The zero group changes by a bank or two per
-event, so `run_flow` carries one through its events; `step` and
-`equilibrium_rates`, called on their own, start from a fresh one. The
-fictitious-defaults loop carries one through its rounds, where the short
-set only grows, so each round borders just the banks new to it. A join that
-makes the zero group non-transient raises `NonTransientZeroGroupError`.
+event, so `run_flow` passes one factor to `step`, which passes it on to
+`equilibrium_rates`, event after event; called without one, they start from
+a fresh one. The fictitious-defaults loop carries one through its rounds,
+where the short set only grows, so each round borders just the banks new to
+it. A join that makes the zero group non-transient raises
+`NonTransientZeroGroupError`.
 
 Both arithmetic modes run the same code, with every zero test derived from
 one relative factor ε (`FinancialNetwork.zero_rel`, 0 in rational mode): a
@@ -143,24 +144,18 @@ def equilibrium_rates(
     net: FinancialNetwork,
     partition: Partition,
     pinned: frozenset[int] = frozenset(),
+    factor: ZeroGroupFactor | None = None,
 ) -> IntervalRates:
     """Rates for one interval: 1 on positives, 0 on absorbing and pinned banks,
     and the unique balanced solution on the remaining zero group.
 
     The zero-group system is solvable exactly when the group (minus pinned
-    banks) is transient; during a well-formed run that is guaranteed.
+    banks) is transient; during a well-formed run that is guaranteed. It is
+    solved by `factor`, which is left on this interval's zero group for the
+    next one; a fresh factor when none is given.
     """
-    return _equilibrium_rates(net, partition, pinned, _network_factor(net))
-
-
-def _equilibrium_rates(
-    net: FinancialNetwork,
-    partition: Partition,
-    pinned: frozenset[int],
-    factor: ZeroGroupFactor,
-) -> IntervalRates:
-    """`equilibrium_rates`, solving the zero group with `factor`, which is
-    left on this interval's zero group for the next one."""
+    if factor is None:
+        factor = _network_factor(net)
     zero, one = zero_one(net.mode)
     out: list[Scalar] = [zero] * net.n
     for i in partition.positive:
@@ -230,31 +225,22 @@ def step(
     state: SystemState,
     pinned: frozenset[int] | None = None,
     index: int = 0,
+    factor: ZeroGroupFactor | None = None,
 ) -> FlowEvent:
     """Advance to the next event: compute rates, move time forward linearly,
     and reclassify every mover (debt hitting zero wins over cash hitting zero).
 
     A candidate moves when its debt or cash at t' is within `zero_tol` of 0
     (in rational mode: when its time is exactly t'). Only a debt mover's
-    debt and payment are set; cash changes by the linear update alone."""
+    debt and payment are set; cash changes by the linear update alone. The
+    zero group is solved by `factor` (see `equilibrium_rates`)."""
     if pinned is None:
         pinned = pinned_banks(net)
-    return _step(net, state, pinned, index, _network_factor(net))
-
-
-def _step(
-    net: FinancialNetwork,
-    state: SystemState,
-    pinned: frozenset[int],
-    index: int,
-    factor: ZeroGroupFactor,
-) -> FlowEvent:
-    """`step`, with the zero group solved by `factor` (see `_equilibrium_rates`)."""
     if not state.partition.positive:
         raise StalledError(
             f"cannot step: no positive banks remain (event {index}, time {state.time})"
         )
-    rates = _equilibrium_rates(net, state.partition, pinned, factor)
+    rates = equilibrium_rates(net, state.partition, pinned, factor)
     t_prime, candidates = _select_event(net, state, rates)
     zero, _ = zero_one(net.mode)
     tol = net.zero_tol
@@ -436,7 +422,7 @@ def run_flow(net: FinancialNetwork, record_trajectory: bool = True) -> ClearingR
     factor = _network_factor(net)
     k = 0
     while state.partition.positive:
-        event = _step(net, state, pinned, k, factor)
+        event = step(net, state, pinned, k, factor)
         state = event.state_after
         if record_trajectory:
             events.append(event)

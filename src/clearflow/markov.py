@@ -1,9 +1,16 @@
 """Linear-algebraic and graph kernel behind the clearing solvers.
 
-Restriction of the proportion matrix to a bank subset, transience testing by
-graph reachability, the balance solves v = e + Q_B^T v, the active-set
-closure, the decomposition of nonactive banks (absorbing / transient /
-swamps), and invariant distributions of swamps.
+Restriction of the proportion matrix to a bank subset, the balance solves
+v = e + Q_B^T v, the active-set closure, the decomposition of nonactive
+banks (absorbing / transient / swamps), and invariant distributions of
+swamps.
+
+One graph search, `_closed_groups`, finds the strongly connected groups of
+a bank set that no positive entry leaves, the groups money can never
+leave. It decides all three graph questions: a set is transient when it
+holds no such group (`is_transient`), the swamps are such groups of the
+liabilities (`closed_classes`), and a set is ergodic when it is one such
+group (`invariant_distribution`).
 
 Every linear system the package solves is one balance system: for a square
 matrix M with diagonal weights d (the liabilities with the total debts, or
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     EmptySetError,
@@ -105,33 +112,11 @@ def restrict(matrix: Sequence[Sequence[Scalar]], banks: Sequence[int]) -> SubMat
 def is_transient(sub: SubMatrix) -> bool:
     """True iff every state of the subset can reach the outside world.
 
-    Graph test on positive entries of the parent: a state escapes if some
-    path inside the subset ends in a state with a positive entry leaving the
-    subset. Equivalent to invertibility of (I - Q_B) but exact and cheap in
-    both scalar modes.
+    Graph test on positive entries of the parent: the subset is transient
+    exactly when it holds no closed group (`_closed_groups`). Equivalent to
+    invertibility of (I - Q_B) but exact and cheap in both scalar modes.
     """
-    inside = set(sub.index)
-    exits = set()
-    for r, bank in enumerate(sub.index):
-        row = sub.parent[bank]
-        if any(row[j] > 0 for j in range(len(row)) if j not in inside):
-            exits.add(r)
-    # walk the subset graph backwards from the exit-capable states
-    preds: dict[int, list[int]] = {r: [] for r in range(sub.size)}
-    for r in range(sub.size):
-        for s in range(sub.size):
-            if r != s and sub.entries[r][s] > 0:
-                preds[s].append(r)
-        # a positive self-entry never helps escape, so it is ignored
-    reached = set(exits)
-    stack = list(exits)
-    while stack:
-        s = stack.pop()
-        for r in preds[s]:
-            if r not in reached:
-                reached.add(r)
-                stack.append(r)
-    return len(reached) == sub.size
+    return not _closed_groups(sub.parent, sub.index)
 
 
 def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar]:
@@ -377,79 +362,65 @@ def active_set(net: FinancialNetwork) -> frozenset[int]:
     return frozenset(active)
 
 
-def _strongly_connected_components(nodes: list[int], edges: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan over an adjacency dict; returns components as lists."""
-    index_counter = 0
-    stack: list[int] = []
-    lowlink: dict[int, int] = {}
+def _closed_groups(
+    matrix: Sequence[Sequence[Scalar]], banks: Iterable[int]
+) -> list[tuple[int, ...]]:
+    """The strongly connected groups of `banks`, linked by positive
+    off-diagonal entries of `matrix`, that no positive entry leaves: the
+    groups money can never leave. Sorted tuples, in the order an iterative
+    Tarjan search over the sorted banks completes them.
+
+    A positive self-entry neither links nor leaves, so a bank whose only
+    positive entry is its own (a debt-free bank of `relative`) is a group.
+    """
+    nodes = sorted(banks)
+    inside = set(nodes)
+    targets = {i: [j for j, x in enumerate(matrix[i]) if x > 0 and j != i] for i in nodes}
     index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
     on_stack: set[int] = set()
-    components: list[list[int]] = []
+    work: list = []
+    groups = []
+
+    def visit(node: int) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, (j for j in targets[node] if j in inside)))
 
     for root in nodes:
         if root in index:
             continue
-        work = [(root, 0)]
+        visit(root)
         while work:
-            node, edge_pos = work[-1]
-            if edge_pos == 0:
-                index[node] = index_counter
-                lowlink[node] = index_counter
-                index_counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            succs = edges.get(node, [])
-            while edge_pos < len(succs):
-                succ = succs[edge_pos]
-                edge_pos += 1
+            node, successors = work[-1]
+            for succ in successors:
                 if succ not in index:
-                    work[-1] = (node, edge_pos)
-                    work.append((succ, 0))
-                    advanced = True
+                    visit(succ)
                     break
                 if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == node:
-                        break
-                components.append(component)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
+                    low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    k = stack.index(node)
+                    members = set(stack[k:])
+                    del stack[k:]
+                    on_stack -= members
+                    if all(j in members for i in members for j in targets[i]):
+                        groups.append(tuple(sorted(members)))
+    return groups
 
 
 def closed_classes(net: FinancialNetwork, banks: set[int]) -> list[tuple[int, ...]]:
     """Strongly connected groups within `banks` that have no debt edge leaving
-    the group at all (so money can only circulate inside)."""
-    nodes = sorted(banks)
-    edges = {
-        i: [j for j in nodes if j != i and net.liabilities[i][j] > 0]
-        for i in nodes
-    }
-    result = []
-    for comp in _strongly_connected_components(nodes, edges):
-        members = set(comp)
-        # closed means no debt edge from any member to anywhere outside the
-        # group; indebted singletons can never be closed (no self-debt)
-        closed = all(
-            net.liabilities[i][j] == 0
-            for i in comp
-            for j in range(net.n)
-            if j not in members
-        )
-        if closed:
-            result.append(tuple(sorted(comp)))
-    return result
+    the group at all (so money can only circulate inside); indebted
+    singletons can never be closed (no self-debt)."""
+    return _closed_groups(net.liabilities, banks)
 
 
 def decompose_nonactive(net: FinancialNetwork, active: frozenset[int]) -> SwampDecomposition:
@@ -458,7 +429,7 @@ def decompose_nonactive(net: FinancialNetwork, active: frozenset[int]) -> SwampD
     nonactive = set(range(net.n)) - set(active)
     absorbing = {i for i in nonactive if net.total_debt[i] <= tol}
     indebted = nonactive - absorbing
-    swamps = [s for s in closed_classes(net, indebted) if s]
+    swamps = closed_classes(net, indebted)
     swamp_members = {i for s in swamps for i in s}
     transient = indebted - swamp_members
     return SwampDecomposition(
@@ -470,21 +441,17 @@ def decompose_nonactive(net: FinancialNetwork, active: frozenset[int]) -> SwampD
 
 
 def invariant_distribution(sub: SubMatrix) -> InvariantDistribution:
-    """Unique probability vector pi with pi = Q_B^T pi for an ergodic restriction."""
-    inside = set(sub.index)
-    for bank in sub.index:
-        row = sub.parent[bank]
-        if any(row[j] > 0 for j in range(len(row)) if j not in inside):
-            raise NotErgodicError(f"bank {bank} has flow leaving the set")
-    m = sub.size
-    if m > 1:
-        edges = {
-            r: [s for s in range(m) if s != r and sub.entries[r][s] > 0]
-            for r in range(m)
-        }
-        comps = _strongly_connected_components(list(range(m)), edges)
-        if len(comps) != 1:
-            raise NotErgodicError("set is not a single communicating class")
+    """Unique probability vector pi with pi = Q_B^T pi for an ergodic restriction:
+    one closed group that is the whole support."""
+    groups = _closed_groups(sub.parent, sub.index)
+    if not groups:
+        # a transient set: some member has a positive entry leaving it
+        inside = set(sub.index)
+        bank = next(b for b in sub.index if any(
+            x > 0 for j, x in enumerate(sub.parent[b]) if j not in inside))
+        raise NotErgodicError(f"bank {bank} has flow leaving the set")
+    if len(groups) > 1 or len(groups[0]) < sub.size:
+        raise NotErgodicError("set is not a single communicating class")
     # with the last member's weight fixed at 1 the others form a transient
     # set fed by that member's row: one balance solve, then normalise
     *rest, last = sub.index

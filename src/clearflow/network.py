@@ -66,9 +66,6 @@ class Partition:
     def absorbing(self) -> frozenset[int]:
         return frozenset(i for i, s in enumerate(self.statuses) if s is Status.ABSORBING)
 
-    def groups(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-        return self.positive, self.zero, self.absorbing
-
     def __iter__(self):
         return iter(self.statuses)
 
@@ -107,12 +104,6 @@ class FinancialNetwork:
         zero, _ = zero_one(self.mode)
         return self.zero_rel * max([abs(x) for x in self.cash + self.total_debt], default=zero)
 
-    def index_of(self, bank_id: str) -> int:
-        try:
-            return self.ids.index(bank_id)
-        except ValueError as exc:
-            raise SchemaError(f"unknown bank id {bank_id!r}") from exc
-
 
 def build_network(
     liabilities: Sequence[Sequence],
@@ -123,8 +114,8 @@ def build_network(
     """Validate raw data and derive the total-debt vector and proportion matrix.
 
     Rejects non-square matrices, entries that are negative or not finite, a
-    total debt that overflows to infinity, and any nonzero diagonal
-    (self-debt is an input error, not something to normalize away).
+    total debt or total cash that overflows to infinity, and any nonzero
+    diagonal (self-debt is an input error, not something to normalize away).
     """
     check_mode(mode)
     n = len(cash)
@@ -151,6 +142,10 @@ def build_network(
             raise NegativeEntryError(f"cash[{i}] is not finite")
         if c < 0:
             raise NegativeEntryError(f"cash[{i}] = {c} is negative")
+    total_cash = sum(cash_vec)
+    if isinstance(total_cash, float) and not math.isfinite(total_cash):
+        # the flow conserves total cash, so a finite total keeps every position finite
+        raise NegativeEntryError("total cash is not finite")
 
     zero, one = zero_one(mode)
     total = tuple(sum((x for x in row if x), zero) for row in rows)

@@ -22,6 +22,9 @@ max(0, b - c - L^T 1) on top of its cash, and no less.
 `dense_proportions` derives total debts and proportions the plain way, with
 every entry of every row summed and divided, zeros included.
 
+`reachability_transient` is the transience test walked backwards from the
+states with an exit: every state must reach one.
+
 `flow_bailout` is the same closed-form plan with both clearing runs made by
 the continuous flow on networks built from scratch, the route the library
 took before it ran them on fictitious defaults.
@@ -53,6 +56,32 @@ def gauss_jordan_solve(rows: list[list], rhs: list) -> list:
             for c in range(col, m + 1):
                 a[r][c] -= factor * a[col][c]
     return [a[i][m] / a[i][i] for i in range(m)]
+
+
+def reachability_transient(sub) -> bool:
+    """True iff every state of the restriction reaches a state with a
+    positive entry of the parent leaving the subset, along positive
+    off-diagonal entries inside it."""
+    inside = set(sub.index)
+    exits = set()
+    for r, bank in enumerate(sub.index):
+        row = sub.parent[bank]
+        if any(row[j] > 0 for j in range(len(row)) if j not in inside):
+            exits.add(r)
+    preds: dict[int, list[int]] = {r: [] for r in range(sub.size)}
+    for r in range(sub.size):
+        for s in range(sub.size):
+            if r != s and sub.entries[r][s] > 0:
+                preds[s].append(r)
+    reached = set(exits)
+    stack = list(exits)
+    while stack:
+        s = stack.pop()
+        for r in preds[s]:
+            if r not in reached:
+                reached.add(r)
+                stack.append(r)
+    return len(reached) == sub.size
 
 
 def least_injection(net: cf.FinancialNetwork) -> tuple[Fraction, ...]:

@@ -140,6 +140,17 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err.startswith("error: total debt of bank 0 is not finite")
 
+    @pytest.mark.parametrize("command", ["solve", "family", "bailout"])
+    def test_total_cash_beyond_float_range_exit_code(self, capsys, tmp_path, command):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "banks": [{"id": "a", "cash": 1e308}, {"id": "b", "cash": 1e308}, {"id": "c", "cash": 0}],
+            "liabilities": [{"from": "a", "to": "b", "amount": 1e308}],
+        }))
+        code, out, err = run_cli(capsys, command, str(path), "--mode", "float")
+        assert code == 2 and out == ""
+        assert err.startswith("error: total cash is not finite")
+
     @pytest.mark.parametrize("liabilities, cash", [
         ([[0, 1e300], [0, 0]], [1e-300, 0]),
         ([[0, 1e308], [1e308, 0]], [0, 0]),

@@ -190,6 +190,27 @@ class TestStep:
             assert repr(cf.step(net, state, index=event.index)) == repr(event)
             state = event.state_after
 
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_run_flow_steps_through_the_public_names(self, monkeypatch, mode):
+        # each event is one call of flow.step and one of flow.equilibrium_rates,
+        # looked up on the module, so a wrapper placed there sees them all
+        calls = {"step": 0, "equilibrium_rates": 0}
+        for name in calls:
+            original = getattr(cf.flow, name)
+
+            def counted(*args, name=name, original=original, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cf.flow, name, counted)
+        for seed in range(4):
+            for name in calls:
+                calls[name] = 0
+            net = cf.generate_network(seed, 16, 0.3, "1/4", mode=mode)
+            events = len(cf.run_flow(net).trajectory)
+            assert events > 0
+            assert calls == {"step": events, "equilibrium_rates": events}
+
 
 class TestBigBang:
     def test_example_1b_reveals_bank_two(self, net_1b):

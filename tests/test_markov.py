@@ -493,6 +493,14 @@ class TestInvariantDistribution:
         with pytest.raises(NotErgodicError):
             cf.invariant_distribution(cf.restrict(net_1a.relative, [2, 3]))
 
+    def test_two_closed_classes_rejected(self):
+        # nothing leaves {0, 1, 2}, but the 2-cycle and the debt-free bank
+        # (its unit self-loop) are two closed classes
+        net = cf.build_network([[0, 1, 0], [2, 0, 0], [0, 0, 0]], [0, 0, 0])
+        sub = cf.restrict(net.relative, [0, 1, 2])
+        with pytest.raises(NotErgodicError, match="not a single communicating class"):
+            cf.invariant_distribution(sub)
+
 
 class TestSwampSolution:
     def test_example_swamp_payments(self, net_1c):

@@ -94,6 +94,15 @@ class TestBuildNetwork:
                 mode=cf.FLOAT,
             )
 
+    def test_rejects_total_cash_beyond_float_range(self):
+        # the flow conserves total cash, so bank 1 would end holding inf
+        with pytest.raises(NegativeEntryError, match=r"total cash is not finite"):
+            cf.build_network(
+                [[0.0, 1e308, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                [1e308, 1e308, 0.0],
+                mode=cf.FLOAT,
+            )
+
     def test_huge_fraction_is_accepted(self):
         # exact amounts are never converted to float, so none can overflow
         huge = F(10**400, 3)

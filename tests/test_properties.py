@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import clearflow as cf
 from conftest import swampy_network, with_cash
-from oracles import flow_bailout, least_injection
+from oracles import flow_bailout, least_injection, reachability_transient
 
 #: float payments agree with exact ones to this fraction of the largest debt
 FLOAT_PAYMENT_TOL = 1e-9
@@ -263,6 +263,27 @@ def test_swamp_decomposition_partitions(net):
             assert sum(sub.entries[r]) == 1
             assert net.cash[bank] == 0
             assert net.total_debt[bank] > 0
+
+
+@given(st.integers(0, 2**16), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_group_transience_matches_reachability(seed, swampy, data):
+    # swampy networks hold closed rings; cascades are mostly transient. A
+    # restriction of a restriction has a substochastic parent whose mass
+    # leaving the inner subset may be nothing at all.
+    if swampy:
+        net = swampy_network(seed, data.draw(st.sampled_from([cf.RATIONAL, cf.FLOAT])))
+    else:
+        net = cf.generate_network(seed, data.draw(st.integers(2, 12)), 0.3, "1/4")
+    for matrix in (net.relative, net.liabilities):
+        banks = data.draw(st.lists(st.integers(0, net.n - 1), min_size=1, unique=True))
+        sub = cf.restrict(matrix, banks)
+        assert cf.is_transient(sub) == reachability_transient(sub)
+        positions = data.draw(
+            st.lists(st.integers(0, sub.size - 1), min_size=1, unique=True)
+        )
+        inner = cf.restrict(sub.entries, positions)
+        assert cf.is_transient(inner) == reachability_transient(inner)
 
 
 @given(networks(positive_cash=True))

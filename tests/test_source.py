@@ -34,6 +34,31 @@ def unused_imports(path: Path) -> list[str]:
     ]
 
 
+def unreferenced_definitions(package: Path, readers: list[Path]) -> list[str]:
+    """Functions and methods defined in the modules of `package`, dunders
+    aside, whose name no module under `readers` reads as a name or an
+    attribute. An `__all__` entry is a string, not a read, so a function
+    that is only re-exported counts as unreferenced."""
+    defined: list[tuple[str, int, str]] = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                defined.append((path.name, node.lineno, node.name))
+    read: set[str] = set()
+    for root in readers:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    return [f"{module}:{line} {name}" for module, line, name in sorted(defined) if name not in read]
+
+
 def mode_decisions(path: Path) -> list[str]:
     """Places where a module names a mode constant (`RATIONAL`, `FLOAT`) or
     compares something with an arithmetic mode: a `.mode` or a mode name."""
@@ -91,3 +116,30 @@ def test_unused_import_is_reported(tmp_path):
         "def f(x: Sequence) -> str:\n    return os.path.join(x)\n"
     )
     assert unused_imports(module) == ["sample.py:2 sys", "sample.py:3 read"]
+
+
+def test_no_unreferenced_definitions():
+    root = PACKAGE.parent.parent
+    readers = [root / "src", root / "tests", root / "bench"]
+    assert unreferenced_definitions(PACKAGE, readers) == []
+
+
+def test_unreferenced_definition_is_reported(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "sample.py").write_text(
+        "__all__ = ['exported']\n"
+        "def exported():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def dead():\n    return 2\n"
+        "class Box:\n    def __init__(self):\n        self.size = 0\n"
+        "    def used(self):\n        return self.size\n"
+        "    def unused(self):\n        return 3\n"
+    )
+    (tmp_path / "test_sample.py").write_text(
+        "from pkg.sample import Box, exported\nexported()\nBox().used()\n"
+    )
+    assert unreferenced_definitions(package, [tmp_path]) == [
+        "sample.py:6 dead",
+        "sample.py:13 unused",
+    ]
