@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .errors import ClearingError, SolverError, ValidationError
+from .errors import ClearingError, InvalidParamsError, SolverError, ValidationError
 from .flow import run_flow, trace_line
 from .generate import generate_network
 from .markov import active_set, decompose_nonactive
@@ -77,7 +77,10 @@ def _result_payload(net: FinancialNetwork, result, unique: bool) -> dict:
 
 def _run_algorithm(net: FinancialNetwork, algorithm: str, args):
     if algorithm == "flow":
-        return run_flow(net, record_trajectory=bool(getattr(args, "trace", False)))
+        result = run_flow(net, record_trajectory=args.trace)
+        for event in result.trajectory:
+            print(json.dumps(trace_line(net, event)), file=sys.stderr)
+        return result
     if algorithm == "fd":
         result, _trace = fictitious_defaults(net)
         return result
@@ -112,9 +115,6 @@ def _cmd_solve(args) -> int:
         _write_output(args, json.dumps(payload, indent=2))
         return EXIT_OK
     result = _run_algorithm(net, args.algorithm, args)
-    if args.trace and result.trajectory:
-        for event in result.trajectory:
-            print(json.dumps(trace_line(net, event)), file=sys.stderr)
     payload = _result_payload(net, result, unique)
     _write_output(args, json.dumps(payload, indent=2))
     return EXIT_OK
@@ -177,6 +177,8 @@ def _cmd_gen(args) -> int:
 def _cmd_compare(args) -> int:
     from .network import convert_network
 
+    if args.count < 0:
+        raise InvalidParamsError(f"--count must be nonnegative, got {args.count}")
     worst = 0.0
     failures = 0
     for k in range(args.count):
@@ -232,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", choices=("flow", "fd", "picard", "all"),
                          default="flow")
     p_solve.add_argument("--trace", action="store_true",
-                         help="emit one JSON event per status change on stderr")
+                         help="emit one JSON event per flow status change on stderr")
     p_solve.add_argument("--tol", type=float, default=None,
                          help="fixed-point tolerance (float mode only)")
     p_solve.add_argument("--max-iter", type=int, default=None, dest="max_iter")

@@ -23,10 +23,14 @@ the denominators, so the updates run on Python ints and only the answer is
 reduced), and its inverse in float mode, updated in O(m^2) per bank that
 joins or leaves B. The flow carries one factor from event to event,
 fictitious defaults from round to round (where it only borders, since the
-default sets only grow), and `zero_group_solve`, `fundamental_solve` and
-`invariant_distribution` start a fresh one on the block they solve.
-`solve_linear`, Gaussian elimination with partial pivoting, answers only a
-float solve whose Schur pivot is too small.
+default sets only grow), and `fundamental_solve` and
+`invariant_distribution` start a fresh one on the block they solve. Both
+modes decide a join by the sign of its Schur pivot, which float mode
+recomputes as a sum of nonnegative terms when the usual difference may
+have cancelled, so a solve raises `SingularSystemError` exactly when its
+set is not transient, with no separate graph test. `solve_linear`,
+Gaussian elimination with partial pivoting, is kept for reference; no
+solver calls it.
 """
 
 from __future__ import annotations
@@ -123,7 +127,8 @@ def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar]:
     """Solve rows @ x = rhs for a square nonsingular system by Gaussian
     elimination with partial pivoting and back substitution.
 
-    Raises `SingularSystemError` on a zero pivot column.
+    Raises `SingularSystemError` on a zero pivot column. No solver calls it:
+    every balance system is a `ZeroGroupFactor` solve.
     """
     m = len(rows)
     a = [[*row, r] for row, r in zip(rows, rhs)]
@@ -160,39 +165,19 @@ def _mode_of(sub: SubMatrix) -> str:
     return FLOAT if isinstance(sub.entries[0][0], float) else RATIONAL
 
 
-def _balance_solve(
-    sub: SubMatrix, diagonal: Sequence[Scalar], mode: str, e: Sequence[Scalar]
-) -> list[Scalar]:
-    """v = d * w for (diag(d) - M^T)_B w = e, M the restriction's parent and
-    B its index, after checking that e is nonnegative and B transient; a
-    fresh factor solves it, its scale taken over B alone."""
-    _check_input(e, sub.size)
-    if not is_transient(sub):
-        raise SingularSystemError("restriction is not transient; no unique solution")
-    return ZeroGroupFactor(sub.parent, diagonal, mode, sub.index).solve(sub.index, e)
-
-
 def fundamental_solve(sub: SubMatrix, e: Sequence[Scalar]) -> list[Scalar]:
     """Unique solution of v = e + Q_B^T v for a transient restriction.
 
     The input must be componentwise nonnegative; the solution then is as
-    well (it is the transposed fundamental matrix applied to e).
+    well (it is the transposed fundamental matrix applied to e). A fresh
+    factor solves it, its scale taken over B alone, and raises
+    `SingularSystemError` when B is not transient; that decision takes the
+    parent's rows to sum to one, as a proportion matrix's do.
     """
     mode = _mode_of(sub)
     _, one = zero_one(mode)
-    return _balance_solve(sub, [one] * len(sub.parent), mode, e)
-
-
-def zero_group_solve(
-    net: FinancialNetwork, banks: Sequence[int], e: Sequence[Scalar]
-) -> list[Scalar]:
-    """`fundamental_solve` of the proportion matrix restricted to `banks`,
-    computed from the liabilities: (diag(b) - L^T)_B w = e, then v = b * w.
-
-    Every bank in `banks` must carry debt. Raises the same errors as
-    `fundamental_solve`.
-    """
-    return _balance_solve(restrict(net.liabilities, banks), net.total_debt, net.mode, e)
+    factor = ZeroGroupFactor(sub.parent, [one] * len(sub.parent), mode, sub.index)
+    return factor.solve(sub.index, e)
 
 
 class ZeroGroupFactor:
@@ -212,10 +197,18 @@ class ZeroGroupFactor:
     When each d_i is the sum of row i of M, K_B is a Z-matrix whose column
     sums are D times each member's row mass outside B, so det K_B > 0
     exactly when B is transient, and every subset of a transient set is
-    transient. A join whose Schur pivot is not positive therefore means the
-    new set is not transient. In float mode a Schur pivot not above ε K_jj
-    (ε = `FLOAT_ZERO_REL`) drops the factor instead, and that call is
-    answered by the graph test and `solve_linear`.
+    transient. Both modes therefore decide a join by the sign of its Schur
+    pivot s alone: a join with s not positive resets the factor and raises
+    `SingularSystemError`. The float pivot d - v^T K_B^-1 u subtracts a sum
+    of nonnegative terms; when s is not above d/2 it may have cancelled, and
+    s is recomputed from the column sums as r_k + sum_b r_b (K_B^-1 (-u))_b,
+    with r the row masses leaving B + k (Grassmann, Taksar and Heyman, Oper.
+    Res. 33, 1985). Every term is nonnegative, so on a bordered factor s is
+    accurate and zero exactly when the new set is not transient, and the
+    bordering updates only add nonnegative products. A float deletion whose
+    Schur pivot is not above ε K_pp (ε = `FLOAT_ZERO_REL`) would lose that
+    accuracy: it resets the factor instead, and the wanted set is bordered
+    afresh.
     """
 
     def __init__(
@@ -227,7 +220,6 @@ class ZeroGroupFactor:
     ):
         self.matrix, self.diagonal = matrix, diagonal
         self.exact = mode == RATIONAL
-        self.zero_rel = 0 if self.exact else FLOAT_ZERO_REL
         self.scale = 1
         if self.exact:
             scope = range(len(diagonal)) if scope is None else scope
@@ -252,8 +244,8 @@ class ZeroGroupFactor:
     def _reset(self) -> None:
         self.banks, self.adj, self.det = [], [], 1
 
-    def _delete(self, p: int) -> bool:
-        """Remove position p; False when a float pivot is too small."""
+    def _delete(self, p: int) -> None:
+        """Remove position p; in float mode, reset on a small Schur pivot."""
         adj, pivot = self.adj, self.adj[p][p]
         row_p = adj[p][:p] + adj[p][p + 1:]
         rest = [(row[:p] + row[p + 1:], row[p]) for i, row in enumerate(adj) if i != p]
@@ -265,14 +257,15 @@ class ZeroGroupFactor:
             self.det = pivot
         else:
             # the Schur pivot of position p is 1 / pivot
-            if not (pivot > 0 and 1 / pivot > self.zero_rel * self._pivot(self.banks[p])):
-                return False
+            if not (pivot > 0 and 1 / pivot > FLOAT_ZERO_REL * self._pivot(self.banks[p])):
+                self._reset()
+                return
             self.adj = [[x - f / pivot * y for x, y in zip(row, row_p)] for row, f in rest]
         del self.banks[p]
-        return True
 
-    def _border(self, k: int) -> bool:
-        """Append bank k; False when a float Schur pivot is not above ε K_kk."""
+    def _border(self, k: int) -> None:
+        """Append bank k; reset and raise `SingularSystemError` when the
+        Schur pivot is not positive."""
         matrix, entry, adj = self.matrix, self._entry, self.adj
         # K's new column (w_k in the members' equations) and row (bank k's)
         u = [-entry(matrix[k][b]) if matrix[k][b] else 0 for b in self.banks]
@@ -282,41 +275,47 @@ class ZeroGroupFactor:
         va = [sum(map(mul, column, v)) for column in zip(*adj)]
         if self.exact:
             det = self.det
-            new_det = d * det - sum(map(mul, v, au))
-            if new_det <= 0:
-                self._reset()
-                raise SingularSystemError("restriction is not transient; no unique solution")
+            s = d * det - sum(map(mul, v, au))  # det K_{B+k}
+        else:
+            s = d - sum(map(mul, v, au))
+            if not s > d / 2:
+                # the same pivot from the masses leaving B + k: no term cancels
+                inside = {*self.banks, k}
+                mass = [
+                    sum(x for j, x in enumerate(matrix[b]) if j not in inside)
+                    for b in (*self.banks, k)
+                ]
+                s = mass[-1] - sum(map(mul, mass, au))
+        if not s > 0:
+            self._reset()
+            raise SingularSystemError("restriction is not transient; no unique solution")
+        if self.exact:
             self.adj = [
-                [(new_det * x + a * y) // det for x, y in zip(row, va)] + [-a]
+                [(s * x + a * y) // det for x, y in zip(row, va)] + [-a]
                 for row, a in zip(adj, au)
             ]
             self.adj.append([-y for y in va] + [det])
-            self.det = new_det
+            self.det = s
         else:
-            s = d - sum(map(mul, v, au))
-            if not s > self.zero_rel * d:
-                return False
             ga = [a / s for a in au]
             self.adj = [
                 [x + g * y for x, y in zip(row, va)] + [-g] for row, g in zip(adj, ga)
             ]
             self.adj.append([-y / s for y in va] + [1 / s])
         self.banks.append(k)
-        return True
 
     def solve(self, banks: Sequence[int], e: Sequence[Scalar]) -> list[Scalar]:
         """v = d * w, where (diag(d) - M^T)_B w = e for B = `banks`, distinct
         banks in any order, after moving the factor to B."""
         _check_input(e, len(banks))
-        wanted, current = set(banks), set(self.banks)
-        leavers = [p for p, b in enumerate(self.banks) if b not in wanted]
-        joiners = [b for b in banks if b not in current]
-        for p in reversed(leavers):
-            if not self._delete(p):
-                return self._fallback(banks, e)
-        for k in joiners:
-            if not self._border(k):
-                return self._fallback(banks, e)
+        wanted = set(banks)
+        for p in reversed([p for p, b in enumerate(self.banks) if b not in wanted]):
+            if p < len(self.banks):  # else a float deletion has reset the factor
+                self._delete(p)
+        current = set(self.banks)
+        for k in banks:
+            if k not in current:
+                self._border(k)
         position = {b: p for p, b in enumerate(self.banks)}
         if self.exact:
             # w = D adj e / det, with e cleared to integers over their lcm
@@ -332,19 +331,6 @@ class ZeroGroupFactor:
                 scaled[position[b]] = x
             w = [sum(map(mul, row, scaled)) for row in self.adj]
         return [self.diagonal[b] * w[position[b]] for b in banks]
-
-    def _fallback(self, banks: Sequence[int], e: Sequence[Scalar]) -> list[Scalar]:
-        """Float mode, on a small Schur pivot: drop the factor and solve from
-        scratch, after the graph test."""
-        self._reset()
-        if not is_transient(restrict(self.matrix, banks)):
-            raise SingularSystemError("restriction is not transient; no unique solution")
-        rows = [
-            [(self.diagonal[i] if i == j else 0) - self.matrix[j][i] for j in banks]
-            for i in banks
-        ]
-        w = solve_linear(rows, list(e))
-        return [self.diagonal[b] * x for b, x in zip(banks, w)]
 
 
 def active_set(net: FinancialNetwork) -> frozenset[int]:

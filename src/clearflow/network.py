@@ -245,7 +245,12 @@ def network_from_document(doc, mode: str = RATIONAL) -> FinancialNetwork:
             raise SchemaError(f"liability from unknown bank {src!r}")
         if dst not in index:
             raise SchemaError(f"liability to unknown bank {dst!r}")
+        # checked entry by entry: a later entry for the same pair must not hide it
         amount = to_scalar(entry["amount"], mode)
+        if amount < 0:
+            raise NegativeEntryError(f"liability from {src!r} to {dst!r} = {amount} is negative")
+        if src == dst and amount != 0:
+            raise SelfDebtError(f"liability from {src!r} to {dst!r} = {amount} is a self-debt")
         matrix[index[src]][index[dst]] += amount
     return build_network(matrix, cash, mode=mode, ids=ids)
 

@@ -13,11 +13,12 @@ bailout, which need no flow trajectory and so run on fictitious defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NoConvergenceError, OutOfRangeError, VerificationFailedError
+from .errors import InvalidParamsError, NoConvergenceError, OutOfRangeError, VerificationFailedError
 from .flow import ClearingResult, _greatest_fixed_point, balance_rates
 from .markov import (
     SwampDecomposition,
@@ -207,7 +208,8 @@ def picard_iterate(
     there are no swamps). In rational mode an exact fixed point is detected
     when reached; otherwise iteration stops once the sup-norm step falls
     below the tolerance. Exists as an independent check on the other two
-    algorithms, not as the fast path.
+    algorithms, not as the fast path. Raises `InvalidParamsError` when
+    `max_iter` is below 1 or `tol` is negative or not finite.
     """
     if net.n == 0:
         return []
@@ -218,6 +220,10 @@ def picard_iterate(
         tol = PICARD_TOL if rational else PICARD_TOL_FLOAT
     elif rational and not isinstance(tol, (Fraction, int)):
         tol = to_scalar(tol, RATIONAL)
+    if max_iter < 1:
+        raise InvalidParamsError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0 <= tol < math.inf:
+        raise InvalidParamsError(f"tol must be finite and nonnegative, got {tol}")
 
     p = list(net.total_debt)
     for _ in range(max_iter):

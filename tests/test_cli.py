@@ -10,6 +10,7 @@ import pytest
 import clearflow as cf
 from clearflow import cli
 from clearflow.cli import main
+from clearflow.errors import NegativeEntryError, SelfDebtError
 from conftest import BESIDE_LIABILITIES, wide_magnitude_network
 
 
@@ -169,6 +170,35 @@ class TestSolve:
         payments = doc["results"]["picard"]["payments"] if algorithm == "all" else doc["payments"]
         assert payments == cf.picard_iterate(net)
 
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_max_iter_below_one_exit_code(self, capsys, net_1a_path, max_iter):
+        code, out, err = run_cli(
+            capsys, "solve", net_1a_path, "--algorithm", "picard", "--max-iter", max_iter
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: max_iter must be at least 1")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_invalid_tol_exit_code(self, capsys, net_1a_path, tol):
+        code, out, err = run_cli(
+            capsys, "solve", net_1a_path, "--mode", "float", "--algorithm", "picard", "--tol", tol
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: tol must be finite and nonnegative")
+
+    def test_all_algorithms_trace_the_flow(self, capsys, tmp_path):
+        _, text, _ = run_cli(
+            capsys, "gen", "--seed", "3", "--n", "5", "--density", "0.5", "--cash-scale", "1/4"
+        )
+        path = tmp_path / "gen.json"
+        path.write_text(text)
+        _, flow_out, flow_err = run_cli(capsys, "solve", str(path), "--algorithm", "flow", "--trace")
+        code, out, err = run_cli(capsys, "solve", str(path), "--algorithm", "all", "--trace")
+        assert code == 0
+        assert len(err.splitlines()) == 6 and err == flow_err
+        assert out == run_cli(capsys, "solve", str(path), "--algorithm", "all")[1]
+        assert json.loads(out)["results"]["flow"] == json.loads(flow_out)
+
     def test_tol_rejected_in_rational_mode(self, capsys, net_1a_path):
         code, _out, err = run_cli(capsys, "solve", net_1a_path, "--tol", "1e-9")
         assert code == 2
@@ -180,6 +210,49 @@ class TestSolve:
             "--algorithm", "picard", "--tol", "1e-9",
         )
         assert code == 0
+
+
+#: two entries for one pair, whose sum would hide the first one's fault
+HIDDEN_ENTRIES = [
+    ([("a", "b", "-1"), ("a", "b", "3")], NegativeEntryError, "liability from 'a' to 'b' = -1 is negative"),
+    ([("a", "a", "2"), ("a", "a", "-2")], SelfDebtError, "liability from 'a' to 'a' = 2 is a self-debt"),
+]
+
+
+class TestHiddenEntries:
+    @pytest.mark.parametrize("entries, error, message", HIDDEN_ENTRIES, ids=["negative", "self-debt"])
+    def test_json_entries_checked_before_summing(self, capsys, tmp_path, entries, error, message):
+        text = json.dumps({
+            "banks": [{"id": "a", "cash": 1}, {"id": "b", "cash": 0}],
+            "liabilities": [{"from": s, "to": t, "amount": x} for s, t, x in entries],
+        })
+        with pytest.raises(error, match=message):
+            cf.parse_network(text)
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("entries, error, message", HIDDEN_ENTRIES, ids=["negative", "self-debt"])
+    def test_csv_entries_checked_before_summing(self, capsys, tmp_path, entries, error, message):
+        banks_text = "id,cash\na,1\nb,0\n"
+        liabilities_text = "from,to,amount\n" + "".join(f"{s},{t},{x}\n" for s, t, x in entries)
+        with pytest.raises(error, match=message):
+            cf.parse_network_csv(banks_text, liabilities_text)
+        banks, liabilities = tmp_path / "banks.csv", tmp_path / "liabilities.csv"
+        banks.write_text(banks_text)
+        liabilities.write_text(liabilities_text)
+        code, out, err = run_cli(capsys, "solve", str(banks), "--csv-liabilities", str(liabilities))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_repeated_entries_still_sum(self):
+        net = cf.parse_network(json.dumps({
+            "banks": [{"id": "a", "cash": 1}, {"id": "b", "cash": 0}],
+            "liabilities": [{"from": "a", "to": "b", "amount": x} for x in ("1/2", "0", "3")],
+        }))
+        assert net.liabilities[0][1] == F(7, 2)
 
 
 class TestFamily:
@@ -334,6 +407,11 @@ class TestCompare:
         doc = json.loads(out)
         assert doc["instances"] == 8
         assert doc["failures"] == 0
+
+    def test_negative_count_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--count", "-2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --count must be nonnegative")
 
 
 class TestOutputFile:

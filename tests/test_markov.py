@@ -18,7 +18,7 @@ from clearflow.errors import (
     ZeroDebtInSwampError,
 )
 from conftest import swampy_network, with_cash
-from oracles import gauss_jordan_solve
+from oracles import gauss_jordan_solve, reachability_transient
 
 #: float solves agree with exact ones to this fraction of the largest entry
 FLOAT_SOLVE_TOL = 1e-9
@@ -118,7 +118,7 @@ class TestFundamentalSolve:
     def test_integer_input_gives_exact_fractions(self, net_1a):
         sub = cf.restrict(net_1a.relative, [1, 2, 3])
         solves = (cf.fundamental_solve(sub, [1, 0, 0]),
-                  cf.markov.zero_group_solve(net_1a, [1, 2, 3], [1, 0, 0]))
+                  network_factor(net_1a).solve([1, 2, 3], [1, 0, 0]))
         for v in solves:
             assert v == [2, 1, 1]
             assert all(isinstance(x, F) for x in v)
@@ -205,7 +205,7 @@ def test_kernel_matches_gauss_jordan_oracle(case):
     expected = gauss_jordan_solve(rows, e)
     assert cf.markov.solve_linear(rows, e) == expected
     assert cf.fundamental_solve(sub, e) == expected
-    assert cf.markov.zero_group_solve(net, banks, e) == expected
+    assert network_factor(net).solve(banks, e) == expected
     # the same system in float mode, against the exact answer
     approx = cf.markov.solve_linear(
         [[float(x) for x in row] for row in rows], [float(x) for x in e]
@@ -282,8 +282,7 @@ def test_invariant_distribution_matches_oracle(mode):
 
 
 def test_rational_mode_never_eliminates(monkeypatch, net_1a, net_1a_boundary, net_1b, net_1c, net_1c_variant):
-    # every rational solve is the bordered factor's; partial pivoting is
-    # only the float factor's fallback
+    # every rational solve is the bordered factor's; no solver eliminates
     def refuse(rows, rhs):
         raise AssertionError("solve_linear called in rational mode")
 
@@ -299,7 +298,7 @@ def test_rational_mode_never_eliminates(monkeypatch, net_1a, net_1a_boundary, ne
         cf.bailout_vector(net)
         _, trace = cf.fictitious_defaults(net)
         for banks, e, r in trace.solves:
-            assert cf.markov.zero_group_solve(net, banks, e) == list(r)
+            assert network_factor(net).solve(banks, e) == list(r)
             assert cf.fundamental_solve(cf.restrict(net.relative, banks), e) == list(r)
             solves += 1
         for swamp in cf.decompose_nonactive(net, cf.active_set(net)).swamps:
@@ -308,17 +307,74 @@ def test_rational_mode_never_eliminates(monkeypatch, net_1a, net_1a_boundary, ne
     assert solves > 20 and swamps > 10
 
 
+#: balance systems on banks 1 and 2, who owe each other while their only
+#: exits, to bank 0, are tiny: the Schur pivot of the second join cancels
+#: in d - v^T K^-1 u
+TINY_EXITS = [
+    [[0, 0, 0], [1e-14, 0, 1], [1e-14, 2, 0]],
+    [[0, 0, 0], [1e-14, 0, 1], [1e-14, 1, 0]],
+    [[0, 0, 0], [1e-300, 0, 1], [0, 3, 0]],
+]
+
+
+def binary_twin(liabilities, cash):
+    """The rational network of the float amounts' exact binary values."""
+    return cf.build_network([[F(x) for x in row] for row in liabilities], [F(x) for x in cash])
+
+
+def assert_relative_error_within(got, exact, bound):
+    assert all(abs(F(a) - b) <= F(bound) * abs(b) for a, b in zip(got, exact, strict=True))
+
+
+@pytest.mark.parametrize("liabilities", TINY_EXITS)
+def test_float_solve_on_tiny_exits_matches_exact(liabilities):
+    net = cf.build_network(liabilities, [1, 0, 0], mode=cf.FLOAT)
+    got = cf.fundamental_solve(cf.restrict(net.relative, [1, 2]), [0.5, 0.25])
+    exact = binary_twin(liabilities, [1, 0, 0])
+    want = cf.fundamental_solve(cf.restrict(exact.relative, [1, 2]), [F(1, 2), F(1, 4)])
+    assert_relative_error_within(got, want, 1e-15)
+
+
 def test_float_joins_decide_by_pivot(monkeypatch):
-    # on these cascades no Schur pivot is small, so no solve falls back to
-    # the graph test and elimination
+    # no solve asks the graph test or eliminates: not on the cascades, not
+    # where the pivot cancels, not on the swampy networks' many kinds of bank
     def refuse(*args):
-        raise AssertionError("fallback taken")
+        raise AssertionError("graph test or elimination called")
 
     monkeypatch.setattr(cf.markov, "solve_linear", refuse)
     monkeypatch.setattr(cf.markov, "is_transient", refuse)
     for seed in range(6):
         net = cf.generate_network(seed, 64, 0.3, "1/4", mode=cf.FLOAT)
         assert cf.run_flow(net).defaults == cf.fictitious_defaults(net)[0].defaults
+    for liabilities in TINY_EXITS:
+        net = cf.build_network(liabilities, [1, 0, 0], mode=cf.FLOAT)
+        cf.fundamental_solve(cf.restrict(net.relative, [1, 2]), [0.5, 0.25])
+        network_factor(net).solve([1, 2], [0.5, 0.25])
+    for seed in range(10):
+        net = swampy_network(seed, cf.FLOAT)
+        assert cf.run_flow(net).defaults == cf.fictitious_defaults(net)[0].defaults
+        cf.solution_family(net)
+        cf.bailout_vector(net)
+
+
+@given(st.integers(0, 2**16), st.sampled_from([cf.RATIONAL, cf.FLOAT]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_fresh_solve_raises_exactly_off_transient_sets(seed, mode, data):
+    # swampy networks hold closed rings and debt-free banks, so random sets
+    # are often not transient
+    net = swampy_network(seed, mode)
+    banks = data.draw(st.lists(st.integers(0, net.n - 1), min_size=1, unique=True))
+    e = [cf.scalars.zero_one(mode)[1]] * len(banks)
+    for matrix, solve in (
+        (net.relative, lambda: cf.fundamental_solve(cf.restrict(net.relative, banks), e)),
+        (net.liabilities, lambda: network_factor(net).solve(banks, e)),
+    ):
+        try:
+            solve()
+            solved = True
+        except SingularSystemError:
+            solved = False
+        assert solved == reachability_transient(cf.restrict(matrix, banks))
 
 
 def network_factor(net):
@@ -356,7 +412,7 @@ def test_factor_follows_scripted_transitions(mode):
             e = [float(x) for x in e]
         got = factor.solve(banks, e)
         assert sorted(factor.banks) == sorted(banks)  # carried, not rebuilt
-        expected = cf.markov.zero_group_solve(net, banks, e) if banks else []
+        expected = cf.fundamental_solve(cf.restrict(net.relative, banks), e) if banks else []
         if mode == cf.RATIONAL:
             assert got == expected
             k = integer_balance_matrix(net, factor.banks, factor.scale)
@@ -372,25 +428,30 @@ def test_factor_follows_scripted_transitions(mode):
             assert max([0.0, *(abs(a - b) for a, b in zip(got, expected))]) <= 1e-12 * scale
 
 
-def test_float_factor_is_dropped_on_a_small_pivot():
+def test_float_factor_keeps_a_small_pivot():
     # banks 1 and 2 owe each other 1 and bank 0 only 1e-14: the Schur pivot
-    # of the second join is about 2e-14, not above ε K_22
-    net = cf.build_network([[0, 0, 0], [1e-14, 0, 1], [1e-14, 1, 0]], [1, 0, 0], mode=cf.FLOAT)
+    # of the second join, about 2e-14, is recomputed from the exits
+    net = cf.build_network(TINY_EXITS[1], [1, 0, 0], mode=cf.FLOAT)
     factor = network_factor(net)
     factor.solve([1], [0.5])
     assert factor.banks == [1]
-    assert factor.solve([1, 2], [0.5, 0.5]) == cf.markov.zero_group_solve(net, [1, 2], [0.5, 0.5])
-    assert factor.banks == []
+    v = factor.solve([1, 2], [0.5, 0.5])
+    assert factor.banks == [1, 2]
+    exact = network_factor(binary_twin(TINY_EXITS[1], [1, 0, 0])).solve([1, 2], [F(1, 2), F(1, 2)])
+    assert_relative_error_within(v, exact, 1e-15)
+    # deleting bank 2 meets the same small pivot: the factor is reset and
+    # bank 1 bordered afresh
+    assert_relative_error_within(factor.solve([1], [0.5]), [F(1, 2)], 1e-15)
+    assert factor.banks == [1]
 
 
 def test_float_fallback_solves_the_balance_system():
     # bank 2 owes bank 1 twice what bank 1 owes it, so the system is not
     # symmetric; the Schur pivot of the second join is about 3e-14
-    net = cf.build_network([[0, 0, 0], [1e-14, 0, 1], [1e-14, 2, 0]], [1, 0, 0], mode=cf.FLOAT)
+    net = cf.build_network(TINY_EXITS[0], [1, 0, 0], mode=cf.FLOAT)
     factor = network_factor(net)
     e = [0.5, 0.25]
     v = factor.solve([1, 2], e)
-    assert factor.banks == []
     # v = e + Q_B^T v
     q = net.relative
     for k, i in enumerate([1, 2]):

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
 import clearflow as cf
-from clearflow.errors import NoConvergenceError, OutOfRangeError
+from clearflow.errors import InvalidParamsError, NoConvergenceError, OutOfRangeError
 from clearflow import flow, solvers
 from conftest import BESIDE_LIABILITIES, wide_magnitude_network, with_cash
 
@@ -117,6 +118,13 @@ class TestPicard:
         approx = cf.picard_iterate(as_float)
         drift = max(abs(float(a) - b) for a, b in zip(flow_payments, approx))
         assert drift <= 1e-12
+
+    @pytest.mark.parametrize("params", [
+        {"max_iter": 0}, {"max_iter": -3}, {"tol": -1e-9}, {"tol": math.nan}, {"tol": math.inf},
+    ])
+    def test_invalid_params_rejected(self, net_1a, params):
+        with pytest.raises(InvalidParamsError):
+            cf.picard_iterate(cf.convert_network(net_1a, cf.FLOAT), **params)
 
     @pytest.mark.parametrize("liabilities, cash, expected", [
         ([[0, 1e300], [0, 0]], [1e-300, 0], [1e-300, 0.0]),

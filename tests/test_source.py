@@ -59,6 +59,19 @@ def unreferenced_definitions(package: Path, readers: list[Path]) -> list[str]:
     return [f"{module}:{line} {name}" for module, line, name in sorted(defined) if name not in read]
 
 
+def calls_to(path: Path, name: str) -> list[str]:
+    """Calls a module makes to a function called `name`, by its bare name
+    or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    return [f"{path.name}:{line} {name}" for line in sorted(lines)]
+
+
 def mode_decisions(path: Path) -> list[str]:
     """Places where a module names a mode constant (`RATIONAL`, `FLOAT`) or
     compares something with an arithmetic mode: a `.mode` or a mode name."""
@@ -99,6 +112,27 @@ def test_mode_decision_is_reported(tmp_path):
         "sample.py:5 mode comparison",
         "sample.py:6 FLOAT",
         "sample.py:7 mode comparison",
+    ]
+
+
+def test_no_module_calls_solve_linear():
+    # every balance system is a ZeroGroupFactor solve; elimination is kept
+    # for reference only
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [entry for path in modules for entry in calls_to(path, "solve_linear")] == []
+
+
+def test_call_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from . import markov\nfrom .markov import solve_linear\n"
+        "def f(rows, rhs):\n    x = solve_linear(rows, rhs)\n"
+        "    return markov.solve_linear(rows, x), solve_linear\n"
+        "def g(solve_linear_rows):\n    return solve_linear_rows()\n"
+    )
+    assert calls_to(module, "solve_linear") == [
+        "sample.py:4 solve_linear",
+        "sample.py:5 solve_linear",
     ]
 
 
