@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .errors import ClearingError, InvalidParamsError, SolverError, ValidationError
+from .errors import InvalidParamsError, SolverError, ValidationError
 from .flow import run_flow, trace_line
 from .generate import generate_network
 from .markov import active_set, decompose_nonactive
@@ -87,7 +87,6 @@ def _run_algorithm(net: FinancialNetwork, algorithm: str, args):
     if algorithm == "picard":
         payments = picard_iterate(net, max_iter=args.max_iter, tol=args.tol)
         return result_from_payments(net, payments, "picard")
-    raise ValidationError(f"unknown algorithm {algorithm!r}")
 
 
 def _cmd_solve(args) -> int:
@@ -295,9 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ClearingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -44,7 +44,4 @@ def generate_network(
             if rng.random() < density:
                 liabilities[i][j] = Fraction(rng.randint(1, 8), rng.choice(_DENOMINATORS))
     cash = [scale * Fraction(rng.randint(0, 8), 8) for _ in range(n)]
-    net = build_network(liabilities, cash, mode=RATIONAL)
-    if mode == RATIONAL:
-        return net
     return build_network(liabilities, cash, mode=mode)

@@ -5,6 +5,10 @@ bank j), the cash vector, and two derived objects: the total-debt vector and
 the row-stochastic matrix of debt proportions. Banks with no debt get a unit
 self-loop in the proportion matrix so that every row sums to one.
 
+Both input forms, a dense matrix (`build_network`) and a document of
+(from, to, amount) entries (JSON or CSV), go through one entry validator,
+which reads and checks each amount once, before repeated pairs are summed.
+
 Everything here is immutable after construction and safe to share across
 concurrent solver runs.
 """
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -111,31 +115,51 @@ def build_network(
     mode: str = RATIONAL,
     ids: Sequence[str] | None = None,
 ) -> FinancialNetwork:
-    """Validate raw data and derive the total-debt vector and proportion matrix.
-
-    Rejects non-square matrices, entries that are negative or not finite, a
-    total debt or total cash that overflows to infinity, and any nonzero
-    diagonal (self-debt is an input error, not something to normalize away).
-    """
-    check_mode(mode)
+    """Build a network from a dense n×n liability matrix and n cash amounts;
+    `_network_from_entries` checks every cell."""
     n = len(cash)
     if len(liabilities) != n:
         raise DimensionMismatchError(
             f"liability matrix has {len(liabilities)} rows for {n} cash entries"
         )
-    rows: list[tuple[Scalar, ...]] = []
-    for i, raw_row in enumerate(liabilities):
-        if len(raw_row) != n:
-            raise DimensionMismatchError(f"liability row {i} has length {len(raw_row)}, expected {n}")
-        row = tuple(to_scalar(x, mode) for x in raw_row)
-        for j, x in enumerate(row):
-            if isinstance(x, float) and not math.isfinite(x):
-                raise NegativeEntryError(f"liability[{i}][{j}] is not finite")
-            if x < 0:
-                raise NegativeEntryError(f"liability[{i}][{j}] = {x} is negative")
-        if row[i] != 0:
-            raise SelfDebtError(f"bank {i} has nonzero self-debt {row[i]}")
-        rows.append(row)
+    for i, row in enumerate(liabilities):
+        if len(row) != n:
+            raise DimensionMismatchError(f"liability row {i} has length {len(row)}, expected {n}")
+    entries = ((i, j, x) for i, row in enumerate(liabilities) for j, x in enumerate(row))
+    return _network_from_entries(entries, cash, mode, ids, lambda i, j: f"liability[{i}][{j}]")
+
+
+def _network_from_entries(
+    entries: Iterable[tuple[int, int, object]], cash: Sequence, mode: str,
+    ids: Sequence[str] | None, name: Callable[[int, int], str],
+) -> FinancialNetwork:
+    """The one validator of raw amounts. Each (debtor, creditor, amount) entry
+    is read and checked once, before repeated pairs are summed: it must be
+    finite, nonnegative and, if nonzero, no self-debt; `name(i, j)` labels it
+    in errors. Totals and proportions come from the nonzero entries, each
+    row summed in column order; no total may overflow."""
+    check_mode(mode)
+    n = len(cash)
+    if ids is None:
+        id_tuple = tuple(str(i + 1) for i in range(n))
+    else:
+        id_tuple = tuple(str(b) for b in ids)
+        if len(id_tuple) != n:
+            raise DimensionMismatchError(f"{len(id_tuple)} ids for {n} banks")
+        if len(set(id_tuple)) != n:
+            raise SchemaError("bank ids must be unique")
+    zero, one = zero_one(mode)
+    debts: list[dict[int, Scalar]] = [{} for _ in range(n)]
+    for i, j, raw in entries:
+        x = to_scalar(raw, mode)
+        if isinstance(x, float) and not math.isfinite(x):
+            raise NegativeEntryError(f"{name(i, j)} is not finite")
+        if x < 0:
+            raise NegativeEntryError(f"{name(i, j)} = {x} is negative")
+        if x:
+            if i == j:
+                raise SelfDebtError(f"{name(i, j)} = {x} is a self-debt")
+            debts[i][j] = debts[i][j] + x if j in debts[i] else x
     cash_vec = tuple(to_scalar(x, mode) for x in cash)
     for i, c in enumerate(cash_vec):
         if isinstance(c, float) and not math.isfinite(c):
@@ -147,37 +171,23 @@ def build_network(
         # the flow conserves total cash, so a finite total keeps every position finite
         raise NegativeEntryError("total cash is not finite")
 
-    zero, one = zero_one(mode)
-    total = tuple(sum((x for x in row if x), zero) for row in rows)
-    for i, t in enumerate(total):
+    rows, total, relative = [], [], []
+    for i, row_debts in enumerate(debts):
+        columns = sorted(row_debts)
+        t = sum((row_debts[j] for j in columns), zero)
         if isinstance(t, float) and not math.isfinite(t):
             raise NegativeEntryError(f"total debt of bank {i} is not finite")
-    relative: list[tuple[Scalar, ...]] = []
-    for i, row in enumerate(rows):
-        if total[i] > 0:
-            relative.append(tuple(x / total[i] if x else zero for x in row))
-        else:
-            unit = [zero] * n
-            unit[i] = one
-            relative.append(tuple(unit))
+        row, shares = [zero] * n, [zero] * n
+        for j in columns:
+            row[j], shares[j] = row_debts[j], row_debts[j] / t
+        if not columns:
+            shares[i] = one
+        rows.append(tuple(row))
+        total.append(t)
+        relative.append(tuple(shares))
 
-    if ids is None:
-        id_tuple = tuple(str(i + 1) for i in range(n))
-    else:
-        id_tuple = tuple(str(b) for b in ids)
-        if len(id_tuple) != n:
-            raise DimensionMismatchError(f"{len(id_tuple)} ids for {n} banks")
-        if len(set(id_tuple)) != n:
-            raise SchemaError("bank ids must be unique")
-
-    return FinancialNetwork(
-        liabilities=tuple(rows),
-        cash=cash_vec,
-        total_debt=total,
-        relative=tuple(relative),
-        mode=mode,
-        ids=id_tuple,
-    )
+    return FinancialNetwork(liabilities=tuple(rows), cash=cash_vec, total_debt=tuple(total),
+                            relative=tuple(relative), mode=mode, ids=id_tuple)
 
 
 def initial_partition(net: FinancialNetwork) -> Partition:
@@ -190,7 +200,6 @@ def initial_partition(net: FinancialNetwork) -> Partition:
 
 def convert_network(net: FinancialNetwork, mode: str) -> FinancialNetwork:
     """Rebuild the same network under a different arithmetic mode."""
-    check_mode(mode)
     if mode == net.mode:
         return net
     return build_network(net.liabilities, net.cash, mode=mode, ids=net.ids)
@@ -228,15 +237,11 @@ def network_from_document(doc, mode: str = RATIONAL) -> FinancialNetwork:
             raise SchemaError('each bank needs "id" and "cash"')
         ids.append(str(entry["id"]))
         cash.append(entry["cash"])
-    if len(set(ids)) != len(ids):
-        raise SchemaError("bank ids must be unique")
-    index = {bank_id: k for k, bank_id in enumerate(ids)}
-    n = len(ids)
-    zero, _ = zero_one(mode)
-    matrix = [[zero] * n for _ in range(n)]
     liability_entries = doc.get("liabilities", [])
     if not isinstance(liability_entries, list):
         raise SchemaError('"liabilities" must be a list')
+    index = {bank_id: k for k, bank_id in enumerate(ids)}
+    entries = []
     for entry in liability_entries:
         if not isinstance(entry, dict) or not {"from", "to", "amount"} <= set(entry):
             raise SchemaError('each liability needs "from", "to" and "amount"')
@@ -245,14 +250,10 @@ def network_from_document(doc, mode: str = RATIONAL) -> FinancialNetwork:
             raise SchemaError(f"liability from unknown bank {src!r}")
         if dst not in index:
             raise SchemaError(f"liability to unknown bank {dst!r}")
-        # checked entry by entry: a later entry for the same pair must not hide it
-        amount = to_scalar(entry["amount"], mode)
-        if amount < 0:
-            raise NegativeEntryError(f"liability from {src!r} to {dst!r} = {amount} is negative")
-        if src == dst and amount != 0:
-            raise SelfDebtError(f"liability from {src!r} to {dst!r} = {amount} is a self-debt")
-        matrix[index[src]][index[dst]] += amount
-    return build_network(matrix, cash, mode=mode, ids=ids)
+        entries.append((index[src], index[dst], entry["amount"]))
+    return _network_from_entries(
+        entries, cash, mode, ids, lambda i, j: f"liability from {ids[i]!r} to {ids[j]!r}"
+    )
 
 
 def serialize_network(net: FinancialNetwork) -> str:

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import clearflow as cf
-from clearflow import cli
+from clearflow import cli, errors
 from clearflow.cli import main
 from clearflow.errors import NegativeEntryError, SelfDebtError
 from conftest import BESIDE_LIABILITIES, wide_magnitude_network
@@ -198,6 +198,31 @@ class TestSolve:
         assert len(err.splitlines()) == 6 and err == flow_err
         assert out == run_cli(capsys, "solve", str(path), "--algorithm", "all")[1]
         assert json.loads(out)["results"]["flow"] == json.loads(flow_out)
+
+    def test_solver_error_exit_code(self, capsys, net_1a_path):
+        code, out, err = run_cli(
+            capsys, "solve", net_1a_path, "--algorithm", "picard", "--max-iter", "1"
+        )
+        assert code == 3 and out == ""
+        assert err == "solver error: no fixed point within 1 iterations\n"
+
+    def test_missing_input_file_exit_code(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "solve", str(tmp_path / "absent.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    def test_every_error_class_has_one_exit_code(self):
+        # main maps ValidationError to exit 2 and SolverError to exit 3
+        classes = [
+            value
+            for value in vars(errors).values()
+            if isinstance(value, type) and value.__module__ == errors.__name__
+        ]
+        assert len(classes) > 3
+        for cls in classes:
+            if cls is not errors.ClearingError:
+                kinds = [issubclass(cls, errors.ValidationError), issubclass(cls, errors.SolverError)]
+                assert kinds.count(True) == 1, cls
 
     def test_tol_rejected_in_rational_mode(self, capsys, net_1a_path):
         code, _out, err = run_cli(capsys, "solve", net_1a_path, "--tol", "1e-9")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import random
 import time
@@ -10,14 +11,17 @@ from fractions import Fraction as F
 import pytest
 
 import clearflow as cf
+from clearflow import network as network_module
 from clearflow.errors import (
     DimensionMismatchError,
+    InvalidParamsError,
     NegativeEntryError,
     ParseError,
     SchemaError,
     SelfDebtError,
 )
-from conftest import statuses_of, swampy_network, with_cash
+from clearflow.scalars import to_scalar
+from conftest import statuses_of, swampy_network, wide_magnitude_network, with_cash
 from oracles import dense_proportions
 
 
@@ -139,6 +143,31 @@ class TestBuildNetwork:
         nets += [cf.generate_network(s, 64, 0.3, "1/4", mode=cf.FLOAT) for s in range(6)]
         for net in nets:
             assert repr((net.relative, net.total_debt)) == repr(dense_proportions(net))
+            parsed = [
+                cf.parse_network(cf.serialize_network(net), mode=net.mode),
+                cf.parse_network_csv(*cf.serialize_network_csv(net), mode=net.mode),
+            ]
+            for again in parsed:
+                assert repr(_fields(again)) == repr(_fields(net))
+
+    def test_parsing_reads_each_amount_once(self, monkeypatch):
+        calls = []
+
+        def counted(value, mode):
+            calls.append(value)
+            return to_scalar(value, mode)
+
+        monkeypatch.setattr(network_module, "to_scalar", counted)
+        for seed in range(4):
+            net = swampy_network(seed)
+            k = sum(1 for row in net.liabilities for x in row if x)
+            calls.clear()
+            cf.parse_network(cf.serialize_network(net))
+            assert len(calls) == k + net.n
+
+
+def _fields(net):
+    return net.liabilities, net.cash, net.total_debt, net.relative, net.ids
 
 
 class TestInitialPartition:
@@ -260,6 +289,120 @@ class TestSerialization:
         for amount in ("9" * 4301, "1e-4300", "1.5e4300"):
             with pytest.raises(SchemaError, match="4300 digits"):
                 cf.parse_network(f'{{"banks": [{{"id": "a", "cash": "{amount}"}}]}}')
+
+    def test_round_trip_csv_float(self):
+        net = wide_magnitude_network(7)
+        banks_text, liab_text = cf.serialize_network_csv(net)
+        assert repr(net.cash[0]) in banks_text
+        again = cf.parse_network_csv(banks_text, liab_text, mode=cf.FLOAT)
+        assert again == net
+
+
+def _doc(banks=(("a", 1), ("b", 0)), liabilities=()):
+    return {
+        "banks": [{"id": bank_id, "cash": cash} for bank_id, cash in banks],
+        "liabilities": [{"from": s, "to": t, "amount": x} for s, t, x in liabilities],
+    }
+
+
+#: (document, error, message) for faults found before any amount is read
+DOCUMENT_ERRORS = {
+    "top-level-list": ([], SchemaError, "top-level document must be an object"),
+    "bank-without-id": ({"banks": [{"cash": 1}]}, SchemaError, 'each bank needs "id" and "cash"'),
+    "bank-without-cash": ({"banks": [{"id": "a"}]}, SchemaError, 'each bank needs "id" and "cash"'),
+    "bank-not-object": ({"banks": ["a"]}, SchemaError, 'each bank needs "id" and "cash"'),
+    "liabilities-not-list": (
+        {**_doc(), "liabilities": {"from": "a"}}, SchemaError, '"liabilities" must be a list'
+    ),
+    "liability-without-amount": (
+        {**_doc(), "liabilities": [{"from": "a", "to": "b"}]},
+        SchemaError,
+        'each liability needs "from", "to" and "amount"',
+    ),
+    "liability-not-object": (
+        {**_doc(), "liabilities": [["a", "b", 1]]},
+        SchemaError,
+        'each liability needs "from", "to" and "amount"',
+    ),
+    "unknown-from-bank": (
+        _doc(liabilities=[("z", "b", 1)]), SchemaError, "liability from unknown bank 'z'"
+    ),
+}
+
+#: (banks CSV, liabilities CSV, error, message)
+CSV_ERRORS = {
+    "no-bank-rows": ("id,cash\n\n", "", SchemaError, "banks CSV has no data rows"),
+    "bank-row-width": ("a,1\nb\n", "", SchemaError, "banks CSV row needs id,cash: ['b']"),
+    "liability-row-width": (
+        "a,1\nb,0\n", "from,to,amount\na,b\n", SchemaError,
+        "liabilities CSV row needs from,to,amount: ['a', 'b']",
+    ),
+    "cell-over-field-limit": (
+        "a,1\nb,0\n", '"' + "x" * (csv.field_size_limit() + 1) + '",b,1\n', ParseError,
+        f"invalid CSV: field larger than field limit ({csv.field_size_limit()})",
+    ),
+}
+
+#: (amount, mode, message): every amount goes through `scalars.to_scalar`
+AMOUNT_ERRORS = {
+    "bool": (True, cf.RATIONAL, "boolean is not a valid amount: True"),
+    "bool-float": (False, cf.FLOAT, "boolean is not a valid amount: False"),
+    "list-rational": ([1], cf.RATIONAL, "cannot read amount of type list: [1]"),
+    "none-float": (None, cf.FLOAT, "cannot read amount of type NoneType: None"),
+    "nan-rational": (float("nan"), cf.RATIONAL, "amount is not finite: nan"),
+    "malformed-rational": ("1/x", cf.RATIONAL, "malformed rational string '1/x'"),
+    "zero-denominator": (
+        "3/0", cf.FLOAT, "rational string must have a positive denominator: '3/0'"
+    ),
+    "malformed-decimal": ("1.2.3", cf.FLOAT, "malformed number '1.2.3'"),
+    "infinite-decimal": ("-Infinity", cf.RATIONAL, "amount is not finite: '-Infinity'"),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("doc, error, message", DOCUMENT_ERRORS.values(), ids=DOCUMENT_ERRORS)
+    def test_document_errors(self, doc, error, message):
+        with pytest.raises(error) as info:
+            cf.parse_network(json.dumps(doc))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "banks_text, liab_text, error, message", CSV_ERRORS.values(), ids=CSV_ERRORS
+    )
+    def test_csv_errors(self, banks_text, liab_text, error, message):
+        with pytest.raises(error) as info:
+            cf.parse_network_csv(banks_text, liab_text)
+        assert str(info.value) == message
+
+    def test_id_count_must_match(self):
+        with pytest.raises(DimensionMismatchError) as info:
+            cf.build_network([[0, 1], [0, 0]], [1, 0], ids=["a"])
+        assert str(info.value) == "1 ids for 2 banks"
+
+    def test_ids_must_be_unique(self):
+        with pytest.raises(SchemaError) as info:
+            cf.build_network([[0, 1], [0, 0]], [1, 0], ids=["a", "a"])
+        assert str(info.value) == "bank ids must be unique"
+
+    @pytest.mark.parametrize("amount, mode, message", AMOUNT_ERRORS.values(), ids=AMOUNT_ERRORS)
+    def test_amount_errors(self, amount, mode, message):
+        with pytest.raises(SchemaError) as info:
+            cf.build_network([[0, 0], [0, 0]], [1, amount], mode=mode)
+        assert str(info.value) == message
+        with pytest.raises(SchemaError) as info:
+            cf.build_network([[0, amount], [0, 0]], [1, 0], mode=mode)
+        assert str(info.value) == message
+
+    def test_unknown_mode(self):
+        message = "unknown arithmetic mode 'exact'; expected one of ('rational', 'float')"
+        for call in (
+            lambda: cf.build_network([[0]], [1], mode="exact"),
+            lambda: cf.parse_network(json.dumps(_doc()), mode="exact"),
+            lambda: cf.parse_network_csv("a,1\n", "", mode="exact"),
+        ):
+            with pytest.raises(InvalidParamsError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestConvert:
