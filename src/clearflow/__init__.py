@@ -18,8 +18,6 @@ from .flow import (
     balance_rates,
     big_bang_partition,
     equilibrium_rates,
-    next_event,
-    pinned_banks,
     run_flow,
     step,
     trace_line,
@@ -103,12 +101,10 @@ __all__ = [
     "initial_partition",
     "invariant_distribution",
     "is_transient",
-    "next_event",
     "parse_network",
     "parse_network_csv",
     "phi",
     "picard_iterate",
-    "pinned_banks",
     "restrict",
     "run_flow",
     "serialize_network",

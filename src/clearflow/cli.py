@@ -16,9 +16,10 @@ import sys
 from .errors import InvalidParamsError, SolverError, ValidationError
 from .flow import run_flow, trace_line
 from .generate import generate_network
-from .markov import active_set, decompose_nonactive
+from .markov import decompose_nonactive
 from .network import (
     FinancialNetwork,
+    convert_network,
     parse_network,
     parse_network_csv,
     serialize_network,
@@ -91,7 +92,7 @@ def _run_algorithm(net: FinancialNetwork, algorithm: str, args):
 
 def _cmd_solve(args) -> int:
     net = _load_network(args)
-    unique = not decompose_nonactive(net, active_set(net)).swamps
+    unique = not decompose_nonactive(net).swamps
     if args.algorithm == "all":
         results = {}
         for name in ("flow", "fd", "picard"):
@@ -174,8 +175,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .network import convert_network
-
     if args.count < 0:
         raise InvalidParamsError(f"--count must be nonnegative, got {args.count}")
     worst = 0.0

@@ -79,7 +79,7 @@ class NonTransientZeroGroupError(SolverError):
 
 
 class StalledError(SolverError):
-    """No finite event candidate although the positive group is nonempty."""
+    """A step was asked for with no positive bank left, so no event can come."""
 
 
 class InvariantViolationError(SolverError):

@@ -15,8 +15,9 @@ exactly by the same fictitious-defaults loop that gives `solvers` its
 clearing payments, instead of by numeric probing.
 
 Nonactive banks (no cash and unreachable from any cash along debt edges)
-never move money; they are pinned to zero rates for the whole run and stay
-out of every linear solve.
+never move money: the active set is fixed for the whole run
+(`FinancialNetwork.active`), the zero-group solve covers the group's active
+members only, and the others keep rate zero.
 
 Every linear solve here is a `markov.ZeroGroupFactor` of (diag(b) - L^T)_B,
 carried rather than rebuilt. The zero group changes by a bank or two per
@@ -45,7 +46,7 @@ from .errors import (
     SingularSystemError,
     StalledError,
 )
-from .markov import ZeroGroupFactor, active_set
+from .markov import ZeroGroupFactor
 from .network import FinancialNetwork, Partition, Status, initial_partition
 from .scalars import Scalar, scalar_to_json, zero_one
 
@@ -106,12 +107,6 @@ class ClearingResult:
     algorithm: str
 
 
-def pinned_banks(net: FinancialNetwork) -> frozenset[int]:
-    """Nonactive indebted banks: they hold zero status with zero rates forever."""
-    act, tol = active_set(net), net.zero_tol
-    return frozenset(i for i in range(net.n) if i not in act and net.total_debt[i] > tol)
-
-
 def _network_factor(
     net: FinancialNetwork, scope: frozenset[int] | None = None
 ) -> ZeroGroupFactor:
@@ -143,16 +138,15 @@ def balance_rates(
 def equilibrium_rates(
     net: FinancialNetwork,
     partition: Partition,
-    pinned: frozenset[int] = frozenset(),
     factor: ZeroGroupFactor | None = None,
 ) -> IntervalRates:
-    """Rates for one interval: 1 on positives, 0 on absorbing and pinned banks,
-    and the unique balanced solution on the remaining zero group.
+    """Rates for one interval: 1 on positives, the unique balanced solution
+    on the zero group's active members, and 0 on every other bank.
 
-    The zero-group system is solvable exactly when the group (minus pinned
-    banks) is transient; during a well-formed run that is guaranteed. It is
-    solved by `factor`, which is left on this interval's zero group for the
-    next one; a fresh factor when none is given.
+    The system is solvable exactly when those members form a transient set;
+    during a well-formed run that is guaranteed. It is solved by `factor`,
+    which is left on this interval's set for the next one; a fresh factor
+    when none is given.
     """
     if factor is None:
         factor = _network_factor(net)
@@ -160,7 +154,7 @@ def equilibrium_rates(
     out: list[Scalar] = [zero] * net.n
     for i in partition.positive:
         out[i] = one
-    solve_set = sorted(partition.zero - pinned)
+    solve_set = sorted(partition.zero & net.active)
     if solve_set:
         e = []
         for i in solve_set:
@@ -180,12 +174,27 @@ def equilibrium_rates(
     return IntervalRates(out=tuple(out), inflow=inflow, balance=balance)
 
 
-def _select_event(
-    net: FinancialNetwork, state: SystemState, rates: IntervalRates
-) -> tuple[Scalar, list[tuple[Scalar, int, str]]]:
-    """Duration t' until the next status change, and every candidate as
-    (time, bank, kind): "debt" runs out for a paying bank, "cash" for a
-    positive bank with negative balance. Rates within ε count as zero."""
+def step(
+    net: FinancialNetwork,
+    state: SystemState,
+    index: int = 0,
+    factor: ZeroGroupFactor | None = None,
+) -> FlowEvent:
+    """Advance to the next event: compute rates, move time forward linearly,
+    and reclassify every mover (debt hitting zero wins over cash hitting zero).
+
+    The duration t' is the least candidate time: debt runs out for a paying
+    bank, cash for a positive bank with negative balance; rates within ε
+    count as zero. Positive banks pay at rate 1, so a candidate exists. A
+    candidate moves when its debt or cash at t' is within `zero_tol` of 0
+    (in rational mode: when its time is exactly t'). Only a debt mover's
+    debt and payment are set; cash changes by the linear update alone. The
+    zero group is solved by `factor` (see `equilibrium_rates`)."""
+    if not state.partition.positive:
+        raise StalledError(
+            f"cannot step: no positive banks remain (event {index}, time {state.time})"
+        )
+    rates = equilibrium_rates(net, state.partition, factor)
     eps, low = net.zero_rel, -net.zero_rel
     zero, _ = zero_one(net.mode)
     candidates: list[tuple[Scalar, int, str]] = []
@@ -198,51 +207,7 @@ def _select_event(
         if status is Status.POSITIVE and rates.balance[i] < low:
             t = -state.cash[i] / rates.balance[i]
             candidates.append((t if t > 0 else zero, i, "cash"))
-    if not candidates:
-        raise StalledError("no finite event candidate; positive group should be nonempty")
-    return min(t for t, _, _ in candidates), candidates
-
-
-def next_event(
-    net: FinancialNetwork, state: SystemState, rates: IntervalRates
-) -> tuple[Scalar, tuple[int, ...]]:
-    """Duration until the next status change and every bank whose candidate
-    time is exactly that minimum (`step` also moves the near-ties).
-
-    Candidates: debt runs out (any paying bank) or cash runs out (positive
-    banks with negative balance). A zero duration can only arise for a
-    positive bank already sitting at zero cash whose balance has turned
-    negative; callers treat that as an instantaneous reclassification.
-    `step` never meets the no-candidate `StalledError`: it runs only with
-    positive banks, which pay at rate 1.
-    """
-    t_prime, candidates = _select_event(net, state, rates)
-    return t_prime, tuple(sorted({i for t, i, _ in candidates if t == t_prime}))
-
-
-def step(
-    net: FinancialNetwork,
-    state: SystemState,
-    pinned: frozenset[int] | None = None,
-    index: int = 0,
-    factor: ZeroGroupFactor | None = None,
-) -> FlowEvent:
-    """Advance to the next event: compute rates, move time forward linearly,
-    and reclassify every mover (debt hitting zero wins over cash hitting zero).
-
-    A candidate moves when its debt or cash at t' is within `zero_tol` of 0
-    (in rational mode: when its time is exactly t'). Only a debt mover's
-    debt and payment are set; cash changes by the linear update alone. The
-    zero group is solved by `factor` (see `equilibrium_rates`)."""
-    if pinned is None:
-        pinned = pinned_banks(net)
-    if not state.partition.positive:
-        raise StalledError(
-            f"cannot step: no positive banks remain (event {index}, time {state.time})"
-        )
-    rates = equilibrium_rates(net, state.partition, pinned, factor)
-    t_prime, candidates = _select_event(net, state, rates)
-    zero, _ = zero_one(net.mode)
+    t_prime = min(t for t, _, _ in candidates)
     tol = net.zero_tol
     now = state.time + t_prime
     where = f"event {index}, time {now}"
@@ -388,7 +353,7 @@ def big_bang_partition(net: FinancialNetwork) -> tuple[Partition, frozenset[int]
     set. Nonactive banks are never candidates; they stay zero with no flow.
     """
     part = initial_partition(net)
-    cashless = part.zero & active_set(net)
+    cashless = part.zero & net.active
     zero, one = zero_one(net.mode)
     held = [one if s is Status.POSITIVE else zero for s in part.statuses]
     _, short_sets, _ = _greatest_fixed_point(
@@ -409,7 +374,6 @@ def run_flow(net: FinancialNetwork, record_trajectory: bool = True) -> ClearingR
     time never exceeds the largest single debt.
     """
     zero, _ = zero_one(net.mode)
-    pinned = pinned_banks(net)
     start_partition, _revealed = big_bang_partition(net)
     state = SystemState(
         time=zero,
@@ -422,7 +386,7 @@ def run_flow(net: FinancialNetwork, record_trajectory: bool = True) -> ClearingR
     factor = _network_factor(net)
     k = 0
     while state.partition.positive:
-        event = step(net, state, pinned, k, factor)
+        event = step(net, state, k, factor)
         state = event.state_after
         if record_trajectory:
             events.append(event)

@@ -1,8 +1,8 @@
 """Linear-algebraic and graph kernel behind the clearing solvers.
 
 Restriction of the proportion matrix to a bank subset, the balance solves
-v = e + Q_B^T v, the active-set closure, the decomposition of nonactive
-banks (absorbing / transient / swamps), and invariant distributions of
+v = e + Q_B^T v, the decomposition of the banks outside the network's
+active set (absorbing / transient / swamps), and invariant distributions of
 swamps.
 
 One graph search, `_closed_groups`, finds the strongly connected groups of
@@ -73,7 +73,7 @@ class SubMatrix:
 
 @dataclass(frozen=True)
 class SwampDecomposition:
-    """Partition of the banks induced by an active set.
+    """Partition of the banks induced by the network's active set.
 
     `swamps` are the closed, strongly connected groups of zero-cash indebted
     banks that owe only each other; they are the sole source of multiple
@@ -334,18 +334,8 @@ class ZeroGroupFactor:
 
 
 def active_set(net: FinancialNetwork) -> frozenset[int]:
-    """Banks that move money: positive-cash banks plus, transitively, every
-    creditor of an already active debtor."""
-    tol = net.zero_tol
-    frontier = [i for i in range(net.n) if net.cash[i] > tol]
-    active = set(frontier)
-    while frontier:
-        i = frontier.pop()
-        for j in range(net.n):
-            if j not in active and net.liabilities[i][j] > 0:
-                active.add(j)
-                frontier.append(j)
-    return frozenset(active)
+    """The banks that move money, `FinancialNetwork.active`."""
+    return net.active
 
 
 def _closed_groups(
@@ -409,17 +399,17 @@ def closed_classes(net: FinancialNetwork, banks: set[int]) -> list[tuple[int, ..
     return _closed_groups(net.liabilities, banks)
 
 
-def decompose_nonactive(net: FinancialNetwork, active: frozenset[int]) -> SwampDecomposition:
+def decompose_nonactive(net: FinancialNetwork) -> SwampDecomposition:
     """Split the nonactive banks into debt-free, transient, and swamps."""
-    tol = net.zero_tol
-    nonactive = set(range(net.n)) - set(active)
+    tol, active = net.zero_tol, net.active
+    nonactive = set(range(net.n)) - active
     absorbing = {i for i in nonactive if net.total_debt[i] <= tol}
     indebted = nonactive - absorbing
     swamps = closed_classes(net, indebted)
     swamp_members = {i for s in swamps for i in s}
     transient = indebted - swamp_members
     return SwampDecomposition(
-        active=frozenset(active),
+        active=active,
         nonactive_absorbing=frozenset(absorbing),
         transient=frozenset(transient),
         swamps=tuple(sorted(swamps)),

@@ -108,6 +108,22 @@ class FinancialNetwork:
         zero, _ = zero_one(self.mode)
         return self.zero_rel * max([abs(x) for x in self.cash + self.total_debt], default=zero)
 
+    @cached_property
+    def active(self) -> frozenset[int]:
+        """Banks that move money: positive-cash banks plus, transitively, every
+        creditor of an already active debtor. Every payment starts from cash
+        and runs along debts, so the set holds for the whole clearing."""
+        tol = self.zero_tol
+        frontier = [i for i in range(self.n) if self.cash[i] > tol]
+        active = set(frontier)
+        while frontier:
+            i = frontier.pop()
+            for j in range(self.n):
+                if j not in active and self.liabilities[i][j] > 0:
+                    active.add(j)
+                    frontier.append(j)
+        return frozenset(active)
+
 
 def build_network(
     liabilities: Sequence[Sequence],
@@ -310,18 +326,12 @@ def serialize_network_csv(net: FinancialNetwork) -> tuple[str, str]:
     writer = csv.writer(banks_out, lineterminator="\n")
     writer.writerow(["id", "cash"])
     for i in range(net.n):
-        writer.writerow([net.ids[i], format_amount(net.cash[i])])
+        writer.writerow([net.ids[i], scalar_to_json(net.cash[i])])
     liab_out = io.StringIO()
     writer = csv.writer(liab_out, lineterminator="\n")
     writer.writerow(["from", "to", "amount"])
     for i in range(net.n):
         for j in range(net.n):
             if net.liabilities[i][j] != 0:
-                writer.writerow([net.ids[i], net.ids[j], format_amount(net.liabilities[i][j])])
+                writer.writerow([net.ids[i], net.ids[j], scalar_to_json(net.liabilities[i][j])])
     return banks_out.getvalue(), liab_out.getvalue()
-
-
-def format_amount(x: Scalar) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(x)

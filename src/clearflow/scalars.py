@@ -73,6 +73,13 @@ def to_scalar(value, mode: str) -> Scalar:
             return _fraction_from_str(value)
         raise SchemaError(f"cannot read amount of type {type(value).__name__}: {value!r}")
     # float mode
+    if isinstance(value, str):
+        s = value.strip()
+        # an unsigned plain decimal of at most 40 characters is finite, within
+        # the digit bound, and read by float() to the double the exact reader
+        # gives (both round correctly); every other string takes that reader
+        if len(s) <= 40 and s.isascii() and s.replace(".", "", 1).isdigit():
+            return float(s)
     exact = _fraction_from_str(value) if isinstance(value, str) else value
     if not isinstance(exact, (int, float, Fraction)):
         raise SchemaError(f"cannot read amount of type {type(value).__name__}: {value!r}")

@@ -22,7 +22,6 @@ from .errors import InvalidParamsError, NoConvergenceError, OutOfRangeError, Ver
 from .flow import ClearingResult, _greatest_fixed_point, balance_rates
 from .markov import (
     SwampDecomposition,
-    active_set,
     decompose_nonactive,
     invariant_distribution,
     restrict,
@@ -177,7 +176,7 @@ def fictitious_defaults(net: FinancialNetwork) -> tuple[ClearingResult, FDTrace]
     """
     zero, _ = zero_one(net.mode)
     iterates, default_sets, solves = _greatest_fixed_point(
-        net, active_set(net), net.cash, net.total_debt, [zero] * net.n, net.zero_tol
+        net, net.active, net.cash, net.total_debt, [zero] * net.n, net.zero_tol
     )
     trace = FDTrace(
         iterates=tuple(iterates),
@@ -230,13 +229,8 @@ def picard_iterate(
         received, _ = balance_rates(net, p)
         nxt = [min(net.cash[i] + received[i], net.total_debt[i]) for i in range(net.n)]
         change = max(abs(nxt[i] - p[i]) for i in range(net.n))
-        if rational:
-            if nxt == p:
-                return nxt
-            if change <= tol:
-                return nxt
-        else:
-            if change <= tol:
+        if change <= tol:
+            if not rational:
                 # settle the last few bits so reruns are reproducible
                 for _ in range(200):
                     received, _ = balance_rates(net, nxt)
@@ -247,7 +241,7 @@ def picard_iterate(
                     if settled == nxt:
                         break
                     nxt = settled
-                return nxt
+            return nxt
         p = nxt
     raise NoConvergenceError(f"no fixed point within {max_iter} iterations")
 
@@ -260,7 +254,7 @@ def solution_family(net: FinancialNetwork) -> SolutionFamily:
     swamps exist.
     """
     basic = fictitious_defaults(net)[0].payments
-    decomposition = decompose_nonactive(net, active_set(net))
+    decomposition = decompose_nonactive(net)
     swamps = []
     for banks in decomposition.swamps:
         dist = invariant_distribution(restrict(net.relative, banks))
@@ -317,7 +311,7 @@ def bailout_vector(net: FinancialNetwork) -> BailoutPlan:
         boosted_cash[i] = boosted_cash[i] + injections[i]
     boosted = replace(net, cash=tuple(boosted_cash))
     replay, _ = fictitious_defaults(boosted)
-    seed_required = decompose_nonactive(boosted, active_set(boosted)).swamps
+    seed_required = decompose_nonactive(boosted).swamps
     seeded = {i for swamp in seed_required for i in swamp}
     tol = net.zero_tol
     all_paid = all(

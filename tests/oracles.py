@@ -125,7 +125,7 @@ def flow_bailout(net: cf.FinancialNetwork) -> cf.BailoutPlan:
         boosted_cash[i] += injections[i]
     boosted = cf.build_network(net.liabilities, boosted_cash, mode=net.mode, ids=net.ids)
     replay = cf.run_flow(boosted, record_trajectory=False)
-    seed_required = cf.decompose_nonactive(boosted, cf.active_set(boosted)).swamps
+    seed_required = cf.decompose_nonactive(boosted).swamps
     seeded = {i for swamp in seed_required for i in swamp}
     tol = net.zero_tol
     if any(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ import clearflow as cf
 from clearflow import cli, errors
 from clearflow.cli import main
 from clearflow.errors import NegativeEntryError, SelfDebtError
-from conftest import BESIDE_LIABILITIES, wide_magnitude_network
+from conftest import BESIDE_LIABILITIES, swampy_network, wide_magnitude_network
 
 
 @pytest.fixture
@@ -380,6 +381,33 @@ class TestParser:
         finally:
             cli._parser.cache_clear()
         assert len(built) == 1
+
+
+class TestActiveSet:
+    @pytest.mark.parametrize("argv, computed", [
+        (["solve"], 1),
+        (["solve", "--algorithm", "fd"], 1),
+        (["trace"], 1),
+        (["family"], 1),
+        (["bailout"], 2),  # the network and its copy with the injections added
+    ])
+    def test_computed_once_per_network(self, capsys, monkeypatch, tmp_path, argv, computed):
+        net = swampy_network(0)
+        assert cf.fictitious_defaults(net)[0].defaults and cf.decompose_nonactive(net).swamps
+        path = tmp_path / "swampy.json"
+        path.write_text(cf.serialize_network(net))
+        searched = []
+        search = cf.FinancialNetwork.active.func
+
+        def counted(network):
+            searched.append(network)
+            return search(network)
+
+        active = functools.cached_property(counted)
+        active.__set_name__(cf.FinancialNetwork, "active")
+        monkeypatch.setattr(cf.FinancialNetwork, "active", active)
+        assert run_cli(capsys, argv[0], str(path), *argv[1:])[0] == 0
+        assert len(searched) == computed
 
 
 class TestTrace:

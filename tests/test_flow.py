@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -53,15 +54,16 @@ class TestEquilibriumRates:
             assert sum(rates.balance) == 0
 
     @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
-    def test_swamp_in_zero_group_raises(self, net_1c, mode):
-        net = cf.convert_network(net_1c, mode)
-        with pytest.raises(NonTransientZeroGroupError, match="contains a closed subnetwork"):
-            cf.equilibrium_rates(net, make_partition("pzzza"))
+    def test_swamp_in_zero_group_raises(self, mode):
+        # bank 0 pays into the closed group {1, 2}, so the group is active
+        net = cf.build_network([[0, 1, 0], [0, 0, 2], [0, 2, 0]], [1, 0, 0], mode=mode)
+        message = re.escape("zero group [1, 2] contains a closed subnetwork")
+        with pytest.raises(NonTransientZeroGroupError, match=message):
+            cf.equilibrium_rates(net, make_partition("pzz"))
 
     def test_pinned_banks_are_excluded(self, net_1c):
-        pinned = cf.pinned_banks(net_1c)
-        assert pinned == frozenset({1, 2, 3})
-        rates = cf.equilibrium_rates(net_1c, make_partition("pzzza"), pinned)
+        # the swamp {1, 2, 3} is nonactive: it keeps rate 0 and is not solved
+        rates = cf.equilibrium_rates(net_1c, make_partition("pzzza"))
         assert rates.out == (1, 0, 0, 0, 0)
 
 
@@ -83,11 +85,9 @@ class TestBalanceRates:
 
 class TestNextEvent:
     def test_first_event_is_bank_three_cash(self, net_1a):
-        state = initial_state(net_1a)
-        rates = cf.equilibrium_rates(net_1a, state.partition)
-        duration, movers = cf.next_event(net_1a, state, rates)
-        assert duration == 2 * F(1, 36)
-        assert movers == (2,)
+        event = cf.step(net_1a, initial_state(net_1a))
+        assert event.time == 2 * F(1, 36)
+        assert event.movers == (2,)
 
     def test_event_from_interval_two(self, net_1a):
         eps = F(1, 36)
@@ -96,19 +96,16 @@ class TestNextEvent:
             state = cf.step(net_1a, state, index=k).state_after
         assert state.time == 4 * eps
         assert statuses_of(state.partition) == "ppzza"
-        rates = cf.equilibrium_rates(net_1a, state.partition)
-        duration, movers = cf.next_event(net_1a, state, rates)
-        assert duration == 14 * eps
-        assert movers == (1,)
-        assert state.time + duration == 18 * eps
+        event = cf.step(net_1a, state)
+        assert event.time - state.time == 14 * eps
+        assert event.movers == (1,)
+        assert event.time == 18 * eps
 
     def test_single_funded_bank(self):
         net = cf.build_network([[0, 1], [0, 0]], [2, 0])
-        state = initial_state(net)
-        rates = cf.equilibrium_rates(net, state.partition)
-        duration, movers = cf.next_event(net, state, rates)
-        assert duration == 1
-        assert movers == (0,)
+        event = cf.step(net, initial_state(net))
+        assert event.time == 1
+        assert event.movers == (0,)
 
     def test_stalled_when_no_candidates(self, net_1a):
         state = cf.SystemState(
@@ -118,9 +115,8 @@ class TestNextEvent:
             cash=net_1a.cash,
             paid=net_1a.total_debt,
         )
-        rates = cf.IntervalRates(out=(F(0),) * 5, inflow=(F(0),) * 5, balance=(F(0),) * 5)
         with pytest.raises(StalledError):
-            cf.next_event(net_1a, state, rates)
+            cf.step(net_1a, state)
 
 
 class TestStep:
@@ -269,7 +265,7 @@ class TestBigBang:
         partition, revealed = cf.big_bang_partition(net)
         assert revealed == frozenset({1}) == probe_revealed(net)
         assert statuses_of(partition) == "ppzza"
-        rates = cf.equilibrium_rates(net, partition, cf.pinned_banks(net))
+        rates = cf.equilibrium_rates(net, partition)
         assert rates.out == (1, 1, F(6, 10), F(5, 10), 0)
         assert cf.verify_clearing(net, cf.run_flow(net).payments) == 0
 
@@ -322,8 +318,7 @@ class TestRunFlow:
         big_bang = len(solves)
         solves.clear()
         result = cf.run_flow(net)
-        pinned = cf.pinned_banks(net)
-        zero_groups = [e for e in result.trajectory if e.state_after.partition.zero - pinned]
+        zero_groups = [e for e in result.trajectory if e.state_after.partition.zero & net.active]
         assert len(zero_groups) > 10
         assert len(solves) == big_bang == 0
 

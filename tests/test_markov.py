@@ -216,10 +216,9 @@ def test_kernel_matches_gauss_jordan_oracle(case):
 
 def assert_flow_solves_match_oracle(net):
     """Every zero group the flow solves, against Gauss-Jordan on (I - Q_B^T)."""
-    pinned = cf.pinned_banks(net)
     partition, _ = cf.big_bang_partition(net)
     for event in cf.run_flow(net).trajectory:
-        solve_set = sorted(partition.zero - pinned)
+        solve_set = sorted(partition.zero & net.active)
         if solve_set:
             e = [sum(net.relative[j][i] for j in partition.positive) for i in solve_set]
             expected = gauss_jordan_solve(balance_rows(cf.restrict(net.relative, solve_set)), e)
@@ -267,7 +266,7 @@ def test_invariant_distribution_matches_oracle(mode):
     swamps = 0
     for seed in range(30):
         net = swampy_network(seed, mode)
-        for swamp in cf.decompose_nonactive(net, cf.active_set(net)).swamps:
+        for swamp in cf.decompose_nonactive(net).swamps:
             sub = cf.restrict(net.relative, swamp)
             rows = balance_rows(sub)
             rows[-1] = [1] * sub.size
@@ -301,7 +300,7 @@ def test_rational_mode_never_eliminates(monkeypatch, net_1a, net_1a_boundary, ne
             assert network_factor(net).solve(banks, e) == list(r)
             assert cf.fundamental_solve(cf.restrict(net.relative, banks), e) == list(r)
             solves += 1
-        for swamp in cf.decompose_nonactive(net, cf.active_set(net)).swamps:
+        for swamp in cf.decompose_nonactive(net).swamps:
             cf.invariant_distribution(cf.restrict(net.relative, swamp))
             swamps += 1
     assert solves > 20 and swamps > 10
@@ -498,13 +497,13 @@ class TestActiveSet:
 
 class TestDecomposeNonactive:
     def test_example_swamp(self, net_1c):
-        dec = cf.decompose_nonactive(net_1c, cf.active_set(net_1c))
+        dec = cf.decompose_nonactive(net_1c)
         assert dec.swamps == ((1, 2, 3),)
         assert dec.transient == frozenset()
         assert dec.nonactive_absorbing == frozenset()
 
     def test_all_active_all_empty(self, net_1a):
-        dec = cf.decompose_nonactive(net_1a, cf.active_set(net_1a))
+        dec = cf.decompose_nonactive(net_1a)
         assert dec.swamps == ()
         assert dec.transient == frozenset()
         assert dec.nonactive_absorbing == frozenset()
@@ -514,13 +513,13 @@ class TestDecomposeNonactive:
         net = cf.build_network([[0, 2, 0], [0, 0, 1], [0, 0, 0]], [0, 1, 0])
         act = cf.active_set(net)
         assert 0 not in act
-        dec = cf.decompose_nonactive(net, act)
+        dec = cf.decompose_nonactive(net)
         assert dec.transient == frozenset({0})
         assert dec.swamps == ()
         assert cf.picard_iterate(net)[0] == 0
 
     def test_partition_covers_everything(self, net_1c):
-        dec = cf.decompose_nonactive(net_1c, cf.active_set(net_1c))
+        dec = cf.decompose_nonactive(net_1c)
         parts = [set(dec.active), set(dec.nonactive_absorbing), set(dec.transient)]
         parts += [set(s) for s in dec.swamps]
         seen = set()

@@ -195,7 +195,7 @@ def test_fd_equals_flow_with_cashless_banks(net):
 @settings(max_examples=30, deadline=None)
 def test_fd_equals_flow_on_swamp_networks(seed):
     net = swampy_network(seed)
-    assert cf.decompose_nonactive(net, cf.active_set(net)).swamps
+    assert cf.decompose_nonactive(net).swamps
     assert cf.fictitious_defaults(net)[0].payments == cf.run_flow(net).payments
 
 
@@ -247,8 +247,7 @@ def test_family_members_clear(net, data):
 @given(networks())
 @settings(max_examples=40, deadline=None)
 def test_swamp_decomposition_partitions(net):
-    act = cf.active_set(net)
-    dec = cf.decompose_nonactive(net, act)
+    dec = cf.decompose_nonactive(net)
     groups = [set(dec.active), set(dec.nonactive_absorbing), set(dec.transient)]
     groups += [set(s) for s in dec.swamps]
     seen: set[int] = set()

@@ -136,6 +136,26 @@ def test_call_is_reported(tmp_path):
     ]
 
 
+def test_no_module_calls_active_set():
+    # the active set is computed once per network, by FinancialNetwork.active;
+    # a call to markov.active_set would compute it outside that cache
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [entry for path in modules for entry in calls_to(path, "active_set")] == []
+
+
+def test_active_set_call_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from . import markov\nfrom .markov import active_set\n"
+        "def f(net):\n    return active_set(net) | net.active\n"
+        "def g(net):\n    return markov.active_set(net), net.active_set\n"
+    )
+    assert calls_to(module, "active_set") == [
+        "sample.py:4 active_set",
+        "sample.py:6 active_set",
+    ]
+
+
 def test_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 1
