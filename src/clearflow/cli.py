@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .network import (
     parse_network_csv,
     serialize_network,
 )
-from .scalars import FLOAT, RATIONAL, scalar_to_json, zero_one
+from .scalars import FLOAT, RATIONAL, scalar_to_json
 from .solvers import (
     bailout_vector,
     fictitious_defaults,
@@ -97,14 +98,8 @@ def _cmd_solve(args) -> int:
         results = {}
         for name in ("flow", "fd", "picard"):
             results[name] = _run_algorithm(net, name, args)
-        diff, _ = zero_one(net.mode)
-        names = list(results)
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                pa = results[names[a]].payments
-                pb = results[names[b]].payments
-                for i in range(net.n):
-                    diff = max(diff, abs(pa[i] - pb[i]))
+        pairs = itertools.combinations(results.values(), 2)
+        diff = max(abs(x - y) for a, b in pairs for x, y in zip(a.payments, b.payments))
         payload = {
             "algorithm": "all",
             "results": {

@@ -156,12 +156,7 @@ def equilibrium_rates(
         out[i] = one
     solve_set = sorted(partition.zero & net.active)
     if solve_set:
-        e = []
-        for i in solve_set:
-            acc = zero
-            for j in partition.positive:
-                acc += net.relative[j][i]
-            e.append(acc)
+        e = [sum((net.relative[j][i] for j in partition.positive), zero) for i in solve_set]
         try:
             v = factor.solve(solve_set, e)
         except SingularSystemError as exc:
@@ -183,76 +178,68 @@ def step(
     """Advance to the next event: compute rates, move time forward linearly,
     and reclassify every mover (debt hitting zero wins over cash hitting zero).
 
-    The duration t' is the least candidate time: debt runs out for a paying
-    bank, cash for a positive bank with negative balance; rates within ε
-    count as zero. Positive banks pay at rate 1, so a candidate exists. A
-    candidate moves when its debt or cash at t' is within `zero_tol` of 0
-    (in rational mode: when its time is exactly t'). Only a debt mover's
-    debt and payment are set; cash changes by the linear update alone. The
-    zero group is solved by `factor` (see `equilibrium_rates`)."""
+    One pass over the statuses lists `paying` (not absorbing, out-rate above
+    ε: debt can run out) and `draining` (positive, balance below -ε: cash
+    can run out). t' is the least of their times; positive banks pay at rate
+    1, so it exists. Only nonzero rates move debt, payment and cash. A listed
+    amount within `zero_tol` of 0 at t' (in rational mode: exactly 0) makes
+    a mover; `paying` movers are absorbed, debt and payment set exactly, so
+    every transition is P→Z, P→A or Z→A. Two checks guard the movers: no
+    listed amount ends below -`zero_tol`, and none is absorbed when t' <= 0;
+    cash is conserved. The zero group is solved by `factor` (see
+    `equilibrium_rates`)."""
     if not state.partition.positive:
         raise StalledError(
             f"cannot step: no positive banks remain (event {index}, time {state.time})"
         )
     rates = equilibrium_rates(net, state.partition, factor)
+    out, balance = rates.out, rates.balance
     eps, low = net.zero_rel, -net.zero_rel
     zero, _ = zero_one(net.mode)
-    candidates: list[tuple[Scalar, int, str]] = []
-    for i in range(net.n):
-        status = state.statuses[i]
-        if status is Status.ABSORBING:
-            continue
-        if rates.out[i] > eps:
-            candidates.append((state.remaining_debt[i] / rates.out[i], i, "debt"))
-        if status is Status.POSITIVE and rates.balance[i] < low:
-            t = -state.cash[i] / rates.balance[i]
-            candidates.append((t if t > 0 else zero, i, "cash"))
-    t_prime = min(t for t, _, _ in candidates)
+    paying, draining = [], []
+    for i, status in enumerate(state.statuses):
+        if status is not Status.ABSORBING:
+            if out[i] > eps:
+                paying.append(i)
+            if status is Status.POSITIVE and balance[i] < low:
+                draining.append(i)
+    times = [state.remaining_debt[i] / out[i] for i in paying]
+    for i in draining:
+        t = -state.cash[i] / balance[i]
+        times.append(t if t > 0 else zero)
+    t_prime = min(times)
     tol = net.zero_tol
     now = state.time + t_prime
     where = f"event {index}, time {now}"
 
-    debt = [state.remaining_debt[i] - rates.out[i] * t_prime for i in range(net.n)]
-    cash = [state.cash[i] + rates.balance[i] * t_prime for i in range(net.n)]
-    paid = [state.paid[i] + rates.out[i] * t_prime for i in range(net.n)]
-    hits: dict[int, set[str]] = {}
-    for _, i, kind in candidates:
-        quantity = debt[i] if kind == "debt" else cash[i]
-        if quantity <= tol:
-            if quantity < -tol:
+    debt, cash, paid = list(state.remaining_debt), list(state.cash), list(state.paid)
+    for i in range(net.n):
+        if out[i]:
+            debt[i] -= out[i] * t_prime
+            paid[i] += out[i] * t_prime
+        if balance[i]:
+            cash[i] += balance[i] * t_prime
+    for kind, banks, amount in (("debt", paying, debt), ("cash", draining, cash)):
+        for i in banks:
+            if amount[i] < -tol:
                 raise InvariantViolationError(
-                    f"negative {kind} {quantity} at bank {net.ids[i]} ({where})"
+                    f"negative {kind} {amount[i]} at bank {net.ids[i]} ({where})"
                 )
-            hits.setdefault(i, set()).add(kind)
-    movers = tuple(sorted(hits))
+    absorbed = [i for i in paying if debt[i] <= tol]
+    if absorbed and t_prime <= 0:
+        raise InvariantViolationError(
+            f"zero-duration event absorbs bank {net.ids[absorbed[0]]} ({where})"
+        )
+    emptied = [i for i in draining if cash[i] <= tol and i not in absorbed]
 
     statuses = list(state.statuses)
-    transitions = []
-    for i in movers:
-        before = statuses[i]
-        if "debt" in hits[i]:
-            after = Status.ABSORBING
-            debt[i] = zero
-            paid[i] = net.total_debt[i]
-        else:
-            after = Status.ZERO
-        if before is Status.ABSORBING or (before is Status.ZERO and after is not Status.ABSORBING):
-            raise InvariantViolationError(
-                f"forbidden transition {before.value} -> {after.value} "
-                f"for bank {net.ids[i]} ({where})"
-            )
-        statuses[i] = after
-        transitions.append(Transition(bank=i, before=before, after=after))
-
-    if t_prime <= 0:
-        # only the degenerate instant reclassification is allowed at zero duration
-        for tr in transitions:
-            if not (tr.before is Status.POSITIVE and tr.after is Status.ZERO
-                    and state.cash[tr.bank] <= tol):
-                raise InvariantViolationError(
-                    "zero-duration event outside degenerate case: bank "
-                    f"{net.ids[tr.bank]} {tr.before.value} -> {tr.after.value} ({where})"
-                )
+    for i in absorbed:
+        statuses[i] = Status.ABSORBING
+        debt[i] = zero
+        paid[i] = net.total_debt[i]
+    for i in emptied:
+        statuses[i] = Status.ZERO
+    movers = tuple(sorted(absorbed + emptied))
 
     total = sum(net.cash)
     if abs(sum(cash) - total) > 1000 * net.zero_rel * max(1, total):
@@ -269,7 +256,7 @@ def step(
         index=index,
         time=after_state.time,
         movers=movers,
-        transitions=tuple(transitions),
+        transitions=tuple(Transition(i, state.statuses[i], statuses[i]) for i in movers),
         rates=rates,
         state_after=after_state,
     )

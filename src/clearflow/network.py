@@ -118,8 +118,8 @@ class FinancialNetwork:
         active = set(frontier)
         while frontier:
             i = frontier.pop()
-            for j in range(self.n):
-                if j not in active and self.liabilities[i][j] > 0:
+            for j, x in enumerate(self.liabilities[i]):
+                if x and j not in active:
                     active.add(j)
                     frontier.append(j)
         return frozenset(active)

@@ -224,20 +224,18 @@ def picard_iterate(
     if not 0 <= tol < math.inf:
         raise InvalidParamsError(f"tol must be finite and nonnegative, got {tol}")
 
+    def clamp(p: list[Scalar]) -> list[Scalar]:
+        received, _ = balance_rates(net, p)
+        return [min(net.cash[i] + received[i], net.total_debt[i]) for i in range(net.n)]
+
     p = list(net.total_debt)
     for _ in range(max_iter):
-        received, _ = balance_rates(net, p)
-        nxt = [min(net.cash[i] + received[i], net.total_debt[i]) for i in range(net.n)]
-        change = max(abs(nxt[i] - p[i]) for i in range(net.n))
-        if change <= tol:
+        nxt = clamp(p)
+        if max(abs(x - y) for x, y in zip(nxt, p)) <= tol:
             if not rational:
                 # settle the last few bits so reruns are reproducible
                 for _ in range(200):
-                    received, _ = balance_rates(net, nxt)
-                    settled = [
-                        min(net.cash[i] + received[i], net.total_debt[i])
-                        for i in range(net.n)
-                    ]
+                    settled = clamp(nxt)
                     if settled == nxt:
                         break
                     nxt = settled

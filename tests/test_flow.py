@@ -172,6 +172,22 @@ class TestStep:
         with pytest.raises(InvariantViolationError, match=r"bank 1 \(event 3, time 0\.5\)"):
             cf.step(net, state, index=3)
 
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_zero_duration_absorption_is_rejected(self, mode):
+        # bank 1 is positive with no debt left, so it would be absorbed at
+        # t' = 0: no trajectory reaches that state
+        net = cf.build_network([[0, 1], [0, 0]], [1, 0], mode=mode)
+        zero = F(0) if mode == cf.RATIONAL else 0.0
+        state = cf.SystemState(
+            time=zero,
+            partition=make_partition("pa"),
+            remaining_debt=(zero, zero),
+            cash=net.cash,
+            paid=(zero, zero),
+        )
+        with pytest.raises(InvariantViolationError, match=r"bank 1 .*\(event 2, time 0"):
+            cf.step(net, state, index=2)
+
     def test_stall_error_names_event_and_time(self, net_1a):
         state = initial_state(net_1a, make_partition("zzzza"))
         with pytest.raises(StalledError, match=r"\(event 4, time 0\)"):

@@ -6,9 +6,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import clearflow as cf
+from clearflow.errors import NonTransientZeroGroupError
 from conftest import swampy_network, with_cash
 from oracles import flow_bailout, least_injection, reachability_transient
 
@@ -159,6 +160,50 @@ def test_flow_run_invariants(net):
     assert sum(net.total_debt) == sum(result.payments) + left_over
     if any(c > 0 for c in net.cash):
         assert result.final_partition.absorbing
+
+
+@given(networks(max_n=10), st.sampled_from([cf.RATIONAL, cf.FLOAT]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_step_from_states_off_any_trajectory(net, mode, data):
+    # any remaining debt and cash, statuses by classify_status: step still
+    # moves a bank, only along P->Z, P->A or Z->A, and never back in time
+    unit = st.fractions(min_value=F(1, 8), max_value=1, max_denominator=8)
+    cash_amounts = st.fractions(min_value=0, max_value=2, max_denominator=8)
+    cash = [data.draw(cash_amounts) if b else c for b, c in zip(net.total_debt, net.cash)]
+    net = cf.build_network(net.liabilities, cash, mode=mode)
+    convert = F if mode == cf.RATIONAL else float
+    debt = tuple(b * convert(data.draw(unit)) if b else b for b in net.total_debt)
+    partition = cf.Partition(
+        tuple(cf.classify_status(d, c, net.zero_tol) for d, c in zip(debt, net.cash))
+    )
+    assume(partition.positive)
+    try:
+        cf.equilibrium_rates(net, partition)
+    except NonTransientZeroGroupError:
+        assume(False)
+    time = convert(F(1, 2))
+    state = cf.SystemState(
+        time=time,
+        partition=partition,
+        remaining_debt=debt,
+        cash=net.cash,
+        paid=tuple(b - d for b, d in zip(net.total_debt, debt)),
+    )
+    event = cf.step(net, state)
+    assert event.movers
+    allowed = {
+        (cf.Status.POSITIVE, cf.Status.ZERO),
+        (cf.Status.POSITIVE, cf.Status.ABSORBING),
+        (cf.Status.ZERO, cf.Status.ABSORBING),
+    }
+    after = event.state_after
+    for t in event.transitions:
+        assert (t.before, t.after) in allowed
+        assert t.before is partition.statuses[t.bank]
+        if t.after is cf.Status.ABSORBING:
+            assert after.remaining_debt[t.bank] == 0
+            assert after.paid[t.bank] == net.total_debt[t.bank]
+    assert event.time >= time
 
 
 @given(networks())
