@@ -11,6 +11,7 @@ injections that end all defaults. Arithmetic is exact rational by default.
 from . import errors
 from .flow import (
     ClearingResult,
+    FDTrace,
     FlowEvent,
     IntervalRates,
     SystemState,
@@ -52,7 +53,6 @@ from .network import (
 from .scalars import FLOAT, RATIONAL, Scalar, to_scalar
 from .solvers import (
     BailoutPlan,
-    FDTrace,
     SolutionFamily,
     SwampSolution,
     bailout_vector,

@@ -12,6 +12,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 
 from .errors import InvalidParamsError, SolverError, ValidationError
@@ -172,6 +173,9 @@ def _cmd_gen(args) -> int:
 def _cmd_compare(args) -> int:
     if args.count < 0:
         raise InvalidParamsError(f"--count must be nonnegative, got {args.count}")
+    tol = args.tol_compare
+    if not 0 <= tol < math.inf:
+        raise InvalidParamsError(f"--tol-compare must be finite and nonnegative, got {tol}")
     worst = 0.0
     failures = 0
     for k in range(args.count):
@@ -190,7 +194,7 @@ def _cmd_compare(args) -> int:
             default=0.0,
         )
         worst = max(worst, drift)
-        if not exact_match or drift > args.tol_compare:
+        if not exact_match or drift > tol:
             failures += 1
             print(
                 f"instance seed={args.seed + k}: flow/fd match={exact_match}, "
@@ -213,12 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_input=True):
-        if with_input:
-            p.add_argument("input", nargs="?", default="-",
-                           help="network JSON file, or - for standard input")
-            p.add_argument("--csv-liabilities", metavar="PATH",
-                           help="treat input as the id,cash CSV and read from,to,amount here")
+    def add_io(p):
+        p.add_argument("input", nargs="?", default="-",
+                       help="network JSON file, or - for standard input")
+        p.add_argument("--csv-liabilities", metavar="PATH",
+                       help="treat input as the id,cash CSV and read from,to,amount here")
         p.add_argument("--mode", choices=(RATIONAL, FLOAT), default=RATIONAL)
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 

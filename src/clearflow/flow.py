@@ -115,11 +115,9 @@ def _network_factor(
     return ZeroGroupFactor(net.liabilities, net.total_debt, net.mode, scope)
 
 
-def balance_rates(
-    net: FinancialNetwork, out: Sequence[Scalar]
-) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
-    """In-rates (columns of the proportion matrix applied to out-rates) and
-    the per-bank balance inflow - outflow; balances sum to zero.
+def balance_rates(net: FinancialNetwork, out: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """In-rates Q^T out: the columns of the proportion matrix applied to the
+    out-rates.
 
     The one Q^T p kernel: the clamped payment map and the final cash of a
     payment vector use it too, with payments in place of rates.
@@ -131,8 +129,7 @@ def balance_rates(
             for i, q in enumerate(net.relative[j]):
                 if q:
                     inflow[i] += rate * q
-    balance = tuple(inflow[i] - out[i] for i in range(net.n))
-    return tuple(inflow), balance
+    return tuple(inflow)
 
 
 def equilibrium_rates(
@@ -165,7 +162,8 @@ def equilibrium_rates(
             ) from exc
         for k, i in enumerate(solve_set):
             out[i] = v[k]
-    inflow, balance = balance_rates(net, out)
+    inflow = balance_rates(net, out)
+    balance = tuple(inflow[i] - out[i] for i in range(net.n))
     return IntervalRates(out=tuple(out), inflow=inflow, balance=balance)
 
 
@@ -241,8 +239,7 @@ def step(
         statuses[i] = Status.ZERO
     movers = tuple(sorted(absorbed + emptied))
 
-    total = sum(net.cash)
-    if abs(sum(cash) - total) > 1000 * net.zero_rel * max(1, total):
+    if abs(sum(cash) - net.total_cash) > 1000 * net.zero_rel * max(1, net.total_cash):
         raise InvariantViolationError(f"cash conservation violated ({where})")
 
     after_state = SystemState(
@@ -262,6 +259,24 @@ def step(
     )
 
 
+@dataclass(frozen=True)
+class FDTrace:
+    """Audit trail of the fictitious-defaults iteration.
+
+    `iterates[k]` is the payment vector after k applications of the clamped
+    map, `default_sets[k]` the defaulting set it induces, and `solves` the
+    (set, input, solution) triple of each restricted linear solve.
+    """
+
+    iterates: tuple[tuple[Scalar, ...], ...]
+    default_sets: tuple[frozenset[int], ...]
+    solves: tuple[tuple[tuple[int, ...], tuple[Scalar, ...], tuple[Scalar, ...]], ...]
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.iterates) - 1
+
+
 def _greatest_fixed_point(
     net: FinancialNetwork,
     banks: frozenset[int],
@@ -269,7 +284,7 @@ def _greatest_fixed_point(
     cap: Sequence[Scalar],
     held: Sequence[Scalar],
     tol: Scalar,
-) -> tuple[list[tuple[Scalar, ...]], list[frozenset[int]], list[tuple]]:
+) -> FDTrace:
     """Greatest fixed point of x = min(cap, base + Q^T x) on `banks`, with
     every other bank held at its value in `held` (fictitious defaults).
 
@@ -282,8 +297,8 @@ def _greatest_fixed_point(
     members' in-rates sum to their out-rates plus the feed, so one of them
     stays at its cap.
 
-    Returns the iterates (the start, then each clamp), the short set of
-    each clamp and the (set, input, solution) triple of each solve.
+    Returns the trace: the iterates (the start, then each clamp), the short
+    set of each clamp and the (set, input, solution) triple of each solve.
     """
     zero, _ = zero_one(net.mode)
     start = list(held)
@@ -296,7 +311,7 @@ def _greatest_fixed_point(
     previous: frozenset[int] = frozenset()
     factor = _network_factor(net, banks)
     while True:
-        received, _ = balance_rates(net, x)
+        received = balance_rates(net, x)
         x = list(held)
         for i in banks:
             x[i] = min(base[i] + received[i], cap[i])
@@ -304,7 +319,7 @@ def _greatest_fixed_point(
         iterates.append(tuple(x))
         short_sets.append(short)
         if short == previous:
-            return iterates, short_sets, solves
+            return FDTrace(tuple(iterates), tuple(short_sets), tuple(solves))
         if not previous <= short:
             raise NoConvergenceError("defaulting sets did not grow monotonically")
         previous = short
@@ -312,7 +327,7 @@ def _greatest_fixed_point(
         fed = list(start)
         for i in short:
             fed[i] = zero
-        inflow, _ = balance_rates(net, fed)
+        inflow = balance_rates(net, fed)
         solve_set = sorted(short)
         e = [base[i] + inflow[i] for i in solve_set]
         try:
@@ -343,10 +358,10 @@ def big_bang_partition(net: FinancialNetwork) -> tuple[Partition, frozenset[int]
     cashless = part.zero & net.active
     zero, one = zero_one(net.mode)
     held = [one if s is Status.POSITIVE else zero for s in part.statuses]
-    _, short_sets, _ = _greatest_fixed_point(
+    trace = _greatest_fixed_point(
         net, cashless, [zero] * net.n, [one] * net.n, held, net.zero_rel
     )
-    revealed = cashless - short_sets[-1]
+    revealed = cashless - trace.default_sets[-1]
     statuses = list(part.statuses)
     for i in revealed:
         statuses[i] = Status.POSITIVE

@@ -109,6 +109,11 @@ class FinancialNetwork:
         return self.zero_rel * max([abs(x) for x in self.cash + self.total_debt], default=zero)
 
     @cached_property
+    def total_cash(self) -> Scalar:
+        """Σ c, which the flow conserves."""
+        return sum(self.cash)
+
+    @cached_property
     def active(self) -> frozenset[int]:
         """Banks that move money: positive-cash banks plus, transitively, every
         creditor of an already active debtor. Every payment starts from cash
@@ -176,7 +181,8 @@ def _network_from_entries(
             if i == j:
                 raise SelfDebtError(f"{name(i, j)} = {x} is a self-debt")
             debts[i][j] = debts[i][j] + x if j in debts[i] else x
-    cash_vec = tuple(to_scalar(x, mode) for x in cash)
+    # `or zero` stores a float -0.0 as 0.0, as the parsers read it
+    cash_vec = tuple(to_scalar(x, mode) or zero for x in cash)
     for i, c in enumerate(cash_vec):
         if isinstance(c, float) and not math.isfinite(c):
             raise NegativeEntryError(f"cash[{i}] is not finite")
@@ -272,9 +278,8 @@ def network_from_document(doc, mode: str = RATIONAL) -> FinancialNetwork:
     )
 
 
-def serialize_network(net: FinancialNetwork) -> str:
-    """Emit the JSON document format; exact round-trip in rational mode."""
-    doc = {
+def _document(net: FinancialNetwork) -> dict:
+    return {
         "banks": [
             {"id": net.ids[i], "cash": scalar_to_json(net.cash[i])} for i in range(net.n)
         ],
@@ -285,53 +290,51 @@ def serialize_network(net: FinancialNetwork) -> str:
             if net.liabilities[i][j] != 0
         ],
     }
-    return json.dumps(doc, indent=2)
+
+
+def serialize_network(net: FinancialNetwork) -> str:
+    """Emit the JSON document format; exact round-trip in rational mode."""
+    return json.dumps(_document(net), indent=2)
 
 
 # -- CSV alternative: one id,cash file and one from,to,amount file -------------
 
+#: the columns of each CSV table, named by its list in the JSON document
+_CSV_COLUMNS = {"banks": ["id", "cash"], "liabilities": ["from", "to", "amount"]}
+
+
+def _read_csv_table(text: str, table: str) -> list[dict[str, str]]:
+    """The entries of one CSV table, as in the JSON document: blank rows and an
+    optional header dropped, each row's width checked and its cells stripped."""
+    columns = _CSV_COLUMNS[table]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise ParseError(f"invalid CSV: {exc}") from exc
+    if rows and [c.strip().lower() for c in rows[0]] == columns:
+        rows = rows[1:]
+    for row in rows:
+        if len(row) != len(columns):
+            raise SchemaError(f"{table} CSV row needs {','.join(columns)}: {row!r}")
+    return [{c: cell.strip() for c, cell in zip(columns, row)} for row in rows]
+
 
 def parse_network_csv(banks_text: str, liabilities_text: str, mode: str = RATIONAL) -> FinancialNetwork:
     check_mode(mode)
-    try:
-        bank_rows = list(csv.reader(io.StringIO(banks_text)))
-        liab_rows = list(csv.reader(io.StringIO(liabilities_text)))
-    except csv.Error as exc:
-        raise ParseError(f"invalid CSV: {exc}") from exc
-    bank_rows = [row for row in bank_rows if row and any(cell.strip() for cell in row)]
-    liab_rows = [row for row in liab_rows if row and any(cell.strip() for cell in row)]
-    if bank_rows and [c.strip().lower() for c in bank_rows[0]] == ["id", "cash"]:
-        bank_rows = bank_rows[1:]
-    if liab_rows and [c.strip().lower() for c in liab_rows[0]] == ["from", "to", "amount"]:
-        liab_rows = liab_rows[1:]
-    if not bank_rows:
+    banks = _read_csv_table(banks_text, "banks")
+    if not banks:
         raise SchemaError("banks CSV has no data rows")
-    banks = []
-    for row in bank_rows:
-        if len(row) != 2:
-            raise SchemaError(f"banks CSV row needs id,cash: {row!r}")
-        banks.append({"id": row[0].strip(), "cash": row[1].strip()})
-    liabilities = []
-    for row in liab_rows:
-        if len(row) != 3:
-            raise SchemaError(f"liabilities CSV row needs from,to,amount: {row!r}")
-        liabilities.append(
-            {"from": row[0].strip(), "to": row[1].strip(), "amount": row[2].strip()}
-        )
+    liabilities = _read_csv_table(liabilities_text, "liabilities")
     return network_from_document({"banks": banks, "liabilities": liabilities}, mode)
 
 
 def serialize_network_csv(net: FinancialNetwork) -> tuple[str, str]:
-    banks_out = io.StringIO()
-    writer = csv.writer(banks_out, lineterminator="\n")
-    writer.writerow(["id", "cash"])
-    for i in range(net.n):
-        writer.writerow([net.ids[i], scalar_to_json(net.cash[i])])
-    liab_out = io.StringIO()
-    writer = csv.writer(liab_out, lineterminator="\n")
-    writer.writerow(["from", "to", "amount"])
-    for i in range(net.n):
-        for j in range(net.n):
-            if net.liabilities[i][j] != 0:
-                writer.writerow([net.ids[i], net.ids[j], scalar_to_json(net.liabilities[i][j])])
-    return banks_out.getvalue(), liab_out.getvalue()
+    doc = _document(net)
+    texts = []
+    for table, columns in _CSV_COLUMNS.items():
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([entry[c] for c in columns] for entry in doc[table])
+        texts.append(out.getvalue())
+    return texts[0], texts[1]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidParamsError, NoConvergenceError, OutOfRangeError, VerificationFailedError
-from .flow import ClearingResult, _greatest_fixed_point, balance_rates
+from .flow import ClearingResult, FDTrace, _greatest_fixed_point, balance_rates
 from .markov import (
     SwampDecomposition,
     decompose_nonactive,
@@ -35,24 +35,6 @@ PICARD_TOL = Fraction(1, 10**12)
 PICARD_TOL_FLOAT = 1e-12
 #: hard ceiling on iteration counts regardless of instance size
 PICARD_MAX_CAP = 2_000_000
-
-
-@dataclass(frozen=True)
-class FDTrace:
-    """Audit trail of the fictitious-defaults iteration.
-
-    `iterates[k]` is the payment vector after k applications of the clamped
-    map, `default_sets[k]` the defaulting set it induces, and `solves` the
-    (set, input, solution) triple of each restricted linear solve.
-    """
-
-    iterates: tuple[tuple[Scalar, ...], ...]
-    default_sets: tuple[frozenset[int], ...]
-    solves: tuple[tuple[tuple[int, ...], tuple[Scalar, ...], tuple[Scalar, ...]], ...]
-
-    @property
-    def outer_iterations(self) -> int:
-        return len(self.iterates) - 1
 
 
 @dataclass(frozen=True)
@@ -125,7 +107,12 @@ def phi(net: FinancialNetwork, p: Sequence[Scalar]) -> list[Scalar]:
             raise OutOfRangeError(
                 f"payment {x} for bank {i} outside [0, {net.total_debt[i]}]"
             )
-    received, _ = balance_rates(net, p)
+    return _clamp(net, p)
+
+
+def _clamp(net: FinancialNetwork, p: Sequence[Scalar]) -> list[Scalar]:
+    """min(c + Q^T p, b), with no check of p."""
+    received = balance_rates(net, p)
     return [min(net.cash[i] + received[i], net.total_debt[i]) for i in range(net.n)]
 
 
@@ -144,7 +131,7 @@ def result_from_payments(
     """Wrap a known clearing vector in a result, deriving the final partition
     and cash positions it implies."""
     tol = net.zero_tol
-    received, _ = balance_rates(net, p)
+    received = balance_rates(net, p)
     final_cash = tuple(net.cash[i] + received[i] - p[i] for i in range(net.n))
     partition = Partition(
         tuple(
@@ -175,15 +162,10 @@ def fictitious_defaults(net: FinancialNetwork) -> tuple[ClearingResult, FDTrace]
     the restrictions transient on networks with swamps.
     """
     zero, _ = zero_one(net.mode)
-    iterates, default_sets, solves = _greatest_fixed_point(
+    trace = _greatest_fixed_point(
         net, net.active, net.cash, net.total_debt, [zero] * net.n, net.zero_tol
     )
-    trace = FDTrace(
-        iterates=tuple(iterates),
-        default_sets=tuple(default_sets),
-        solves=tuple(solves),
-    )
-    return result_from_payments(net, iterates[-1], "fd"), trace
+    return result_from_payments(net, trace.iterates[-1], "fd"), trace
 
 
 def _default_cap(net: FinancialNetwork) -> int:
@@ -224,18 +206,14 @@ def picard_iterate(
     if not 0 <= tol < math.inf:
         raise InvalidParamsError(f"tol must be finite and nonnegative, got {tol}")
 
-    def clamp(p: list[Scalar]) -> list[Scalar]:
-        received, _ = balance_rates(net, p)
-        return [min(net.cash[i] + received[i], net.total_debt[i]) for i in range(net.n)]
-
     p = list(net.total_debt)
     for _ in range(max_iter):
-        nxt = clamp(p)
+        nxt = _clamp(net, p)
         if max(abs(x - y) for x, y in zip(nxt, p)) <= tol:
             if not rational:
                 # settle the last few bits so reruns are reproducible
                 for _ in range(200):
-                    settled = clamp(nxt)
+                    settled = _clamp(net, nxt)
                     if settled == nxt:
                         break
                     nxt = settled
@@ -301,7 +279,7 @@ def bailout_vector(net: FinancialNetwork) -> BailoutPlan:
             unpaid=tuple(unpaid), injections=tuple(unpaid), verified=True, seed_required=()
         )
 
-    received, _ = balance_rates(net, net.total_debt)
+    received = balance_rates(net, net.total_debt)
     injections = [zero] * net.n
     boosted_cash = list(net.cash)
     for i in defaults:

@@ -117,7 +117,7 @@ def flow_bailout(net: cf.FinancialNetwork) -> cf.BailoutPlan:
         unpaid[i] = net.total_debt[i] - base.payments[i]
     if not defaults:
         return cf.BailoutPlan(tuple(unpaid), tuple(unpaid), True, ())
-    received, _ = cf.balance_rates(net, net.total_debt)
+    received = cf.balance_rates(net, net.total_debt)
     injections = [zero] * net.n
     boosted_cash = list(net.cash)
     for i in defaults:

@@ -466,6 +466,23 @@ class TestCompare:
         assert code == 2 and out == ""
         assert err.startswith("error: --count must be nonnegative")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tol_compare_exit_code(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "compare", "--count", "3", "--n", "4", "--tol-compare", tol
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --tol-compare must be finite and nonnegative, got {float(tol)}\n"
+
+    def test_drift_reported(self, capsys):
+        # seed 0 drifts from picard by about 1e-16, above a zero tolerance
+        code, out, err = run_cli(
+            capsys, "compare", "--count", "3", "--n", "4", "--tol-compare", "0"
+        )
+        assert code == 3
+        assert json.loads(out)["failures"] >= 1
+        assert err.startswith("instance seed=0: flow/fd match=True, picard drift=")
+
 
 class TestOutputFile:
     def test_out_flag(self, capsys, tmp_path, net_1b_path):

@@ -128,6 +128,11 @@ class TestFundamentalSolve:
         with pytest.raises(NegativeInputError):
             cf.fundamental_solve(sub, [F(-1), 0])
 
+    def test_wrong_length_input_rejected(self, net_1a):
+        sub = cf.restrict(net_1a.relative, [0, 1])
+        with pytest.raises(IndexOutOfRangeError, match="input vector has length 1, expected 2"):
+            cf.fundamental_solve(sub, [0])
+
     def test_singular_rejected(self, net_1c):
         sub = cf.restrict(net_1c.relative, [1, 2, 3])
         with pytest.raises(SingularSystemError):

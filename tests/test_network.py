@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -38,6 +40,16 @@ class TestBuildNetwork:
         ]
         q_t = [[net_1a.relative[j][i] for j in range(5)] for i in range(5)]
         assert q_t == q_t_expected
+
+    def test_negative_zero_cash_is_stored_as_zero(self):
+        net = cf.build_network([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [1.0, 0.0, -0.0], mode="float")
+        assert math.copysign(1.0, net.cash[2]) == 1.0
+        parsed = cf.parse_network(cf.serialize_network(net), mode="float")
+        assert repr(cf.run_flow(net).final_cash) == repr(cf.run_flow(parsed).final_cash)
+
+    def test_total_cash(self, net_1a):
+        assert net_1a.total_cash == sum(net_1a.cash)
+        assert dataclasses.replace(net_1a, cash=(1,) * 5).total_cash == 5
 
     def test_zero_debt_rows_become_self_loops(self):
         net = cf.build_network([[0, 0], [0, 0]], [1, 2])
@@ -403,6 +415,19 @@ class TestInputErrors:
             with pytest.raises(InvalidParamsError) as info:
                 call()
             assert str(info.value) == message
+
+
+class TestGenerate:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"density": 0}, "density must lie in (0, 1], got 0"),
+        ({"density": 1.5}, "density must lie in (0, 1], got 1.5"),
+        ({"cash_scale": "-1/2"}, "cash_scale must be nonnegative, got -1/2"),
+    ])
+    def test_invalid_params_rejected(self, kwargs, message):
+        params = {"seed": 1, "n": 3, "density": 0.5, **kwargs}
+        with pytest.raises(InvalidParamsError) as info:
+            cf.generate_network(**params)
+        assert str(info.value) == message
 
 
 class TestConvert:

@@ -35,6 +35,11 @@ class TestPhi:
             cf.phi(net_1a, (0, 0, 0, -1, 0))
 
 
+    def test_wrong_length_rejected(self, net_1a):
+        with pytest.raises(OutOfRangeError, match="payment vector has length 4, expected 5"):
+            cf.phi(net_1a, (0, 0, 0, 0))
+
+
 class TestVerifyClearing:
     def test_flow_solution_has_zero_residual(self, net_1a):
         assert cf.verify_clearing(net_1a, cf.run_flow(net_1a).payments) == 0
@@ -63,6 +68,10 @@ class TestFictitiousDefaults:
         assert trace.solves[1][1] == (eps + F(1, 3), eps, eps)
         assert result.payments == (1, 6 * eps + F(2, 3), 4 * eps + F(1, 3), 5 * eps + F(1, 3), 0)
         assert trace.outer_iterations == 3
+
+    def test_trace_type_resolves_from_each_module(self, net_1a):
+        _, trace = cf.fictitious_defaults(net_1a)
+        assert type(trace) is cf.FDTrace is solvers.FDTrace is flow.FDTrace
 
     def test_fully_funded_one_application(self):
         net = cf.build_network([[0, 1], [1, 0]], [2, 2])
@@ -135,6 +144,20 @@ class TestPicard:
         net = cf.build_network(liabilities, cash, mode=cf.FLOAT)
         assert solvers._default_cap(net) == solvers.PICARD_MAX_CAP
         assert cf.picard_iterate(net) == expected
+
+    def test_float_tol_in_rational_mode(self, net_1a):
+        assert cf.picard_iterate(net_1a, tol=0.5) == cf.picard_iterate(net_1a, tol=F(1, 2))
+
+    def test_default_cap_without_positive_amounts(self):
+        assert solvers._default_cap(cf.build_network([[0, 0], [0, 0]], [0, 0])) == 20
+
+    def test_empty_network(self):
+        net = cf.build_network([], [])
+        assert cf.picard_iterate(net) == []
+        assert cf.run_flow(net).payments == ()
+        result, trace = cf.fictitious_defaults(net)
+        assert result.payments == ()
+        assert trace.iterates == ((), ())
 
     def test_iteration_cap_reported(self, net_1a):
         with pytest.raises(NoConvergenceError):
