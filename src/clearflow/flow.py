@@ -14,6 +14,10 @@ greatest fixed point of the clamped rate map r = min(1, Q^T r), computed
 exactly by the same fictitious-defaults loop that gives `solvers` its
 clearing payments, instead of by numeric probing.
 
+Every pass over the proportion matrix walks each bank's nonzero entries
+(`FinancialNetwork.shares`): the in-rates scatter each paying row, and the
+zero group's input gathers the entries the positive banks owe it.
+
 Nonactive banks (no cash and unreachable from any cash along debt edges)
 never move money: the active set is fixed for the whole run
 (`FinancialNetwork.active`), the zero-group solve covers the group's active
@@ -120,15 +124,16 @@ def balance_rates(net: FinancialNetwork, out: Sequence[Scalar]) -> tuple[Scalar,
     out-rates.
 
     The one Q^T p kernel: the clamped payment map and the final cash of a
-    payment vector use it too, with payments in place of rates.
+    payment vector use it too, with payments in place of rates. Each paying
+    bank's row is scattered over its nonzero entries (`net.shares`), so each
+    in-rate sums its terms in the order of the payers.
     """
     zero, _ = zero_one(net.mode)
     inflow = [zero] * net.n
     for j, rate in enumerate(out):
         if rate:
-            for i, q in enumerate(net.relative[j]):
-                if q:
-                    inflow[i] += rate * q
+            for i, q in net.shares[j]:
+                inflow[i] += rate * q
     return tuple(inflow)
 
 
@@ -153,7 +158,14 @@ def equilibrium_rates(
         out[i] = one
     solve_set = sorted(partition.zero & net.active)
     if solve_set:
-        e = [sum((net.relative[j][i] for j in partition.positive), zero) for i in solve_set]
+        # e_i = sum of q_ji over the positive banks j, in the order of
+        # `partition.positive`, scattered from their rows
+        terms: dict[int, list[Scalar]] = {i: [] for i in solve_set}
+        for j in partition.positive:
+            for i, q in net.shares[j]:
+                if i in terms:
+                    terms[i].append(q)
+        e = [sum(terms[i], zero) for i in solve_set]
         try:
             v = factor.solve(solve_set, e)
         except SingularSystemError as exc:
@@ -163,7 +175,7 @@ def equilibrium_rates(
         for k, i in enumerate(solve_set):
             out[i] = v[k]
     inflow = balance_rates(net, out)
-    balance = tuple(inflow[i] - out[i] for i in range(net.n))
+    balance = tuple([x - rate if rate else x for x, rate in zip(inflow, out)])
     return IntervalRates(out=tuple(out), inflow=inflow, balance=balance)
 
 

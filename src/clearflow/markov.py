@@ -10,7 +10,9 @@ a bank set that no positive entry leaves, the groups money can never
 leave. It decides all three graph questions: a set is transient when it
 holds no such group (`is_transient`), the swamps are such groups of the
 liabilities (`closed_classes`), and a set is ergodic when it is one such
-group (`invariant_distribution`).
+group (`invariant_distribution`). The swamp search follows the network's
+sparse rows (`FinancialNetwork.shares`); the other two follow the
+positive entries of their restriction's parent.
 
 Every linear system the package solves is one balance system: for a square
 matrix M with diagonal weights d (the liabilities with the total debts, or
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     EmptySetError,
@@ -120,7 +122,7 @@ def is_transient(sub: SubMatrix) -> bool:
     exactly when it holds no closed group (`_closed_groups`). Equivalent to
     invertibility of (I - Q_B) but exact and cheap in both scalar modes.
     """
-    return not _closed_groups(sub.parent, sub.index)
+    return not _closed_groups(_positive_successors(sub.parent), sub.index)
 
 
 def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar]:
@@ -338,20 +340,25 @@ def active_set(net: FinancialNetwork) -> frozenset[int]:
     return net.active
 
 
+def _positive_successors(matrix: Sequence[Sequence[Scalar]]) -> Callable[[int], list[int]]:
+    """Successors by the positive off-diagonal entries of a dense `matrix`."""
+    return lambda i: [j for j, x in enumerate(matrix[i]) if x > 0 and j != i]
+
+
 def _closed_groups(
-    matrix: Sequence[Sequence[Scalar]], banks: Iterable[int]
+    successors: Callable[[int], Iterable[int]], banks: Iterable[int]
 ) -> list[tuple[int, ...]]:
-    """The strongly connected groups of `banks`, linked by positive
-    off-diagonal entries of `matrix`, that no positive entry leaves: the
-    groups money can never leave. Sorted tuples, in the order an iterative
-    Tarjan search over the sorted banks completes them.
+    """The strongly connected groups of `banks`, linked by `successors` (the
+    banks that bank i's positive off-diagonal entries point to), that no
+    link leaves: the groups money can never leave. Sorted tuples, in the
+    order an iterative Tarjan search over the sorted banks completes them.
 
     A positive self-entry neither links nor leaves, so a bank whose only
     positive entry is its own (a debt-free bank of `relative`) is a group.
     """
     nodes = sorted(banks)
     inside = set(nodes)
-    targets = {i: [j for j, x in enumerate(matrix[i]) if x > 0 and j != i] for i in nodes}
+    targets = {i: successors(i) for i in nodes}
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     stack: list[int] = []
@@ -396,7 +403,7 @@ def closed_classes(net: FinancialNetwork, banks: set[int]) -> list[tuple[int, ..
     """Strongly connected groups within `banks` that have no debt edge leaving
     the group at all (so money can only circulate inside); indebted
     singletons can never be closed (no self-debt)."""
-    return _closed_groups(net.liabilities, banks)
+    return _closed_groups(lambda i: [j for j, _ in net.shares[i] if j != i], banks)
 
 
 def decompose_nonactive(net: FinancialNetwork) -> SwampDecomposition:
@@ -419,7 +426,7 @@ def decompose_nonactive(net: FinancialNetwork) -> SwampDecomposition:
 def invariant_distribution(sub: SubMatrix) -> InvariantDistribution:
     """Unique probability vector pi with pi = Q_B^T pi for an ergodic restriction:
     one closed group that is the whole support."""
-    groups = _closed_groups(sub.parent, sub.index)
+    groups = _closed_groups(_positive_successors(sub.parent), sub.index)
     if not groups:
         # a transient set: some member has a positive entry leaving it
         inside = set(sub.index)

@@ -5,6 +5,12 @@ bank j), the cash vector, and two derived objects: the total-debt vector and
 the row-stochastic matrix of debt proportions. Banks with no debt get a unit
 self-loop in the proportion matrix so that every row sums to one.
 
+Interbank networks are sparse: a bank owes a few others among n. So each
+network also holds, once, every bank's nonzero proportion entries
+(`FinancialNetwork.shares`), and every pass over the rows (the Q^T p
+kernel, the active set, the graph search for swamps) walks those lists.
+The dense `liabilities` and `relative` fields remain, with the same values.
+
 Both input forms, a dense matrix (`build_network`) and a document of
 (from, to, amount) entries (JSON or CSV), go through one entry validator,
 which reads and checks each amount once, before repeated pairs are summed.
@@ -23,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -82,8 +89,9 @@ class FinancialNetwork:
     """Immutable liability network with derived total debts and proportions.
 
     `relative[i][j]` is the share of bank i's total debt owed to j; rows of
-    `relative` sum to one exactly in rational mode. Bank ids are only used at
-    the serialization boundary; all internal indexing is positional.
+    `relative` sum to one exactly in rational mode. `shares[i]` lists the
+    nonzero entries of row i. Bank ids are only used at the serialization
+    boundary; all internal indexing is positional.
     """
 
     liabilities: tuple[tuple[Scalar, ...], ...]
@@ -114,6 +122,18 @@ class FinancialNetwork:
         return sum(self.cash)
 
     @cached_property
+    def shares(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+        """Each bank's nonzero proportion entries (j, q_ij), j ascending: its
+        creditors, from the nonzero pattern of `liabilities`, or the unit
+        self-entry of a debt-free bank."""
+        columns = range(self.n)
+        rows = []
+        for i, (debts, relative) in enumerate(zip(self.liabilities, self.relative)):
+            creditors = list(compress(columns, debts)) or [i]
+            rows.append(tuple([(j, relative[j]) for j in creditors]))
+        return tuple(rows)
+
+    @cached_property
     def active(self) -> frozenset[int]:
         """Banks that move money: positive-cash banks plus, transitively, every
         creditor of an already active debtor. Every payment starts from cash
@@ -122,9 +142,8 @@ class FinancialNetwork:
         frontier = [i for i in range(self.n) if self.cash[i] > tol]
         active = set(frontier)
         while frontier:
-            i = frontier.pop()
-            for j, x in enumerate(self.liabilities[i]):
-                if x and j not in active:
+            for j, _ in self.shares[frontier.pop()]:
+                if j not in active:
                     active.add(j)
                     frontier.append(j)
         return frozenset(active)
@@ -286,8 +305,8 @@ def _document(net: FinancialNetwork) -> dict:
         "liabilities": [
             {"from": net.ids[i], "to": net.ids[j], "amount": scalar_to_json(net.liabilities[i][j])}
             for i in range(net.n)
-            for j in range(net.n)
-            if net.liabilities[i][j] != 0
+            for j, _ in net.shares[i]
+            if j != i
         ],
     }
 

@@ -118,8 +118,17 @@ def _fraction_from_str(text: str) -> Fraction:
 
 
 def scalar_to_json(x: Scalar):
-    """Serialize one scalar: "p/q" string for Fractions, number for floats."""
+    """Serialize one scalar: "p/q" string for Fractions, number for floats.
+
+    `str` refuses integers past Python's digit limit (`MAX_AMOUNT_DIGITS`),
+    which exact arithmetic can reach; their digits are written through
+    `Decimal`, which that limit does not bind.
+    """
     if isinstance(x, Fraction):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:
+            numerator = str(Decimal(x.numerator))
+            return numerator if x.denominator == 1 else f"{numerator}/{Decimal(x.denominator)}"
     return x
 

@@ -169,7 +169,9 @@ def fictitious_defaults(net: FinancialNetwork) -> tuple[ClearingResult, FDTrace]
 
 
 def _default_cap(net: FinancialNetwork) -> int:
-    positives = [x for row in net.liabilities for x in row if x > 0]
+    positives = [
+        net.liabilities[i][j] for i, row in enumerate(net.shares) for j, _ in row if j != i
+    ]
     positives += [c for c in net.cash if c > 0]
     if not positives:
         return 10 * max(net.n, 1)

@@ -21,6 +21,8 @@ max(0, b - c - L^T 1) on top of its cash, and no less.
 
 `dense_proportions` derives total debts and proportions the plain way, with
 every entry of every row summed and divided, zeros included.
+`dense_balance_rates` is the Q^T p kernel over every cell of the dense
+proportion rows, zeros skipped, in the order the library's sparse rows keep.
 
 `reachability_transient` is the transience test walked backwards from the
 states with an exit: every state must reach one.
@@ -104,6 +106,18 @@ def dense_proportions(net: cf.FinancialNetwork) -> tuple[tuple, tuple]:
         else:
             relative.append(tuple(one if j == i else zero for j in range(net.n)))
     return tuple(relative), total
+
+
+def dense_balance_rates(net: cf.FinancialNetwork, out) -> tuple:
+    """In-rates Q^T out, scanning all n cells of each paying row of `relative`."""
+    zero, _ = zero_one(net.mode)
+    inflow = [zero] * net.n
+    for j, rate in enumerate(out):
+        if rate:
+            for i, q in enumerate(net.relative[j]):
+                if q:
+                    inflow[i] += rate * q
+    return tuple(inflow)
 
 
 def flow_bailout(net: cf.FinancialNetwork) -> cf.BailoutPlan:

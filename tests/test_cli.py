@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -419,6 +420,25 @@ class TestTrace:
         assert lines[0]["time"] == "1/18"
         assert lines[-1]["time"] == "1"
         assert lines[0]["transitions"] == [{"id": "3", "from": "positive", "to": "zero"}]
+
+    def test_amounts_past_the_digit_limit(self, capsys, tmp_path):
+        # a's cash after paying in full has a denominator of 6001 digits,
+        # past the limit of str(int); the digits still print exactly
+        cash, debt = F(1, 10**3000 + 1), F(1, 10**3000 + 3)
+        doc = {
+            "banks": [{"id": "a", "cash": f"1/{10**3000 + 1}"}, {"id": "b", "cash": "0"}],
+            "liabilities": [{"from": "a", "to": "b", "amount": f"1/{10**3000 + 3}"}],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "trace", str(path))
+        assert code == 0
+        [line] = [json.loads(line) for line in out.strip().splitlines()]
+        left = cash - debt
+        assert left.denominator > 10**4300
+        numerator, denominator = line["cash"][0].split("/")
+        assert (Decimal(numerator), Decimal(denominator)) == (left.numerator, left.denominator)
+        assert line["cash"][1] == f"1/{10**3000 + 3}"
 
 
 class TestGen:

@@ -10,8 +10,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 import clearflow as cf
 from clearflow.errors import NonTransientZeroGroupError
+from clearflow.markov import ZeroGroupFactor
+from clearflow.scalars import zero_one
 from conftest import swampy_network, with_cash
-from oracles import flow_bailout, least_injection, reachability_transient
+from oracles import (
+    dense_balance_rates,
+    dense_proportions,
+    flow_bailout,
+    least_injection,
+    reachability_transient,
+)
 
 #: float payments agree with exact ones to this fraction of the largest debt
 FLOAT_PAYMENT_TOL = 1e-9
@@ -418,3 +426,81 @@ def test_float_bailout_and_family_match_flow(seed, n):
     assert defaulters == [i for i, k in enumerate(reference.unpaid) if k > 0]
     assert cf.fictitious_defaults(net)[0].defaults == flow_result.defaults
     assert plan.seed_required == reference.seed_required
+
+
+# -- sparse rows: each network's nonzero proportion entries -------------------
+
+
+@st.composite
+def spread_networks(draw, mode):
+    """Up to 8 banks, some debt-free, some cashless; float amounts spread
+    over 10^-6 to 10^6."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    if mode == cf.RATIONAL:
+        amount = positive_amounts
+    else:
+        amount = st.floats(min_value=-6, max_value=6).map(lambda k: 10**k)
+    debt_free = draw(st.sets(st.integers(0, n - 1)))
+    liabilities = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and i not in debt_free and draw(st.booleans()):
+                liabilities[i][j] = draw(amount)
+    cash = [draw(st.one_of(st.just(0), amount)) for _ in range(n)]
+    return cf.build_network(liabilities, cash, mode=mode)
+
+
+class RecordingFactor(ZeroGroupFactor):
+    """The flow's factor, keeping the (set, input) of every solve."""
+
+    def __init__(self, net):
+        super().__init__(net.liabilities, net.total_debt, net.mode)
+        self.inputs = []
+
+    def solve(self, banks, e):
+        self.inputs.append((tuple(banks), tuple(e)))
+        return super().solve(banks, e)
+
+
+def check_sparse_rows(net, partitions, outs):
+    """The rows are the nonzero pattern of the dense proportions; the in-rates
+    and each zero group's input equal their dense sums, by repr."""
+    relative, _ = dense_proportions(net)
+    pattern = tuple(tuple((j, q) for j, q in enumerate(row) if q) for row in relative)
+    assert repr(net.shares) == repr(pattern)
+    for out in outs:
+        assert repr(cf.balance_rates(net, out)) == repr(dense_balance_rates(net, out))
+    zero, _ = zero_one(net.mode)
+    for partition in partitions:
+        factor = RecordingFactor(net)
+        try:
+            cf.equilibrium_rates(net, partition, factor)
+        except NonTransientZeroGroupError:
+            pass
+        solve_set = tuple(sorted(partition.zero & net.active))
+        e = tuple(sum((net.relative[j][i] for j in partition.positive), zero) for i in solve_set)
+        assert repr(factor.inputs) == repr([(solve_set, e)] if solve_set else [])
+
+
+@given(st.sampled_from([cf.RATIONAL, cf.FLOAT]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_sparse_rows_match_dense_scans(mode, data):
+    net = data.draw(spread_networks(mode))
+    statuses = st.sampled_from(list(cf.Status))
+    partitions = [cf.Partition(tuple(data.draw(statuses) for _ in range(net.n)))]
+    convert = F if mode == cf.RATIONAL else float
+    rates = st.one_of(st.just(0), positive_amounts).map(convert)
+    drawn = tuple(data.draw(rates) for _ in range(net.n))
+    check_sparse_rows(net, partitions, [net.total_debt, net.cash, drawn])
+
+
+@pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+def test_sparse_rows_match_dense_scans_on_swamp_networks(mode):
+    for seed in range(30):
+        net = swampy_network(seed, mode)
+        result = cf.run_flow(net)
+        partitions = [cf.big_bang_partition(net)[0]]
+        partitions += [event.state_after.partition for event in result.trajectory]
+        outs = [net.total_debt, result.payments]
+        outs += [event.rates.out for event in result.trajectory]
+        check_sparse_rows(net, partitions, outs)

@@ -93,6 +93,62 @@ def mode_decisions(path: Path) -> list[str]:
     return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
 
 
+#: the dense fields of a network whose rows only `network.py` walks
+DENSE_FIELDS = ("liabilities", "relative")
+
+#: calls that iterate their arguments
+ITERATING_CALLS = {
+    "all", "any", "compress", "enumerate", "filter", "frozenset", "list", "map", "max",
+    "min", "reversed", "set", "sorted", "sum", "tuple", "zip",
+}
+
+
+def dense_row_walks(path: Path) -> list[str]:
+    """Places where a module iterates a network's dense matrix or one of its
+    rows (`x.relative`, `x.liabilities[i]`): as the iterable of a `for` or a
+    comprehension, or as an argument of a call that iterates it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def walks(node: ast.AST) -> bool:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        if isinstance(node, ast.Attribute):
+            return node.attr in DENSE_FIELDS
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ITERATING_CALLS:
+            return any(walks(arg) for arg in node.args)
+        return False
+
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)) and walks(node.iter):
+            lines.add(node.iter.lineno)
+        elif isinstance(node, ast.Call) and walks(node):
+            lines.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_only_network_walks_dense_rows():
+    # every pass over a network's rows walks its sparse lists,
+    # FinancialNetwork.shares, which network.py builds from the dense fields
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "network.py"]
+    assert [entry for path in modules for entry in dense_row_walks(path)] == []
+
+
+def test_dense_row_walk_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def f(net, j):\n"
+        "    for i, q in enumerate(net.relative[j]):\n"
+        "        pass\n"
+        "    rows = [x for row in net.liabilities for x in row]\n"
+        "    total = sum(net.liabilities[j]) + max(zip(net.relative[0], rows))\n"
+        "    return net.relative[j][0], restrict(net.relative, [j]), len(net.liabilities)\n"
+        "def g(net):\n"
+        "    return [q for _, q in net.shares[0]], [net.liabilities[i][0] for i in range(2)]\n"
+    )
+    assert dense_row_walks(module) == ["sample.py:2", "sample.py:4", "sample.py:5"]
+
+
 def test_flow_makes_no_mode_decision():
     # the flow runs one code path; modes differ only through the network's
     # zero_rel and zero_tol and the scalars' zero_one
