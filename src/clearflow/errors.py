@@ -64,6 +64,10 @@ class NegativeInputError(ValidationError):
     """Input vector to a solve must be componentwise nonnegative."""
 
 
+class RowSumError(ValidationError):
+    """A row of a matrix taken as proportions does not sum to one."""
+
+
 class NotErgodicError(ValidationError):
     """Submatrix is not a closed, single communicating class."""
 

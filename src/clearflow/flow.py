@@ -15,8 +15,16 @@ exactly by the same fictitious-defaults loop that gives `solvers` its
 clearing payments, instead of by numeric probing.
 
 Every pass over the proportion matrix walks each bank's nonzero entries
-(`FinancialNetwork.shares`): the in-rates scatter each paying row, and the
-zero group's input gathers the entries the positive banks owe it.
+(`FinancialNetwork.shares`). The in-rates of an interval, and of a
+fictitious-defaults round, come in two parts from the factor that solves
+it. The held banks (the positive ones in the flow, those at their cap in
+fd) give Q^T h, which is also the solve's input on the zero group; the
+solved banks give the rest. In rational mode the factor carries Q^T h from
+call to call, moving it by one row when a bank leaves the held set, and
+forms the solved part from the integers of its solve, so no
+O(n m) `Fraction` sum is built. In float mode `markov.in_rates` sums both
+afresh: the input in the order of the held banks, the in-rates bank by
+bank in index order.
 
 Nonactive banks (no cash and unreachable from any cash along debt edges)
 never move money: the active set is fixed for the whole run
@@ -50,7 +58,7 @@ from .errors import (
     SingularSystemError,
     StalledError,
 )
-from .markov import ZeroGroupFactor
+from .markov import ZeroGroupFactor, in_rates
 from .network import FinancialNetwork, Partition, Status, initial_partition
 from .scalars import Scalar, scalar_to_json, zero_one
 
@@ -121,20 +129,12 @@ def _network_factor(
 
 def balance_rates(net: FinancialNetwork, out: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """In-rates Q^T out: the columns of the proportion matrix applied to the
-    out-rates.
+    out-rates, by `markov.in_rates` over every bank in index order.
 
-    The one Q^T p kernel: the clamped payment map and the final cash of a
-    payment vector use it too, with payments in place of rates. Each paying
-    bank's row is scattered over its nonzero entries (`net.shares`), so each
-    in-rate sums its terms in the order of the payers.
+    The clamped payment map, Picard and the final cash of a payment vector
+    use it, with payments in place of rates.
     """
-    zero, _ = zero_one(net.mode)
-    inflow = [zero] * net.n
-    for j, rate in enumerate(out):
-        if rate:
-            for i, q in net.shares[j]:
-                inflow[i] += rate * q
-    return tuple(inflow)
+    return tuple(in_rates(net, range(net.n), out))
 
 
 def equilibrium_rates(
@@ -147,8 +147,10 @@ def equilibrium_rates(
 
     The system is solvable exactly when those members form a transient set;
     during a well-formed run that is guaranteed. It is solved by `factor`,
-    which is left on this interval's set for the next one; a fresh factor
-    when none is given.
+    a factor of the network's liabilities over every bank, which is left on
+    this interval's set and held rates for the next one; a fresh factor
+    when none is given. The factor gives the input e (what the positive
+    banks pay each member) and the in-rates Q^T out.
     """
     if factor is None:
         factor = _network_factor(net)
@@ -157,15 +159,10 @@ def equilibrium_rates(
     for i in partition.positive:
         out[i] = one
     solve_set = sorted(partition.zero & net.active)
+    # e_i = sum of q_ji over the positive banks j, in the order of
+    # `partition.positive`
+    e = factor.held_inflow(net, partition.positive, out, solve_set)
     if solve_set:
-        # e_i = sum of q_ji over the positive banks j, in the order of
-        # `partition.positive`, scattered from their rows
-        terms: dict[int, list[Scalar]] = {i: [] for i in solve_set}
-        for j in partition.positive:
-            for i, q in net.shares[j]:
-                if i in terms:
-                    terms[i].append(q)
-        e = [sum(terms[i], zero) for i in solve_set]
         try:
             v = factor.solve(solve_set, e)
         except SingularSystemError as exc:
@@ -174,7 +171,7 @@ def equilibrium_rates(
             ) from exc
         for k, i in enumerate(solve_set):
             out[i] = v[k]
-    inflow = balance_rates(net, out)
+    inflow = tuple(factor.inflow(net, out))
     balance = tuple([x - rate if rate else x for x, rate in zip(inflow, out)])
     return IntervalRates(out=tuple(out), inflow=inflow, balance=balance)
 
@@ -225,8 +222,9 @@ def step(
     debt, cash, paid = list(state.remaining_debt), list(state.cash), list(state.paid)
     for i in range(net.n):
         if out[i]:
-            debt[i] -= out[i] * t_prime
-            paid[i] += out[i] * t_prime
+            moved = out[i] * t_prime
+            debt[i] -= moved
+            paid[i] += moved
         if balance[i]:
             cash[i] += balance[i] * t_prime
     for kind, banks, amount in (("debt", paying, debt), ("cash", draining, cash)):
@@ -305,9 +303,11 @@ def _greatest_fixed_point(
     x = base + Q^T x exactly on that short set, the rest of `banks` at cap.
     The short set only grows, so this stops within |banks| rounds, and one
     factor, scaled over `banks`, serves every round by bordering the banks
-    new to the set. It never holds a closed group fed from outside: the
-    members' in-rates sum to their out-rates plus the feed, so one of them
-    stays at its cap.
+    new to the set. It also gives each round's in-rates: the held part, Q^T
+    applied to the start with the short set zeroed (the solve's input, less
+    `base`), and the short set's part from its solve. It never holds a closed group
+    fed from outside: the members' in-rates sum to their out-rates plus the
+    feed, so one of them stays at its cap.
 
     Returns the trace: the iterates (the start, then each clamp), the short
     set of each clamp and the (set, input, solution) triple of each solve.
@@ -322,8 +322,10 @@ def _greatest_fixed_point(
     x = start
     previous: frozenset[int] = frozenset()
     factor = _network_factor(net, banks)
+    everyone = range(net.n)
+    factor.held_inflow(net, everyone, start, ())
     while True:
-        received = balance_rates(net, x)
+        received = factor.inflow(net, x)
         x = list(held)
         for i in banks:
             x[i] = min(base[i] + received[i], cap[i])
@@ -339,9 +341,9 @@ def _greatest_fixed_point(
         fed = list(start)
         for i in short:
             fed[i] = zero
-        inflow = balance_rates(net, fed)
         solve_set = sorted(short)
-        e = [base[i] + inflow[i] for i in solve_set]
+        inflow = factor.held_inflow(net, everyone, fed, solve_set)
+        e = [base[i] + h for i, h in zip(solve_set, inflow)]
         try:
             r = factor.solve(solve_set, e)
         except SingularSystemError as exc:

@@ -1,6 +1,7 @@
 """Linear-algebraic and graph kernel behind the clearing solvers.
 
-Restriction of the proportion matrix to a bank subset, the balance solves
+Restriction of the proportion matrix to a bank subset, the in-rates Q^T p
+(`in_rates`, over each paying bank's nonzero entries), the balance solves
 v = e + Q_B^T v, the decomposition of the banks outside the network's
 active set (absorbing / transient / swamps), and invariant distributions of
 swamps.
@@ -30,9 +31,11 @@ default sets only grow), and `fundamental_solve` and
 modes decide a join by the sign of its Schur pivot, which float mode
 recomputes as a sum of nonnegative terms when the usual difference may
 have cancelled, so a solve raises `SingularSystemError` exactly when its
-set is not transient, with no separate graph test. `solve_linear`,
-Gaussian elimination with partial pivoting, is kept for reference; no
-solver calls it.
+set is not transient, with no separate graph test. The factor also gives
+the flow's and fd's in-rates: in rational mode from a carried held part
+and the integers of its last solve (see `ZeroGroupFactor.inflow`), in float
+mode by `in_rates`. `solve_linear`, Gaussian elimination with partial
+pivoting, is kept for reference; no solver calls it.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .errors import (
     IndexOutOfRangeError,
     NegativeInputError,
     NotErgodicError,
+    RowSumError,
     SingularSystemError,
     ZeroDebtInSwampError,
 )
@@ -173,11 +177,18 @@ def fundamental_solve(sub: SubMatrix, e: Sequence[Scalar]) -> list[Scalar]:
     The input must be componentwise nonnegative; the solution then is as
     well (it is the transposed fundamental matrix applied to e). A fresh
     factor solves it, its scale taken over B alone, and raises
-    `SingularSystemError` when B is not transient; that decision takes the
-    parent's rows to sum to one, as a proportion matrix's do.
+    `SingularSystemError` when B is not transient. That decision takes the
+    parent's rows of B to sum to one, as a proportion matrix's do; a row
+    that does not (exactly in rational mode, within ε n in float mode, ε =
+    `FLOAT_ZERO_REL`) raises `RowSumError` naming it.
     """
     mode = _mode_of(sub)
     _, one = zero_one(mode)
+    slack = 0 if mode == RATIONAL else FLOAT_ZERO_REL * len(sub.parent)
+    for b in sub.index:
+        total = sum(sub.parent[b])
+        if abs(total - one) > slack:
+            raise RowSumError(f"row {b} of the parent matrix sums to {total}, not 1")
     factor = ZeroGroupFactor(sub.parent, [one] * len(sub.parent), mode, sub.index)
     return factor.solve(sub.index, e)
 
@@ -211,6 +222,16 @@ class ZeroGroupFactor:
     Schur pivot is not above ε K_pp (ε = `FLOAT_ZERO_REL`) would lose that
     accuracy: it resets the factor instead, and the wanted set is bordered
     afresh.
+
+    A factor of a network's liabilities and total debts also gives in-rates
+    Q^T p, where p holds some banks at fixed rates (`held_inflow`, whose
+    answer on B is the solve's input) and is the last solve's answer on B
+    (`inflow`). The exact solve keeps w = D N / T as integers N over one T
+    = common * det. Rational mode carries the held part Q^T h from call to
+    call and adds the solved part sum_j L_ji w_j from N and each solved
+    bank's integer row E L_j, built from `net.shares` the first time it is
+    needed (E is D widened to clear the scope's whole rows): O(n)
+    `Fraction`s per solve rather than O(n m). Float mode sums both afresh.
     """
 
     def __init__(
@@ -230,10 +251,24 @@ class ZeroGroupFactor:
                 row = matrix[i]
                 denominators.update(row[j].denominator for j in scope if row[j])
             self.scale = lcm(*denominators)
+        #: the banks B is drawn from; in rational mode every bank when none
+        #: are given
+        self.scope = scope
         self.banks: list[int] = []
         #: adj K_B in rational mode, K_B^-1 in float mode; rows follow `banks`
         self.adj: list[list[Scalar]] = []
         self.det = 1
+        zero, _ = zero_one(mode)
+        #: the held rates and, in rational mode, their carried in-rates Q^T h
+        self.held: dict[int, Scalar] = {}
+        self.held_in = [zero] * len(diagonal)
+        #: the last exact solve since `held_in` moved: its banks, the integers
+        #: N with w = D N / T, and T
+        self.solution: tuple[tuple[int, ...], list[int], int] | None = None
+        #: E, the lcm of D and of every denominator in the scope's rows, and
+        #: E * M_j for each solved bank j, by its nonzero entries
+        self.row_scale = 0
+        self.rows: dict[int, list[tuple[int, int]]] = {}
 
     def _entry(self, x: Scalar) -> Scalar:
         """D * x, an int in rational mode."""
@@ -326,13 +361,109 @@ class ZeroGroupFactor:
             for b, x in zip(banks, e):
                 scaled[position[b]] = x.numerator * (common // x.denominator)
             total = common * self.det
-            w = [Fraction(self.scale * sum(map(mul, row, scaled)), total) for row in self.adj]
+            numerators = [sum(map(mul, row, scaled)) for row in self.adj]
+            self.solution = (tuple(self.banks), numerators, total)
+            w = [Fraction(self.scale * x, total) for x in numerators]
         else:
             scaled = [0.0] * len(banks)
             for b, x in zip(banks, e):
                 scaled[position[b]] = x
             w = [sum(map(mul, row, scaled)) for row in self.adj]
         return [self.diagonal[b] * w[position[b]] for b in banks]
+
+    def held_inflow(
+        self,
+        net: FinancialNetwork,
+        banks: Iterable[int],
+        rates: Sequence[Scalar],
+        receivers: Sequence[int],
+    ) -> list[Scalar]:
+        """For a factor of the network's liabilities and total debts: the
+        in-rates of `receivers` from the held vector h, `rates` on `banks`
+        and 0 elsewhere.
+
+        Rational mode carries Q^T h from the last call and moves it by the
+        rows (`net.shares`) of the banks whose held rate changed, so a bank
+        leaving the held set costs one sparse row, exactly. Float mode sums
+        it afresh, row by row in the order of `banks` (`in_rates`), and
+        only when some receiver asks. Either way the next `inflow` starts
+        from this h."""
+        self.solution = None
+        if not self.exact:
+            if not receivers:
+                return []
+            inflow = in_rates(net, banks, rates)
+            return [inflow[i] for i in receivers]
+        held = {j: rates[j] for j in banks if rates[j]}
+        inflow, old, shares = self.held_in, self.held, net.shares
+        for j, rate in old.items():
+            if held.get(j) != rate:
+                for i, q in shares[j]:
+                    inflow[i] -= rate * q
+        for j, rate in held.items():
+            if old.get(j) != rate:
+                for i, q in shares[j]:
+                    inflow[i] += rate * q
+        self.held = held
+        return [inflow[i] for i in receivers]
+
+    def inflow(self, net: FinancialNetwork, rates: Sequence[Scalar]) -> list[Scalar]:
+        """Q^T p for p = `rates`, which must be the held vector of the last
+        `held_inflow` with the answer of any solve since then on its banks.
+
+        Rational mode adds to the carried Q^T h the solved banks' part,
+        sum_j M_ji w_j = sum_j (E M_ji) N_j / ((E / D) T): one integer dot
+        product and one `Fraction` per receiver. E clears the denominators
+        of the scope's whole rows, not only those inside the scope, so every
+        receiver gets its exact in-rate. Float mode applies `in_rates` to
+        `rates`, bank by bank in index order."""
+        if not self.exact:
+            return in_rates(net, range(net.n), rates)
+        inflow = list(self.held_in)
+        if not self.solution:
+            return inflow
+        banks, numerators, total = self.solution
+        matrix, rows = self.matrix, self.rows
+        if not self.row_scale:
+            self.row_scale = lcm(self.scale, *(
+                matrix[j][i].denominator for j in self.scope for i, _ in net.shares[j]))
+        scale = self.row_scale
+        received = [0] * net.n
+        for j, x in zip(banks, numerators):
+            if x:
+                if j not in rows:
+                    rows[j] = [
+                        (i, m.numerator * (scale // m.denominator))
+                        for i, _ in net.shares[j] if (m := matrix[j][i])
+                    ]
+                for i, a in rows[j]:
+                    received[i] += a * x
+        denominator = scale // self.scale * total
+        for i, a in enumerate(received):
+            if a:
+                h = inflow[i]
+                inflow[i] = Fraction(
+                    h.numerator * denominator + a * h.denominator, h.denominator * denominator
+                )
+        return inflow
+
+
+def in_rates(
+    net: FinancialNetwork, banks: Iterable[int], rates: Sequence[Scalar]
+) -> list[Scalar]:
+    """Q^T p for p = `rates` on `banks` and 0 elsewhere: the Q^T p kernel.
+    Each paying bank's nonzero proportion entries (`net.shares`) are
+    scattered in the order of `banks`, so each in-rate sums its terms in
+    that order."""
+    zero, _ = zero_one(net.mode)
+    inflow = [zero] * net.n
+    shares = net.shares
+    for j in banks:
+        rate = rates[j]
+        if rate:
+            for i, q in shares[j]:
+                inflow[i] += rate * q
+    return inflow
 
 
 def active_set(net: FinancialNetwork) -> frozenset[int]:

@@ -24,6 +24,11 @@ every entry of every row summed and divided, zeros included.
 `dense_balance_rates` is the Q^T p kernel over every cell of the dense
 proportion rows, zeros skipped, in the order the library's sparse rows keep.
 
+`dense_fixed_point` is the fictitious-defaults loop written plainly:
+every round's in-rates by `dense_balance_rates` and every solve by
+`gauss_jordan_solve` on I - Q_S^T, with no factor and nothing carried from
+round to round.
+
 `reachability_transient` is the transience test walked backwards from the
 states with an exit: every state must reach one.
 
@@ -118,6 +123,43 @@ def dense_balance_rates(net: cf.FinancialNetwork, out) -> tuple:
                 if q:
                     inflow[i] += rate * q
     return tuple(inflow)
+
+
+def dense_fixed_point(net: cf.FinancialNetwork, banks, base, cap, held, tol) -> tuple:
+    """(iterates, default sets, solves) of the greatest fixed point of
+    x = min(cap, base + Q^T x) on `banks`, every other bank held at `held`:
+    start at the caps, clamp, solve x = base + Q^T x on the short set with
+    the rest at their start, until the short set stops growing."""
+    zero, one = zero_one(net.mode)
+    start = list(held)
+    for i in banks:
+        start[i] = cap[i]
+    iterates, short_sets, solves = [tuple(start)], [], []
+    x, previous = start, frozenset()
+    while True:
+        received = dense_balance_rates(net, x)
+        x = list(held)
+        for i in banks:
+            x[i] = min(base[i] + received[i], cap[i])
+        short = frozenset(i for i in banks if x[i] < cap[i] - tol)
+        iterates.append(tuple(x))
+        short_sets.append(short)
+        if short == previous:
+            return tuple(iterates), tuple(short_sets), tuple(solves)
+        previous = short
+        fed = [zero if i in short else start[i] for i in range(net.n)]
+        inflow = dense_balance_rates(net, fed)
+        members = sorted(short)
+        e = [base[i] + inflow[i] for i in members]
+        rows = [
+            [(one if r == c else zero) - net.relative[c][r] for c in members]
+            for r in members
+        ]
+        r = gauss_jordan_solve(rows, e)
+        solves.append((tuple(members), tuple(e), tuple(r)))
+        x = list(start)
+        for i, value in zip(members, r):
+            x[i] = value
 
 
 def flow_bailout(net: cf.FinancialNetwork) -> cf.BailoutPlan:

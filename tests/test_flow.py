@@ -10,6 +10,7 @@ import pytest
 
 import clearflow as cf
 from clearflow.errors import InvariantViolationError, NonTransientZeroGroupError, StalledError
+from clearflow.markov import ZeroGroupFactor
 from conftest import statuses_of, swampy_network, wide_magnitude_network, with_cash
 from oracles import probe_revealed
 
@@ -325,24 +326,28 @@ class TestBigBang:
 class TestRunFlow:
     @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
     def test_events_solve_nothing_from_scratch(self, mode, monkeypatch):
-        # neither the big-bang fixed point nor any event eliminates from
-        # scratch: each updates a carried factor
+        # neither the big-bang fixed point nor any event starts a factor
+        # afresh: a run builds two, the big bang's and the flow's, carries
+        # each across its rounds and events, and never resets either
         net = cf.generate_network(1, 20, 0.3, "1/4", mode=mode)
-        solves = []
-        kernel = cf.markov.solve_linear
+        built, resets = [], []
+        init, reset = ZeroGroupFactor.__init__, ZeroGroupFactor._reset
 
-        def counted(rows, rhs):
-            solves.append(len(rows))
-            return kernel(rows, rhs)
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cf.markov, "solve_linear", counted)
-        cf.big_bang_partition(net)
-        big_bang = len(solves)
-        solves.clear()
+        def counted_reset(self):
+            resets.append(self)
+            reset(self)
+
+        monkeypatch.setattr(ZeroGroupFactor, "__init__", counted_init)
+        monkeypatch.setattr(ZeroGroupFactor, "_reset", counted_reset)
         result = cf.run_flow(net)
         zero_groups = [e for e in result.trajectory if e.state_after.partition.zero & net.active]
         assert len(zero_groups) > 10
-        assert len(solves) == big_bang == 0
+        assert len(built) == 2
+        assert resets == []
 
     def test_example_1a_exact(self, net_1a):
         eps = F(1, 36)

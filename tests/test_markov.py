@@ -14,6 +14,7 @@ from clearflow.errors import (
     IndexOutOfRangeError,
     NegativeInputError,
     NotErgodicError,
+    RowSumError,
     SingularSystemError,
     ZeroDebtInSwampError,
 )
@@ -337,6 +338,32 @@ def test_float_solve_on_tiny_exits_matches_exact(liabilities):
     exact = binary_twin(liabilities, [1, 0, 0])
     want = cf.fundamental_solve(cf.restrict(exact.relative, [1, 2]), [F(1, 2), F(1, 4)])
     assert_relative_error_within(got, want, 1e-15)
+
+
+def test_fundamental_solve_rejects_rows_that_do_not_sum_to_one():
+    # restricting twice makes the rows of {1, 2} the parent: they miss the
+    # mass owed to bank 0. Exactly, 1e-14 is missing, and rational mode
+    # names the row; to float mode the rows sum to one within ε n, so the
+    # pair is closed and not transient
+    liabilities = TINY_EXITS[1]
+    e = [F(1, 2), F(1, 4)]
+    net = cf.build_network(liabilities, [1, 0, 0])
+    sub = cf.restrict(cf.restrict(net.relative, [1, 2]).entries, [0, 1])
+    with pytest.raises(RowSumError, match="row 0 of the parent matrix sums to"):
+        cf.fundamental_solve(sub, e)
+    net = cf.build_network(liabilities, [1, 0, 0], mode=cf.FLOAT)
+    sub = cf.restrict(cf.restrict(net.relative, [1, 2]).entries, [0, 1])
+    with pytest.raises(SingularSystemError):
+        cf.fundamental_solve(sub, [0.5, 0.25])
+    # a float row short by more than ε n is named too
+    net = cf.build_network([[0, 0, 0], [1e-9, 0, 1], [1e-9, 1, 0]], [1, 0, 0], mode=cf.FLOAT)
+    sub = cf.restrict(cf.restrict(net.relative, [1, 2]).entries, [0, 1])
+    with pytest.raises(RowSumError, match="row 0 of the parent matrix sums to"):
+        cf.fundamental_solve(sub, [0.5, 0.25])
+    # the rows of a proportion matrix sum to one, in both modes
+    for mode in (cf.RATIONAL, cf.FLOAT):
+        net = cf.build_network(liabilities, [1, 0, 0], mode=mode)
+        assert all(v > 0 for v in cf.fundamental_solve(cf.restrict(net.relative, [1, 2]), e))
 
 
 def test_float_joins_decide_by_pivot(monkeypatch):

@@ -15,6 +15,7 @@ from clearflow.scalars import zero_one
 from conftest import swampy_network, with_cash
 from oracles import (
     dense_balance_rates,
+    dense_fixed_point,
     dense_proportions,
     flow_bailout,
     least_injection,
@@ -504,3 +505,61 @@ def test_sparse_rows_match_dense_scans_on_swamp_networks(mode):
         outs = [net.total_debt, result.payments]
         outs += [event.rates.out for event in result.trajectory]
         check_sparse_rows(net, partitions, outs)
+
+
+#: a cashless bank (2) owes 1/7 and 6/7 to the cash-holding banks 0 and 1,
+#: and bank 0 owes it half its debt: at time zero bank 2 falls short, so the
+#: big bang's factor, scaled over the cashless block {2} where no
+#: denominator is 7, solves for it
+SEVENTHS = cf.build_network(
+    [[0, 1, 1], [0, 0, 0], [F(1, 7), F(6, 7), 0]], [F(1, 4), F(1, 2), 0]
+)
+
+
+def fixed_point_cases(net):
+    """The (banks, base, cap, held, tol) of fd and of the big bang."""
+    zero, one = zero_one(net.mode)
+    part = cf.initial_partition(net)
+    held = [one if s is cf.Status.POSITIVE else zero for s in part.statuses]
+    return [
+        (net.active, net.cash, net.total_debt, [zero] * net.n, net.zero_tol),
+        (part.zero & net.active, [zero] * net.n, [one] * net.n, held, net.zero_rel),
+    ]
+
+
+def rational_oracle_networks():
+    yield SEVENTHS
+    for seed in range(30):
+        yield swampy_network(seed)
+    for seed in range(20):
+        yield cf.generate_network(seed, 16, 0.3, "1/4")
+
+
+def test_rational_in_rates_match_dense_oracles():
+    # the flow's in-rates and every fixed-point trace, which the factor forms
+    # from its integers and a carried held part, equal plain Fraction sums
+    # and Gauss-Jordan solves, by repr
+    for net in rational_oracle_networks():
+        for event in cf.run_flow(net).trajectory:
+            assert repr(event.rates.inflow) == repr(dense_balance_rates(net, event.rates.out))
+        fd_case, big_bang_case = fixed_point_cases(net)
+        traces = [cf.fictitious_defaults(net)[1], cf.flow._greatest_fixed_point(net, *big_bang_case)]
+        for trace, case in zip(traces, (fd_case, big_bang_case)):
+            iterates, short_sets, solves = dense_fixed_point(net, *case)
+            assert repr(trace.iterates) == repr(iterates)
+            assert trace.default_sets == short_sets
+            assert repr(trace.solves) == repr(solves)
+
+
+def test_inflow_is_exact_outside_the_factor_scope():
+    # the big bang solves bank 2 alone, by a factor whose scale over {2}
+    # clears no seventh; its in-rates still reach banks 0 and 1 exactly
+    net = SEVENTHS
+    trace = cf.flow._greatest_fixed_point(net, *fixed_point_cases(net)[1])
+    assert [banks for banks, _, _ in trace.solves] == [(2,)]
+    factor = ZeroGroupFactor(net.liabilities, net.total_debt, net.mode, [2])
+    rates = [F(1), F(1), F(0)]
+    e = factor.held_inflow(net, range(net.n), rates, [2])
+    assert e == [F(1, 2)]
+    rates[2] = factor.solve([2], e)[0]
+    assert repr(factor.inflow(net, rates)) == repr(list(dense_balance_rates(net, rates)))
