@@ -44,6 +44,16 @@ Both arithmetic modes run the same code, with every zero test derived from
 one relative factor ε (`FinancialNetwork.zero_rel`, 0 in rational mode): a
 rate within ε counts as zero, and so does an amount within `zero_tol`, ε
 times the largest cash or debt entry. Cash changes only by the linear update.
+
+Each event sorts the banks by status, not by testing rates: a positive
+bank pays at rate exactly 1, so its time to the event is its remaining debt
+and it moves by t' itself; only the zero group's members need a rate test,
+a division and a product. The linear update is one kernel,
+`scalars.advance`, called once per vector (debt, payment, cash), and the
+conservation check is one `scalars.total`. In rational mode both work on
+the integers of each `Fraction`; in float mode they do the float operations
+of the plain loop, x + r t and a sum in index order. This module
+names no scalar type: exact arithmetic lives in `scalars` and `markov`.
 """
 
 from __future__ import annotations
@@ -60,7 +70,7 @@ from .errors import (
 )
 from .markov import ZeroGroupFactor, in_rates
 from .network import FinancialNetwork, Partition, Status, initial_partition
-from .scalars import Scalar, scalar_to_json, zero_one
+from .scalars import Scalar, advance, scalar_to_json, total, zero_one
 
 
 @dataclass(frozen=True)
@@ -176,6 +186,11 @@ def equilibrium_rates(
     return IntervalRates(out=tuple(out), inflow=inflow, balance=balance)
 
 
+def _where(index: int, time: Scalar) -> str:
+    """The event and time that an error message names."""
+    return f"event {index}, time {time}"
+
+
 def step(
     net: FinancialNetwork,
     state: SystemState,
@@ -185,60 +200,74 @@ def step(
     """Advance to the next event: compute rates, move time forward linearly,
     and reclassify every mover (debt hitting zero wins over cash hitting zero).
 
-    One pass over the statuses lists `paying` (not absorbing, out-rate above
-    ε: debt can run out) and `draining` (positive, balance below -ε: cash
-    can run out). t' is the least of their times; positive banks pay at rate
-    1, so it exists. Only nonzero rates move debt, payment and cash. A listed
-    amount within `zero_tol` of 0 at t' (in rational mode: exactly 0) makes
-    a mover; `paying` movers are absorbed, debt and payment set exactly, so
-    every transition is P→Z, P→A or Z→A. Two checks guard the movers: no
-    listed amount ends below -`zero_tol`, and none is absorbed when t' <= 0;
-    cash is conserved. The zero group is solved by `factor` (see
-    `equilibrium_rates`)."""
+    One pass over the statuses, in index order, sorts the banks by status.
+    A positive bank pays at rate exactly 1, so it is `paying` (its debt can
+    run out) with no rate test, its time is its remaining debt, and it is
+    `draining` (its cash can run out) when its balance is below -ε. A
+    zero-group bank with a nonzero rate moves debt, and is `paying` when
+    that rate is above ε, with time debt / rate. t' is the least of these
+    times and the draining banks'; positive banks pay at rate 1, so it
+    exists. `scalars.advance` moves debt, payment and cash by rate * t',
+    once per vector, over the banks with a nonzero rate. A listed amount
+    within `zero_tol` of 0 at t' (in rational mode: exactly 0) makes a
+    mover; `paying` movers are absorbed, debt and payment set exactly, so
+    every transition is P→Z, P→A or Z→A. Checks guard the movers: no
+    listed amount ends below -`zero_tol`, none is absorbed when t' <= 0, and
+    cash is conserved (`scalars.total`, exact in rational mode). The zero
+    group is solved by `factor` (see `equilibrium_rates`)."""
     if not state.partition.positive:
         raise StalledError(
-            f"cannot step: no positive banks remain (event {index}, time {state.time})"
+            f"cannot step: no positive banks remain ({_where(index, state.time)})"
         )
     rates = equilibrium_rates(net, state.partition, factor)
     out, balance = rates.out, rates.balance
     eps, low = net.zero_rel, -net.zero_rel
     zero, _ = zero_one(net.mode)
-    paying, draining = [], []
+    debt, cash, paid = list(state.remaining_debt), list(state.cash), list(state.paid)
+    moving, paying, draining, times = [], [], [], []
     for i, status in enumerate(state.statuses):
-        if status is not Status.ABSORBING:
+        if status is Status.POSITIVE:
+            moving.append(i)
+            paying.append(i)
+            times.append(debt[i])
+            if balance[i] < low:
+                draining.append(i)
+        elif status is Status.ZERO and out[i]:
+            moving.append(i)
             if out[i] > eps:
                 paying.append(i)
-            if status is Status.POSITIVE and balance[i] < low:
-                draining.append(i)
-    times = [state.remaining_debt[i] / out[i] for i in paying]
+                times.append(debt[i] / out[i])
     for i in draining:
-        t = -state.cash[i] / balance[i]
+        t = -cash[i] / balance[i]
         times.append(t if t > 0 else zero)
     t_prime = min(times)
-    tol = net.zero_tol
+    tol, neg_tol = net.zero_tol, -net.zero_tol
     now = state.time + t_prime
-    where = f"event {index}, time {now}"
 
-    debt, cash, paid = list(state.remaining_debt), list(state.cash), list(state.paid)
-    for i in range(net.n):
-        if out[i]:
-            moved = out[i] * t_prime
-            debt[i] -= moved
-            paid[i] += moved
-        if balance[i]:
-            cash[i] += balance[i] * t_prime
-    for kind, banks, amount in (("debt", paying, debt), ("cash", draining, cash)):
-        for i in banks:
-            if amount[i] < -tol:
+    advance(debt, out, -t_prime, moving)
+    advance(paid, out, t_prime, moving)
+    advance(cash, balance, t_prime, range(net.n))
+    absorbed = []
+    for i in paying:
+        if debt[i] <= tol:
+            if debt[i] < neg_tol:
                 raise InvariantViolationError(
-                    f"negative {kind} {amount[i]} at bank {net.ids[i]} ({where})"
+                    f"negative debt {debt[i]} at bank {net.ids[i]} ({_where(index, now)})"
                 )
-    absorbed = [i for i in paying if debt[i] <= tol]
+            absorbed.append(i)
+    emptied = []
+    for i in draining:
+        if cash[i] <= tol:
+            if cash[i] < neg_tol:
+                raise InvariantViolationError(
+                    f"negative cash {cash[i]} at bank {net.ids[i]} ({_where(index, now)})"
+                )
+            if i not in absorbed:
+                emptied.append(i)
     if absorbed and t_prime <= 0:
         raise InvariantViolationError(
-            f"zero-duration event absorbs bank {net.ids[absorbed[0]]} ({where})"
+            f"zero-duration event absorbs bank {net.ids[absorbed[0]]} ({_where(index, now)})"
         )
-    emptied = [i for i in draining if cash[i] <= tol and i not in absorbed]
 
     statuses = list(state.statuses)
     for i in absorbed:
@@ -249,8 +278,8 @@ def step(
         statuses[i] = Status.ZERO
     movers = tuple(sorted(absorbed + emptied))
 
-    if abs(sum(cash) - net.total_cash) > 1000 * net.zero_rel * max(1, net.total_cash):
-        raise InvariantViolationError(f"cash conservation violated ({where})")
+    if abs(total(cash) - net.total_cash) > 1000 * net.zero_rel * max(1, net.total_cash):
+        raise InvariantViolationError(f"cash conservation violated ({_where(index, now)})")
 
     after_state = SystemState(
         time=now,

@@ -7,13 +7,19 @@ trades exactness for speed on larger batches.
 
 The helpers here convert user-facing values (ints, decimal strings, "p/q"
 strings, floats) into the scalar type of a mode and back into JSON-friendly
-form ("p/q" strings in rational mode, plain numbers in float mode).
+form ("p/q" strings in rational mode, plain numbers in float mode). The two
+vector kernels of the flow's event bookkeeping live here too, so that exact
+arithmetic stays in this module: `advance` moves amounts linearly in time
+and `total` sums them. Each tests the scalar type once per call; in
+rational mode it works on the integers of each `Fraction`, in float mode it
+does exactly the float operations of the plain loop.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable, MutableSequence, Sequence
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -48,6 +54,42 @@ def zero_one(mode: str) -> tuple[Scalar, Scalar]:
     if mode == RATIONAL:
         return Fraction(0), Fraction(1)
     return 0.0, 1.0
+
+
+def advance(
+    values: MutableSequence[Scalar], rates: Sequence[Scalar], t: Scalar, banks: Iterable[int]
+) -> None:
+    """values[i] += rates[i] * t in place for each bank i of `banks` whose
+    rate is not zero; a negative t moves values down.
+
+    Rational mode forms each sum from integers, (x_n r_d t_d + r_n t_n x_d)
+    over x_d r_d t_d: one gcd and one `Fraction` per amount, not a product
+    and a sum. Float mode computes x + r * t, which for t = -s is bit for
+    bit x - r * s."""
+    if isinstance(t, Fraction):
+        p, q = t.numerator, t.denominator
+        for i in banks:
+            rate = rates[i]
+            c = rate.numerator
+            if c:
+                x, d = values[i], rate.denominator
+                b = x.denominator
+                values[i] = Fraction(x.numerator * d * q + c * p * b, b * d * q)
+    else:
+        for i in banks:
+            rate = rates[i]
+            if rate:
+                values[i] += rate * t
+
+
+def total(values: Sequence[Scalar]) -> Scalar:
+    """Σ values: in rational mode one `Fraction`, the integer numerators
+    over the lcm of the denominators; in float mode the builtin `sum` in
+    index order."""
+    if not values or not isinstance(values[0], Fraction):
+        return sum(values)
+    common = math.lcm(*[x.denominator for x in values])
+    return Fraction(sum([x.numerator * (common // x.denominator) for x in values]), common)
 
 
 def to_scalar(value, mode: str) -> Scalar:

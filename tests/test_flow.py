@@ -180,6 +180,23 @@ class TestStep:
             cf.step(net, state, index=3)
 
     @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_cash_conservation_is_checked_at_every_event(self, mode):
+        # the state holds 3 in cash where the network holds 2
+        net = cf.build_network([[0, 1], [0, 0]], [1, 1], mode=mode)
+        scalar = F if mode == cf.RATIONAL else float
+        state = cf.SystemState(
+            time=scalar(0),
+            partition=make_partition("pa"),
+            remaining_debt=net.total_debt,
+            cash=(scalar(2), scalar(1)),
+            paid=(scalar(0), scalar(0)),
+        )
+        with pytest.raises(
+            InvariantViolationError, match=r"^cash conservation violated \(event 3, time 1"
+        ):
+            cf.step(net, state, index=3)
+
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
     def test_zero_duration_absorption_is_rejected(self, mode):
         # bank 1 is positive with no debt left, so it would be absorbed at
         # t' = 0: no trajectory reaches that state

@@ -171,6 +171,49 @@ def test_mode_decision_is_reported(tmp_path):
     ]
 
 
+#: names through which a module handles a scalar's type or its integers
+SCALAR_TYPE_NAMES = ("Fraction", "as_integer_ratio", "isinstance", "numerator", "denominator")
+
+
+def scalar_type_names(path: Path) -> list[str]:
+    """Places where a module names a scalar type, tests a type, or reads the
+    integers of a scalar: one of `SCALAR_TYPE_NAMES`, as a name, an
+    attribute or an imported name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names = (node.name, node.asname)
+        else:
+            names = (getattr(node, "id", None), getattr(node, "attr", None))
+        found.update((node.lineno, name) for name in names if name in SCALAR_TYPE_NAMES)
+    return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_flow_names_no_scalar_type():
+    # exact arithmetic on a scalar's integers lives in scalars.py (the event
+    # kernels advance and total) and markov.py (the factor), not in the flow
+    assert scalar_type_names(PACKAGE / "flow.py") == []
+
+
+def test_scalar_type_name_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from fractions import Fraction as F\nimport fractions\n"
+        "def f(x, y):\n    if isinstance(x, float):\n        return x.as_integer_ratio()\n"
+        "    return fractions.Fraction(y.numerator, x.denominator)\n"
+        "def g(fraction, ratio):\n    return fraction(ratio)\n"
+    )
+    assert scalar_type_names(module) == [
+        "sample.py:1 Fraction",
+        "sample.py:4 isinstance",
+        "sample.py:5 as_integer_ratio",
+        "sample.py:6 Fraction",
+        "sample.py:6 denominator",
+        "sample.py:6 numerator",
+    ]
+
+
 def test_no_module_calls_solve_linear():
     # every balance system is a ZeroGroupFactor solve; elimination is kept
     # for reference only
