@@ -23,19 +23,21 @@ Q = M / d row by row. On the liabilities no proportion is divided out
 before the solve. One kernel, `ZeroGroupFactor`, solves it: the exact
 adjugate and determinant of D (diag(d) - M^T)_B in rational mode (D clears
 the denominators, so the updates run on Python ints and only the answer is
-reduced), and its inverse in float mode, updated in O(m^2) per bank that
-joins or leaves B. The flow carries one factor from event to event,
-fictitious defaults from round to round (where it only borders, since the
-default sets only grow), and `fundamental_solve` and
-`invariant_distribution` start a fresh one on the block they solve. Both
-modes decide a join by the sign of its Schur pivot, which float mode
-recomputes as a sum of nonnegative terms when the usual difference may
-have cancelled, so a solve raises `SingularSystemError` exactly when its
-set is not transient, with no separate graph test. The factor also gives
-the flow's and fd's in-rates: in rational mode from a carried held part
-and the integers of its last solve (see `ZeroGroupFactor.inflow`), in float
-mode by `in_rates`. `solve_linear`, Gaussian elimination with partial
-pivoting, is kept for reference; no solver calls it.
+reduced), and its inverse in float mode, updated per bank that joins or
+leaves B: O(m^2) for the rank-one update, while a join's products with the
+factor walk only the joiner's nonzero debts with B, O(m) each. The flow
+carries one factor from event to event, fictitious defaults from round to
+round (where it only borders, since the default sets only grow), and
+`fundamental_solve` and `invariant_distribution` start a fresh one on the
+block they solve. Both modes decide a join by the sign of its Schur pivot,
+which float mode recomputes as a sum of nonnegative terms when the usual
+difference may have cancelled, so a solve raises `SingularSystemError`
+exactly when its set is not transient, with no separate graph test. The
+factor also gives the flow's and fd's in-rates: in rational mode from a
+carried held part and the integers of its last solve (see
+`ZeroGroupFactor.inflow`), in float mode by `in_rates`. `solve_linear`,
+Gaussian elimination with partial pivoting, is kept for reference; no
+solver calls it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -204,7 +206,9 @@ class ZeroGroupFactor:
     integer matrix and the factor is the exact pair (adj K_B, det K_B); in
     float mode D = 1 and the factor is the inverse of K_B. `solve` moves it
     to a new set by deleting each leaver (Jacobi's identity) and bordering
-    each joiner (Sylvester's identity), O(m^2) per bank; a fresh factor
+    each joiner (Sylvester's identity), O(m^2) per bank for the rank-one
+    update; a join's products adj u and v^T adj cost O(m) per nonzero entry
+    of its new column u and row v, the joiner's debts with B. A fresh factor
     borders from the empty set. Every division of the exact updates is exact.
 
     When each d_i is the sum of row i of M, K_B is a Z-matrix whose column
@@ -297,24 +301,48 @@ class ZeroGroupFactor:
             if not (pivot > 0 and 1 / pivot > FLOAT_ZERO_REL * self._pivot(self.banks[p])):
                 self._reset()
                 return
-            self.adj = [[x - f / pivot * y for x, y in zip(row, row_p)] for row, f in rest]
+            self.adj = [
+                [x - g * y for x, y in zip(row, row_p)]
+                for row, g in [(row, f / pivot) for row, f in rest]
+            ]
         del self.banks[p]
 
     def _border(self, k: int) -> None:
         """Append bank k; reset and raise `SingularSystemError` when the
-        Schur pivot is not positive."""
+        Schur pivot is not positive.
+
+        K's new column u and row v are kept as (position, value) pairs of
+        their nonzero entries, so the products walk only those: adj u takes
+        the rows' entries at u's positions, and v^T adj adds up the rows of
+        v's positions in ascending order. Each sum adds the same nonzero
+        terms in the same order as the dense products, from the same start
+        0, so float results are bit for bit theirs (on Pythons whose `sum`
+        of floats adds in order, up to 3.11)."""
         matrix, entry, adj = self.matrix, self._entry, self.adj
+        zero = 0 if self.exact else 0.0
         # K's new column (w_k in the members' equations) and row (bank k's)
-        u = [-entry(matrix[k][b]) if matrix[k][b] else 0 for b in self.banks]
-        v = [-entry(matrix[b][k]) if matrix[b][k] else 0 for b in self.banks]
+        row_k = matrix[k]
+        u = [(p, -entry(x)) for p, b in enumerate(self.banks) if (x := row_k[b])]
+        v = [(p, -entry(x)) for p, b in enumerate(self.banks) if (x := matrix[b][k])]
         d = entry(self._pivot(k))
-        au = [sum(map(mul, row, u)) for row in adj]
-        va = [sum(map(mul, column, v)) for column in zip(*adj)]
+        if len(u) > 1:
+            at, values = itemgetter(*[p for p, _ in u]), [c for _, c in u]
+            au = [sum(map(mul, at(row), values)) for row in adj]
+        elif u:  # a one-index itemgetter returns the entry, not a tuple
+            [(p, c)] = u
+            # from sum's start 0, which turns a float -0.0 product into 0.0
+            au = [zero + row[p] * c for row in adj]
+        else:
+            au = [zero] * len(adj)
+        va = [zero] * len(adj)
+        for p, c in v:
+            va = [a + y * c for a, y in zip(va, adj[p])]
+        vau = sum([c * au[p] for p, c in v])
         if self.exact:
             det = self.det
-            s = d * det - sum(map(mul, v, au))  # det K_{B+k}
+            s = d * det - vau  # det K_{B+k}
         else:
-            s = d - sum(map(mul, v, au))
+            s = d - vau
             if not s > d / 2:
                 # the same pivot from the masses leaving B + k: no term cancels
                 inside = {*self.banks, k}
@@ -396,12 +424,14 @@ class ZeroGroupFactor:
             return [inflow[i] for i in receivers]
         held = {j: rates[j] for j in banks if rates[j]}
         inflow, old, shares = self.held_in, self.held, net.shares
+        # a rate held on is mostly the same object (`zero_one`'s 1, a cap):
+        # identity settles it before a `Fraction` comparison
         for j, rate in old.items():
-            if held.get(j) != rate:
+            if (now := held.get(j)) is not rate and now != rate:
                 for i, q in shares[j]:
                     inflow[i] -= rate * q
         for j, rate in held.items():
-            if old.get(j) != rate:
+            if (then := old.get(j)) is not rate and then != rate:
                 for i, q in shares[j]:
                     inflow[i] += rate * q
         self.held = held

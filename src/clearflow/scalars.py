@@ -49,10 +49,15 @@ def check_mode(mode: str) -> str:
     return mode
 
 
+#: rational 0 and 1; a `Fraction` is immutable, so every caller shares these
+#: two, and a rate that is this 1 can be recognised by identity
+_RATIONAL_ZERO_ONE = (Fraction(0), Fraction(1))
+
+
 def zero_one(mode: str) -> tuple[Scalar, Scalar]:
-    """The scalars 0 and 1 of `mode`."""
+    """The scalars 0 and 1 of `mode`, the same objects on every call."""
     if mode == RATIONAL:
-        return Fraction(0), Fraction(1)
+        return _RATIONAL_ZERO_ONE
     return 0.0, 1.0
 
 

@@ -29,6 +29,13 @@ every round's in-rates by `dense_balance_rates` and every solve by
 `gauss_jordan_solve` on I - Q_S^T, with no factor and nothing carried from
 round to round.
 
+`dense_border` is one join of the balance factor by the dense formulas:
+the new column u and row v with a zero in every gap, adj u row by row,
+v^T adj column by column over the transposed adjugate, and in float mode
+the Schur pivot recomputed from whole-row column sums when it may have
+cancelled. It is the reference the factor's sparse bordering must match
+bit for bit.
+
 `reachability_transient` is the transience test walked backwards from the
 states with an exit: every state must reach one.
 
@@ -40,6 +47,7 @@ took before it ran them on fictitious defaults.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 import clearflow as cf
 from clearflow.errors import SingularSystemError, VerificationFailedError
@@ -63,6 +71,49 @@ def gauss_jordan_solve(rows: list[list], rhs: list) -> list:
             for c in range(col, m + 1):
                 a[r][c] -= factor * a[col][c]
     return [a[i][m] / a[i][i] for i in range(m)]
+
+
+def dense_border(factor, k: int):
+    """The (adj, det) that a `markov.ZeroGroupFactor` holds after bank k
+    joins it, or None when the join's Schur pivot is not positive.
+
+    K_{B+k} = D (diag(d) - M^T)_{B+k} gains the column u (K's entries in
+    the members' rows, -D M_kb) and the row v (bank k's, -D M_bk), kept
+    dense. Rational mode: det' = d det - v^T adj u and the integer
+    Sylvester update; float mode: the inverse's rank-one update, its
+    pivot d - v^T K^-1 u recomputed from the masses leaving B + k when it
+    is not above d / 2."""
+    matrix, banks, adj, det = factor.matrix, factor.banks, factor.adj, factor.det
+
+    def entry(x):
+        return int(x * factor.scale) if factor.exact else x
+
+    u = [-entry(matrix[k][b]) if matrix[k][b] else 0 for b in banks]
+    v = [-entry(matrix[b][k]) if matrix[b][k] else 0 for b in banks]
+    d = entry(factor.diagonal[k] - matrix[k][k])
+    au = [sum(map(mul, row, u)) for row in adj]
+    va = [sum(map(mul, column, v)) for column in zip(*adj)]
+    if factor.exact:
+        s = d * det - sum(map(mul, v, au))
+        if not s > 0:
+            return None
+        grown = [
+            [(s * x + a * y) // det for x, y in zip(row, va)] + [-a]
+            for row, a in zip(adj, au)
+        ]
+        return grown + [[-y for y in va] + [det]], s
+    s = d - sum(map(mul, v, au))
+    if not s > d / 2:
+        inside = {*banks, k}
+        mass = [
+            sum(x for j, x in enumerate(matrix[b]) if j not in inside) for b in (*banks, k)
+        ]
+        s = mass[-1] - sum(map(mul, mass, au))
+    if not s > 0:
+        return None
+    ga = [a / s for a in au]
+    grown = [[x + g * y for x, y in zip(row, va)] + [-g] for row, g in zip(adj, ga)]
+    return grown + [[-y / s for y in va] + [1 / s]], det
 
 
 def reachability_transient(sub) -> bool:

@@ -19,7 +19,7 @@ from clearflow.errors import (
     ZeroDebtInSwampError,
 )
 from conftest import swampy_network, with_cash
-from oracles import gauss_jordan_solve, reachability_transient
+from oracles import dense_border, gauss_jordan_solve, reachability_transient
 
 #: float solves agree with exact ones to this fraction of the largest entry
 FLOAT_SOLVE_TOL = 1e-9
@@ -509,6 +509,87 @@ def test_bordering_determinant_vanishes_exactly_off_transient_sets(seed, data):
     assert bordered == cf.is_transient(cf.restrict(net.relative, target))
     if bordered:
         assert factor.det > 0 and sorted(factor.banks) == sorted(target)
+
+
+def join_against_dense_oracle(factor, k):
+    """Border bank k through `solve` and check the factor against
+    `dense_border`: adj and det equal in rational mode, adj equal by
+    `float.hex` in float mode; a join the oracle refuses raises and resets."""
+    expected = dense_border(factor, k)
+    banks = [*factor.banks, k]
+    zero = F(0) if factor.exact else 0.0
+    if expected is None:
+        with pytest.raises(SingularSystemError):
+            factor.solve(banks, [zero] * len(banks))
+        assert factor.banks == [] and factor.adj == []
+        return
+    factor.solve(banks, [zero] * len(banks))
+    adj, det = expected
+    assert factor.banks == banks
+    if factor.exact:
+        assert factor.adj == adj and factor.det == det
+    else:
+        assert [[x.hex() for x in row] for row in factor.adj] == [
+            [x.hex() for x in row] for row in adj
+        ]
+
+
+def nonzeros_in_group(factor, k):
+    """How many entries of bank k's new column u and row v are nonzero,
+    each counted up to 2 (several)."""
+    matrix = factor.matrix
+    column = sum(1 for b in factor.banks if matrix[k][b])
+    row = sum(1 for b in factor.banks if matrix[b][k])
+    return min(column, 2), min(row, 2)
+
+
+@pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+def test_joins_match_the_dense_border_oracle(mode):
+    # banks join in a shuffled order, on sparse networks with closed rings
+    # (whose joins are refused and reset the factor) and on dense cascades
+    seen = set()
+    rng = random.Random(mode)
+    networks = [swampy_network(seed, mode) for seed in range(8)]
+    networks += [cf.generate_network(seed, 24, 0.3, "1/4", mode=mode) for seed in range(4)]
+    for net in networks:
+        order = [i for i in range(net.n) if net.total_debt[i] > 0]
+        rng.shuffle(order)
+        factor = network_factor(net)
+        for k in order:
+            seen.add(nonzeros_in_group(factor, k))
+            join_against_dense_oracle(factor, k)
+    # u and v each with no, one and several nonzero entries in B
+    assert seen == {(a, b) for a in range(3) for b in range(3)}
+
+
+@pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+def test_join_into_an_empty_factor_matches_the_dense_border_oracle(mode):
+    net = cf.generate_network(5, 10, 0.4, "1/4", mode=mode)
+    for k in range(net.n):
+        if net.total_debt[k] > 0:
+            join_against_dense_oracle(network_factor(net), k)
+    # then joins one after another on the proportions with unit weights, as
+    # `fundamental_solve` factors them; the first is into an empty factor
+    _, one = cf.scalars.zero_one(mode)
+    factor = cf.markov.ZeroGroupFactor(net.relative, [one] * net.n, mode)
+    for k in range(net.n):
+        join_against_dense_oracle(factor, k)
+
+
+def test_float_join_after_a_reset_matches_the_dense_border_oracle():
+    # deleting bank 2 meets a small Schur pivot and resets the factor; the
+    # joins that follow start from the empty set, and bank 2's pivot is
+    # recomputed from the masses leaving the set
+    net = cf.build_network(TINY_EXITS[1], [1, 0, 0], mode=cf.FLOAT)
+    factor = network_factor(net)
+    factor.solve([1, 2], [0.5, 0.5])
+    fresh = network_factor(net)
+    join_against_dense_oracle(fresh, 1)
+    factor.solve([1], [0.5])
+    assert factor.banks == [1]
+    assert [x.hex() for x in factor.adj[0]] == [x.hex() for x in fresh.adj[0]]
+    join_against_dense_oracle(factor, 2)
+    join_against_dense_oracle(factor, 0)
 
 
 class TestActiveSet:

@@ -1,4 +1,5 @@
-"""The scalar kernels of the flow's event bookkeeping: `advance` and `total`."""
+"""The scalar kernels of the flow's event bookkeeping, `advance` and `total`,
+and the shared scalars of `zero_one`."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from clearflow.scalars import advance, total
+from clearflow.scalars import FLOAT, RATIONAL, advance, total, zero_one
 
 
 def random_fraction(rng: random.Random, bits: int) -> F:
@@ -79,3 +80,12 @@ def test_float_total_is_the_sum_in_index_order():
         for x in values:
             expected += x
         assert total(values).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_zero_one_returns_the_same_scalars_on_every_call(mode):
+    # the factor's held-rate carry recognises an unchanged 1 by identity
+    zero, one = zero_one(mode)
+    assert zero == 0 and one == 1
+    assert all(a is b for a, b in zip(zero_one(mode), (zero, one)))
+    assert type(one) is (F if mode == RATIONAL else float)
