@@ -45,21 +45,32 @@ one relative factor ε (`FinancialNetwork.zero_rel`, 0 in rational mode): a
 rate within ε counts as zero, and so does an amount within `zero_tol`, ε
 times the largest cash or debt entry. Cash changes only by the linear update.
 
-Each event sorts the banks by status, not by testing rates: a positive
-bank pays at rate exactly 1, so its time to the event is its remaining debt
-and it moves by t' itself; only the zero group's members need a rate test,
-a division and a product. The linear update is one kernel,
-`scalars.advance`, called once per vector (debt, payment, cash), and the
-conservation check is one `scalars.total`. In rational mode both work on
-the integers of each `Fraction`; in float mode they do the float operations
-of the plain loop, x + r t and a sum in index order. This module
-names no scalar type: exact arithmetic lives in `scalars` and `markov`.
+Between events every debt, payment and cash amount is linear in time, and
+a bank's slope changes only when its own status changes or a debtor's rate
+does. So a state keeps each bank's amounts at its anchor, the time its
+rates last changed, and an event touches only the banks whose out-rate or
+balance changed (`equilibrium_rates` reports them): it moves them to the
+event with one kernel, `scalars.advance`, once per vector (debt, payment,
+cash), and gives them new absolute hit times, when their debt or cash
+reaches 0. t' runs to the least hit time, found by the float order keys of
+the hit times (`scalars.order_key`) and settled exactly among the few
+whose keys are close; only the banks near their hit are moved there and
+tested. The cash is conserved as a running sum, moved by the change in
+Σ balance at each re-anchor. The amounts of a state are formed when read:
+a run that records no trajectory forms only the last, and a recorded run
+forms each as it records it, from which the next step anchors every bank.
+In rational mode the kernels work on the integers of each `Fraction`. In
+float mode the in-rates are summed afresh and every one counts as
+changed, so every bank moves by t' at every event, bit for bit as the
+plain update x + r t did. This module names no scalar type: exact
+arithmetic lives in `scalars` and `markov`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from math import inf
+from typing import Iterable, Sequence
 
 from .errors import (
     InvariantViolationError,
@@ -70,7 +81,15 @@ from .errors import (
 )
 from .markov import ZeroGroupFactor, in_rates
 from .network import FinancialNetwork, Partition, Status, initial_partition
-from .scalars import Scalar, advance, scalar_to_json, total, zero_one
+from .scalars import (
+    Scalar,
+    advance,
+    differences,
+    order_keys,
+    scalar_to_json,
+    total,
+    zero_one,
+)
 
 
 @dataclass(frozen=True)
@@ -82,19 +101,173 @@ class IntervalRates:
     balance: tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
 class SystemState:
-    """Snapshot between events: elapsed time, statuses, debts, cash, payments."""
+    """Snapshot between events: elapsed time, statuses, debts, cash, payments.
 
-    time: Scalar
-    partition: Partition
-    remaining_debt: tuple[Scalar, ...]
-    cash: tuple[Scalar, ...]
-    paid: tuple[Scalar, ...]
+    Built from plain tuples, or by `step` from anchors (`_Anchors`): each
+    bank's amounts at the time its rates last changed, which then move
+    linearly at the rates of the state's last interval. `remaining_debt`,
+    `cash` and `paid` are formed only when read, and kept; so a run that
+    records no trajectory never builds the vectors of the events it passes.
+    Immutable, and equal, hashed and shown as a dataclass of its five
+    fields."""
+
+    __slots__ = ("time", "partition", "_anchors", "_remaining_debt", "_cash", "_paid")
+
+    def __init__(
+        self,
+        time: Scalar,
+        partition: Partition,
+        remaining_debt: Sequence[Scalar],
+        cash: Sequence[Scalar],
+        paid: Sequence[Scalar],
+    ):
+        anchors = _Anchors(None, None, None, None, None, None, None)
+        self._fill(time, partition, anchors, tuple(remaining_debt), tuple(cash), tuple(paid))
+
+    @classmethod
+    def _anchored(cls, time: Scalar, partition: Partition, anchors: _Anchors) -> SystemState:
+        state = object.__new__(cls)
+        state._fill(time, partition, anchors, None, None, None)
+        return state
+
+    def _fill(self, time, partition, anchors, debt, cash, paid) -> None:
+        fill = object.__setattr__
+        fill(self, "time", time)
+        fill(self, "partition", partition)
+        fill(self, "_anchors", anchors)
+        fill(self, "_remaining_debt", debt)
+        fill(self, "_cash", cash)
+        fill(self, "_paid", paid)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def _read(self, name: str) -> tuple[Scalar, ...]:
+        value = object.__getattribute__(self, name)
+        if value is None:
+            value = self._anchors.at(self.time, name)
+            object.__setattr__(self, name, value)
+            if None not in (self._remaining_debt, self._cash, self._paid):
+                self._anchors.release()
+        return value
+
+    @property
+    def remaining_debt(self) -> tuple[Scalar, ...]:
+        return self._read("_remaining_debt")
+
+    @property
+    def cash(self) -> tuple[Scalar, ...]:
+        return self._read("_cash")
+
+    @property
+    def paid(self) -> tuple[Scalar, ...]:
+        return self._read("_paid")
 
     @property
     def statuses(self) -> tuple[Status, ...]:
         return self.partition.statuses
+
+    def _fields(self) -> tuple:
+        return (self.time, self.partition, self.remaining_debt, self.cash, self.paid)
+
+    def __repr__(self) -> str:
+        return (
+            f"SystemState(time={self.time!r}, partition={self.partition!r}, "
+            f"remaining_debt={self.remaining_debt!r}, cash={self.cash!r}, paid={self.paid!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return SystemState, self._fields()
+
+
+#: the anchored amounts of each of a state's fields
+_ANCHORED = {"_remaining_debt": "debt", "_cash": "cash", "_paid": "paid"}
+
+
+class _Anchors:
+    """Each bank's debt, payment and cash at `since[i]`, the time its rates
+    last changed, and the rates they move by from then on: those of the
+    interval that led to the state (`rates`; None when nothing moves).
+
+    A bank anchored at `previous`, the event before the state, moves by
+    `elapsed`, that interval's length, itself, and any other by the time
+    since its anchor; so where every rate changes at every event, each
+    amount is moved exactly as an event-by-event update would move it. The
+    lists are never changed once a state holds them, and are dropped once
+    it has formed all of its amounts."""
+
+    __slots__ = ("since", "debt", "paid", "cash", "rates", "previous", "elapsed", "moves")
+
+    def __init__(self, since, debt, paid, cash, rates, previous, elapsed):
+        self.since, self.debt, self.paid, self.cash = since, debt, paid, cash
+        self.rates, self.previous, self.elapsed = rates, previous, elapsed
+        #: the (time, banks) moves of `at`, formed on its first call
+        self.moves: list[tuple[Scalar, list[int]]] | None = None
+
+    def release(self) -> None:
+        """Drop the anchored amounts, once the state has formed them all."""
+        self.since = self.debt = self.paid = self.cash = self.moves = None
+
+    def at(self, time: Scalar, name: str) -> tuple[Scalar, ...]:
+        """The debts, cash or payments (by the state's field name) at `time`."""
+        values = list(getattr(self, _ANCHORED[name]))
+        if self.rates is not None:
+            if self.moves is None:
+                groups = _by_anchor(list(self.since), range(len(values)), time, self.previous)
+                self.moves = [
+                    (self.elapsed if start is self.previous else time - start, banks)
+                    for start, banks in groups
+                ]
+            rates = self.rates.balance if name == "_cash" else self.rates.out
+            for t, banks in self.moves:
+                advance(values, rates, -t if name == "_remaining_debt" else t, banks)
+        return tuple(values)
+
+
+def _by_anchor(
+    since: list[Scalar], banks: Iterable[int], time: Scalar, previous: Scalar | None
+) -> list[tuple[Scalar, list[int]]]:
+    """Anchor `banks` at `time`, in place, and return those that were not
+    anchored there, grouped by their old anchor: (anchor, banks) pairs,
+    each anchor once, `previous` first."""
+    moved: list[int] = []
+    groups: dict[int, tuple[Scalar, list[int]]] = {}
+    for i in banks:
+        start = since[i]
+        if start is previous:
+            moved.append(i)
+        elif start is time:
+            continue
+        elif (group := groups.get(id(start))) is None:
+            groups[id(start)] = (start, [i])
+        else:
+            group[1].append(i)
+        since[i] = time
+    return [(previous, moved), *groups.values()] if moved else list(groups.values())
+
+
+def _move(
+    anchors: _Anchors, rates: IntervalRates, banks: Iterable[int], time: Scalar,
+    previous: Scalar | None, elapsed: Scalar | None,
+) -> None:
+    """Move the amounts of `banks` to `time` at `rates` and anchor them
+    there, in place: `scalars.advance` once per vector and old anchor, by
+    `elapsed` from `previous` and by the time since it from any other."""
+    out = rates.out
+    for start, group in _by_anchor(anchors.since, banks, time, previous):
+        t = elapsed if start is previous else time - start
+        advance(anchors.debt, out, -t, group)
+        advance(anchors.paid, out, t, group)
+        advance(anchors.cash, rates.balance, t, group)
 
 
 @dataclass(frozen=True)
@@ -147,6 +320,30 @@ def balance_rates(net: FinancialNetwork, out: Sequence[Scalar]) -> tuple[Scalar,
     return tuple(in_rates(net, range(net.n), out))
 
 
+class _Carry:
+    """What the flow carries with its factor from event to event.
+
+    `equilibrium_rates` leaves its interval: the partition, the rates, the
+    solve set and `changed`, the banks whose out-rate or in-rate differs
+    from the interval before on this factor (None: any bank's may). `step`
+    leaves the state it ended in and that state's hit times: for each bank
+    whose debt (`due`) or cash (`dry`) can run out, a tuple (key, near, d,
+    start). start is the bank's anchor, d the time from it to the amount's
+    0 and key the order key of that hit time, start + d (see `_reach`);
+    near is the time the amount comes within `zero_tol` of 0, with a
+    margin, or key itself when `zero_tol` is 0. `cash_sums` holds the sum
+    of the cash at the state's time and Σ balance_i, the rate at which it
+    moves."""
+
+    __slots__ = ("partition", "rates", "solve_set", "changed", "state", "due", "dry", "cash_sums")
+
+    def __init__(self):
+        self.partition = self.rates = self.changed = self.state = self.cash_sums = None
+        self.solve_set: list[int] = []
+        self.due: dict[int, tuple] = {}
+        self.dry: dict[int, tuple] = {}
+
+
 def equilibrium_rates(
     net: FinancialNetwork,
     partition: Partition,
@@ -161,29 +358,77 @@ def equilibrium_rates(
     this interval's set and held rates for the next one; a fresh factor
     when none is given. The factor gives the input e (what the positive
     banks pay each member) and the in-rates Q^T out.
+
+    The factor also carries the previous interval it gave (`_Carry`). The
+    out-rates start from it, and only the banks that left or joined the
+    positive set or the solve set get a new one; the in-rates that may
+    have changed are the factor's `touched` receivers (all in float mode).
+    The banks among these whose out-rate or in-rate did change are the
+    interval's `changed` banks, and only they get a new balance
+    (`scalars.differences`); every other balance is the previous one.
     """
     if factor is None:
         factor = _network_factor(net)
+    carry = factor.carried
+    if carry is None:
+        carry = factor.carried = _Carry()
     zero, one = zero_one(net.mode)
-    out: list[Scalar] = [zero] * net.n
-    for i in partition.positive:
-        out[i] = one
+    positive = partition.positive
     solve_set = sorted(partition.zero & net.active)
+    last = carry.rates
+    if last is None:
+        out: list[Scalar] = [zero] * net.n
+        for i in positive:
+            out[i] = one
+        candidates = None
+    else:
+        out = list(last.out)
+        # the banks that joined or left the positive set or the solve set;
+        # the solve gives the members theirs
+        candidates = set(positive ^ carry.partition.positive)
+        candidates.update(carry.solve_set)
+        for i in candidates.difference(solve_set):
+            out[i] = one if i in positive else zero
     # e_i = sum of q_ji over the positive banks j, in the order of
     # `partition.positive`
-    e = factor.held_inflow(net, partition.positive, out, solve_set)
+    e = factor.held_inflow(net, positive, out, solve_set)
     if solve_set:
         try:
             v = factor.solve(solve_set, e)
         except SingularSystemError as exc:
+            carry.rates = None
             raise NonTransientZeroGroupError(
                 f"zero group {solve_set} contains a closed subnetwork"
             ) from exc
         for k, i in enumerate(solve_set):
             out[i] = v[k]
-    inflow = tuple(factor.inflow(net, out))
-    balance = tuple([x - rate if rate else x for x, rate in zip(inflow, out)])
-    return IntervalRates(out=tuple(out), inflow=inflow, balance=balance)
+    inflow = factor.inflow(net, out)
+    if candidates is None or factor.touched is None:
+        changed = None
+        balance = [zero] * net.n
+        differences(balance, inflow, out, range(net.n))
+    else:
+        before, received = last.out, last.inflow
+        changed = sorted([
+            i for i in candidates.union(solve_set, factor.touched)
+            if not ((a := out[i]) is (b := before[i]) or a == b)
+            or not ((a := inflow[i]) is (b := received[i]) or a == b)
+        ])
+        balance = list(last.balance)
+        differences(balance, inflow, out, changed)
+    rates = IntervalRates(out=tuple(out), inflow=tuple(inflow), balance=tuple(balance))
+    carry.partition, carry.rates, carry.solve_set, carry.changed = (
+        partition, rates, solve_set, changed)
+    return rates
+
+
+def _reach(key: float, slack: float = 2.0**-48) -> float:
+    """A key above that of every time equal to one with this key: a hit
+    time's key is the float sum of two keys when both are nonnegative,
+    within a few units in the last place of the hit time, and else the key
+    of the exact sum (`scalars.order_key`). A larger relative `slack`
+    reaches further."""
+    return key + abs(key) * slack + 2.0**-1000 if key > -inf else key
 
 
 def _where(index: int, time: Scalar) -> str:
@@ -200,59 +445,127 @@ def step(
     """Advance to the next event: compute rates, move time forward linearly,
     and reclassify every mover (debt hitting zero wins over cash hitting zero).
 
-    One pass over the statuses, in index order, sorts the banks by status.
-    A positive bank pays at rate exactly 1, so it is `paying` (its debt can
-    run out) with no rate test, its time is its remaining debt, and it is
-    `draining` (its cash can run out) when its balance is below -ε. A
-    zero-group bank with a nonzero rate moves debt, and is `paying` when
-    that rate is above ε, with time debt / rate. t' is the least of these
-    times and the draining banks'; positive banks pay at rate 1, so it
-    exists. `scalars.advance` moves debt, payment and cash by rate * t',
-    once per vector, over the banks with a nonzero rate. A listed amount
-    within `zero_tol` of 0 at t' (in rational mode: exactly 0) makes a
-    mover; `paying` movers are absorbed, debt and payment set exactly, so
-    every transition is P→Z, P→A or Z→A. Checks guard the movers: no
-    listed amount ends below -`zero_tol`, none is absorbed when t' <= 0, and
-    cash is conserved (`scalars.total`, exact in rational mode). The zero
-    group is solved by `factor` (see `equilibrium_rates`)."""
+    The state holds each bank's amounts at its anchor (`SystemState`). The
+    interval's changed banks are moved to the state's time with the old
+    rates and anchored there; when the factor did not step to this state
+    (a fresh one, or another run's), every bank is, and when the state has
+    formed its amounts every bank is anchored at them. Each changed bank then
+    gets its hit times, absolute. A positive bank pays at rate exactly 1,
+    so its debt runs out at τ + debt, with no rate test, and its cash at
+    τ - cash / balance when its balance is below -ε (at τ when that is
+    past); a zero-group bank whose rate is above ε runs out of debt at
+    τ + debt / rate. Every other bank keeps its anchor and hit times. t'
+    runs to the least hit time; an entry made at this event gives its own
+    time to the hit, as the plain update did. The banks whose amount may be
+    within `zero_tol` at t' (in rational mode: those whose hit time is t')
+    are moved to the new time and tested: an amount within `zero_tol` of 0
+    (in rational mode: exactly 0) makes a mover; a debt mover is absorbed,
+    debt and payment set exactly, so every transition is P→Z, P→A or Z→A.
+    Checks guard the movers: no tested amount ends below -`zero_tol`, none
+    is absorbed when t' <= 0, and cash is conserved: the sum of the cash at
+    the state's time moves by t' Σ balance, and Σ balance by the change of
+    each re-anchored bank's balance (`scalars.total`, exact in rational
+    mode). The zero group is solved by `factor` (see `equilibrium_rates`),
+    which also carries the hit times and the cash sums from event to
+    event."""
     if not state.partition.positive:
         raise StalledError(
             f"cannot step: no positive banks remain ({_where(index, state.time)})"
         )
+    if factor is None:
+        factor = _network_factor(net)
+    carry = factor.carried
+    book = state._anchors
+    carried = carry is not None and carry.state is state and carry.rates is book.rates
     rates = equilibrium_rates(net, state.partition, factor)
+    carry = factor.carried
     out, balance = rates.out, rates.balance
     eps, low = net.zero_rel, -net.zero_rel
-    zero, _ = zero_one(net.mode)
-    debt, cash, paid = list(state.remaining_debt), list(state.cash), list(state.paid)
-    moving, paying, draining, times = [], [], [], []
-    for i, status in enumerate(state.statuses):
-        if status is Status.POSITIVE:
-            moving.append(i)
-            paying.append(i)
-            times.append(debt[i])
-            if balance[i] < low:
-                draining.append(i)
-        elif status is Status.ZERO and out[i]:
-            moving.append(i)
-            if out[i] > eps:
-                paying.append(i)
-                times.append(debt[i] / out[i])
-    for i in draining:
-        t = -cash[i] / balance[i]
-        times.append(t if t > 0 else zero)
-    t_prime = min(times)
     tol, neg_tol = net.zero_tol, -net.zero_tol
-    now = state.time + t_prime
+    zero, _ = zero_one(net.mode)
+    now = state.time
+    changed = carry.changed if carried and carry.changed is not None else range(net.n)
+    debt, paid, cash = state._remaining_debt, state._paid, state._cash
+    if debt is not None and paid is not None and cash is not None:
+        # every amount at the state's time is formed: anchor every bank there
+        anchors = _Anchors([now] * net.n, list(debt), list(paid), list(cash), rates, now, None)
+    else:
+        anchors = _Anchors(
+            list(book.since), list(book.debt), list(book.paid), list(book.cash), rates, now, None
+        )
+        _move(anchors, book.rates, changed, now, book.previous, book.elapsed)
+    if not carried:
+        carry.due, carry.dry = {}, {}
+        held, drift = total(anchors.cash), total(balance)
+    elif carry.changed is None:
+        held, drift = carry.cash_sums[0], total(balance)
+    else:
+        held, drift = carry.cash_sums
+        drift += total([balance[i] for i in changed], [book.rates.balance[i] for i in changed])
 
-    advance(debt, out, -t_prime, moving)
-    advance(paid, out, t_prime, moving)
-    advance(cash, balance, t_prime, range(net.n))
+    due, dry = carry.due, carry.dry
+    debt, cash = anchors.debt, anchors.cash
+    statuses = state.statuses
+    # a hit's key is the float sum of the keys of now and of the time d to
+    # it when both are nonnegative (see `_reach`); its near time matters
+    # only when zero_tol is not 0, in float mode, where each key is exact
+    margin = 4 * tol if tol else tol
+    key_of = order_keys(net.mode)
+    knot = key_of(now)
+    # a sum of keys below floor had a negative part: use the exact sum's key
+    floor = knot if knot >= 0 else inf
+    positive_status, zero_status = Status.POSITIVE, Status.ZERO
+    for i in changed:
+        status = statuses[i]
+        if status is positive_status:
+            d = debt[i]
+            if (key := knot + key_of(d)) < floor:
+                key = key_of(now + d)
+            due[i] = (key, now + (d - margin) if tol else key, d, now)
+            rate = balance[i]
+            if rate < low:
+                d = -cash[i] / rate
+                d = d if d > 0 else zero
+                if (key := knot + key_of(d)) < floor:
+                    key = key_of(now + d)
+                dry[i] = (key, now + (cash[i] - margin) / -rate if tol else key, d, now)
+            elif dry:
+                dry.pop(i, None)
+        elif status is zero_status and (rate := out[i]) > eps:
+            d = debt[i] / rate
+            if (key := knot + key_of(d)) < floor:
+                key = key_of(now + d)
+            due[i] = (key, now + (debt[i] - margin) / rate if tol else key, d, now)
+        else:
+            due.pop(i, None)
+    # only the entries whose near time is within reach of the least key
+    # can hold the least hit time or a mover. Among those whose key is in
+    # reach, t' is the least time to the hit: an entry made now gives its
+    # own d, any other its hit time less now. Those whose near time t'
+    # reaches are moved there and tested.
+    first = min(due.values())[0]
+    if dry:
+        first = min(first, min(dry.values())[0])
+    reach = _reach(first, 2.0**-46)
+    due_near = [i for i, v in due.items() if v[1] <= reach]
+    dry_near = [i for i, v in dry.items() if v[1] <= reach]
+    reach = _reach(first)
+    t_prime = min([
+        d if start is now else start + d - now
+        for key, _, d, start in [due[i] for i in due_near] + [dry[i] for i in dry_near]
+        if key <= reach
+    ])
+    after = now + t_prime
+    limit = _reach(key_of(after))
+    paying = sorted([i for i in due_near if due[i][1] <= limit])
+    draining = sorted([i for i in dry_near if dry[i][1] <= limit])
+    _move(anchors, rates, set(paying).union(draining), after, now, t_prime)
     absorbed = []
     for i in paying:
         if debt[i] <= tol:
             if debt[i] < neg_tol:
                 raise InvariantViolationError(
-                    f"negative debt {debt[i]} at bank {net.ids[i]} ({_where(index, now)})"
+                    f"negative debt {debt[i]} at bank {net.ids[i]} ({_where(index, after)})"
                 )
             absorbed.append(i)
     emptied = []
@@ -260,39 +573,38 @@ def step(
         if cash[i] <= tol:
             if cash[i] < neg_tol:
                 raise InvariantViolationError(
-                    f"negative cash {cash[i]} at bank {net.ids[i]} ({_where(index, now)})"
+                    f"negative cash {cash[i]} at bank {net.ids[i]} ({_where(index, after)})"
                 )
             if i not in absorbed:
                 emptied.append(i)
     if absorbed and t_prime <= 0:
         raise InvariantViolationError(
-            f"zero-duration event absorbs bank {net.ids[absorbed[0]]} ({_where(index, now)})"
+            f"zero-duration event absorbs bank {net.ids[absorbed[0]]} ({_where(index, after)})"
         )
 
-    statuses = list(state.statuses)
     for i in absorbed:
-        statuses[i] = Status.ABSORBING
         debt[i] = zero
-        paid[i] = net.total_debt[i]
-    for i in emptied:
-        statuses[i] = Status.ZERO
+        anchors.paid[i] = net.total_debt[i]
     movers = tuple(sorted(absorbed + emptied))
+    for i in movers:
+        # no longer positive: its cash cannot run out
+        dry.pop(i, None)
 
-    if abs(total(cash) - net.total_cash) > 1000 * net.zero_rel * max(1, net.total_cash):
-        raise InvariantViolationError(f"cash conservation violated ({_where(index, now)})")
+    if drift:
+        held += drift * t_prime
+    if abs(held - net.total_cash) > 1000 * net.zero_rel * max(1, net.total_cash):
+        raise InvariantViolationError(f"cash conservation violated ({_where(index, after)})")
 
-    after_state = SystemState(
-        time=now,
-        partition=Partition(tuple(statuses)),
-        remaining_debt=tuple(debt),
-        cash=tuple(cash),
-        paid=tuple(paid),
-    )
+    anchors.elapsed = t_prime
+    after_state = SystemState._anchored(after, state.partition.moved(absorbed, emptied), anchors)
+    carry.state, carry.cash_sums = after_state, (held, drift)
     return FlowEvent(
         index=index,
-        time=after_state.time,
+        time=after,
         movers=movers,
-        transitions=tuple(Transition(i, state.statuses[i], statuses[i]) for i in movers),
+        transitions=tuple(
+            Transition(i, statuses[i], after_state.statuses[i]) for i in movers
+        ),
         rates=rates,
         state_after=after_state,
     )
@@ -434,6 +746,9 @@ def run_flow(net: FinancialNetwork, record_trajectory: bool = True) -> ClearingR
         event = step(net, state, k, factor)
         state = event.state_after
         if record_trajectory:
+            # a recorded state is read (trace prints its debts and cash); the
+            # next step anchors every bank at what is formed here
+            state.remaining_debt, state.cash, state.paid
             events.append(event)
         k += 1
         if k > 2 * net.n:

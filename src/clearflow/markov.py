@@ -273,6 +273,18 @@ class ZeroGroupFactor:
         #: E * M_j for each solved bank j, by its nonzero entries
         self.row_scale = 0
         self.rows: dict[int, list[tuple[int, int]]] = {}
+        #: in rational mode, the receivers whose held part moved since the
+        #: last `inflow`, and those the last `inflow` fed from its solve
+        #: (None before the first)
+        self.moved: set[int] = set()
+        self.fed: list[int] | None = None
+        #: the receivers whose in-rate the last `inflow` may have changed
+        #: from the one before; None when any may have (float mode, or the
+        #: first call)
+        self.touched: set[int] | None = None
+        #: what the flow carries with the factor from event to event
+        #: (`flow.equilibrium_rates` and `flow.step` own it)
+        self.carried = None
 
     def _entry(self, x: Scalar) -> Scalar:
         """D * x, an int in rational mode."""
@@ -423,17 +435,19 @@ class ZeroGroupFactor:
             inflow = in_rates(net, banks, rates)
             return [inflow[i] for i in receivers]
         held = {j: rates[j] for j in banks if rates[j]}
-        inflow, old, shares = self.held_in, self.held, net.shares
+        inflow, old, shares, moved = self.held_in, self.held, net.shares, self.moved
         # a rate held on is mostly the same object (`zero_one`'s 1, a cap):
         # identity settles it before a `Fraction` comparison
         for j, rate in old.items():
             if (now := held.get(j)) is not rate and now != rate:
                 for i, q in shares[j]:
                     inflow[i] -= rate * q
+                    moved.add(i)
         for j, rate in held.items():
             if (then := old.get(j)) is not rate and then != rate:
                 for i, q in shares[j]:
                     inflow[i] += rate * q
+                    moved.add(i)
         self.held = held
         return [inflow[i] for i in receivers]
 
@@ -446,10 +460,21 @@ class ZeroGroupFactor:
         product and one `Fraction` per receiver. E clears the denominators
         of the scope's whole rows, not only those inside the scope, so every
         receiver gets its exact in-rate. Float mode applies `in_rates` to
-        `rates`, bank by bank in index order."""
+        `rates`, bank by bank in index order.
+
+        Rational mode also leaves in `touched` the receivers whose in-rate
+        may differ from the last call's: those whose held part moved, and
+        those either call fed from its solve. Float mode sums afresh, so it
+        leaves None there: any in-rate may have changed."""
         if not self.exact:
             return in_rates(net, range(net.n), rates)
         inflow = list(self.held_in)
+        fed: list[int] = []
+        touched, self.moved = self.moved, set()
+        if self.fed is not None:
+            touched.update(self.fed)
+            self.touched = touched
+        self.fed = fed
         if not self.solution:
             return inflow
         banks, numerators, total = self.solution
@@ -475,6 +500,8 @@ class ZeroGroupFactor:
                 inflow[i] = Fraction(
                     h.numerator * denominator + a * h.denominator, h.denominator * denominator
                 )
+                fed.append(i)
+        touched.update(fed)
         return inflow
 
 

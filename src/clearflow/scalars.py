@@ -7,19 +7,22 @@ trades exactness for speed on larger batches.
 
 The helpers here convert user-facing values (ints, decimal strings, "p/q"
 strings, floats) into the scalar type of a mode and back into JSON-friendly
-form ("p/q" strings in rational mode, plain numbers in float mode). The two
+form ("p/q" strings in rational mode, plain numbers in float mode). The
 vector kernels of the flow's event bookkeeping live here too, so that exact
-arithmetic stays in this module: `advance` moves amounts linearly in time
-and `total` sums them. Each tests the scalar type once per call; in
-rational mode it works on the integers of each `Fraction`, in float mode it
-does exactly the float operations of the plain loop.
+arithmetic stays in this module: `advance` moves amounts linearly in time,
+`differences` forms the balances in-rate - out-rate and `total` sums
+amounts. Each tests the scalar type once per call; in rational mode it
+works on the integers of each `Fraction`, in float mode it does exactly
+the float operations of the plain loop. `order_key` maps a time to a
+float that keeps its order, so that most comparisons of exact times are
+comparisons of floats.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, MutableSequence, Sequence
+from collections.abc import Callable, Iterable, MutableSequence, Sequence
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -87,14 +90,78 @@ def advance(
                 values[i] += rate * t
 
 
-def total(values: Sequence[Scalar]) -> Scalar:
-    """Σ values: in rational mode one `Fraction`, the integer numerators
-    over the lcm of the denominators; in float mode the builtin `sum` in
-    index order."""
+def differences(
+    values: MutableSequence[Scalar],
+    minuends: Sequence[Scalar],
+    subtrahends: Sequence[Scalar],
+    banks: Iterable[int],
+) -> None:
+    """values[i] = minuends[i] - subtrahends[i] for each bank i of `banks`,
+    or minuends[i] itself when the subtrahend is zero.
+
+    Rational mode takes a subtrahend of 1 from the minuend's integers,
+    (p - q)/q, which is already in lowest terms, and an equal subtrahend
+    gives 0 with no arithmetic; any other pair is a `Fraction`
+    subtraction. Float mode computes x - r, as the plain loop did."""
+    if not minuends or not isinstance(minuends[0], Fraction):
+        if banks == range(len(minuends)):
+            values[:] = [x - rate if rate else x for x, rate in zip(minuends, subtrahends)]
+            return
+        for i in banks:
+            rate = subtrahends[i]
+            values[i] = minuends[i] - rate if rate else minuends[i]
+        return
+    zero = _RATIONAL_ZERO_ONE[0]
+    for i in banks:
+        x, rate = minuends[i], subtrahends[i]
+        c = rate.numerator
+        if not c:
+            values[i] = x
+            continue
+        p, q, d = x.numerator, x.denominator, rate.denominator
+        if c == d:
+            values[i] = _coprime(p - q, q)
+        elif p == c and q == d:
+            values[i] = zero
+        else:
+            values[i] = x - rate
+
+
+def _coprime(numerator: int, denominator: int) -> Fraction:
+    """The `Fraction` numerator/denominator of two coprime integers, the
+    denominator positive, built without a gcd."""
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = numerator, denominator
+    return x
+
+
+def total(values: Sequence[Scalar], less: Sequence[Scalar] = ()) -> Scalar:
+    """Σ values - Σ less: in rational mode one `Fraction`, the integer
+    numerators over the lcm of the denominators; in float mode the builtin
+    `sum` of each in index order, then their difference."""
     if not values or not isinstance(values[0], Fraction):
-        return sum(values)
-    common = math.lcm(*[x.denominator for x in values])
-    return Fraction(sum([x.numerator * (common // x.denominator) for x in values]), common)
+        return sum(values) - sum(less) if less else sum(values)
+    common = math.lcm(*[x.denominator for x in values], *[x.denominator for x in less])
+    plus = sum([x.numerator * (common // x.denominator) for x in values])
+    return Fraction(plus - sum([x.numerator * (common // x.denominator) for x in less]), common)
+
+
+def order_key(x: Scalar) -> float:
+    """A float that orders as x does: x <= y implies order_key(x) <=
+    order_key(y). A `Fraction` converts with correct rounding, which keeps
+    order, and past float range to an infinity of its sign; a float is
+    itself. So equal keys leave the order open, and unequal keys settle it
+    without `Fraction` arithmetic."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def order_keys(mode: str) -> Callable[[Scalar], float]:
+    """`order_key` for the scalars of `mode`: in float mode, where each key
+    is the value itself, the builtin `float`."""
+    return order_key if mode == RATIONAL else float
 
 
 def to_scalar(value, mode: str) -> Scalar:
@@ -169,8 +236,11 @@ def scalar_to_json(x: Scalar):
 
     `str` refuses integers past Python's digit limit (`MAX_AMOUNT_DIGITS`),
     which exact arithmetic can reach; their digits are written through
-    `Decimal`, which that limit does not bind.
+    `Decimal`, which that limit does not bind. A float returns at once,
+    before the `isinstance` test, which goes through `ABCMeta` for it.
     """
+    if type(x) is float:
+        return x
     if isinstance(x, Fraction):
         try:
             return str(x)

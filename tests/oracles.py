@@ -36,6 +36,14 @@ the Schur pivot recomputed from whole-row column sums when it may have
 cancelled. It is the reference the factor's sparse bordering must match
 bit for bit.
 
+`eager_run_flow` is the flow with event-by-event bookkeeping: at every
+event each bank that moves money is advanced by t', each paying and
+draining bank's amount is tested, and all of the cash is summed. The rates
+come from `flow.equilibrium_rates` on a carried factor, as in `run_flow`,
+but the out-rates other than the zero group's solve and every balance are
+formed afresh. It is the reference for the flow's anchored amounts, which
+move only the banks whose rates changed.
+
 `reachability_transient` is the transience test walked backwards from the
 states with an exit: every state must reach one.
 
@@ -51,6 +59,7 @@ from operator import mul
 
 import clearflow as cf
 from clearflow.errors import SingularSystemError, VerificationFailedError
+from clearflow.markov import ZeroGroupFactor
 from clearflow.scalars import zero_one
 
 
@@ -211,6 +220,83 @@ def dense_fixed_point(net: cf.FinancialNetwork, banks, base, cap, held, tol) -> 
         x = list(start)
         for i, value in zip(members, r):
             x[i] = value
+
+
+def eager_run_flow(net: cf.FinancialNetwork) -> cf.ClearingResult:
+    """`flow.run_flow` with every amount moved at every event.
+
+    Each event advances the debt and payment of every bank with a nonzero
+    out-rate and the cash of every bank with a nonzero balance, by x + r t
+    in index order, and checks conservation on the sum of all of the cash.
+    t' is the least of the paying banks' times to a debt of 0 and the
+    draining banks' times to a cash of 0 (0 when past); a paying bank whose
+    debt is then within `zero_tol` is absorbed, and a draining one whose
+    cash is, emptied."""
+    zero, one = zero_one(net.mode)
+    eps, tol = net.zero_rel, net.zero_tol
+    partition, _ = cf.big_bang_partition(net)
+    time, debt, cash, paid = zero, list(net.total_debt), list(net.cash), [zero] * net.n
+    factor = ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
+    events = []
+    while partition.positive:
+        rates = cf.equilibrium_rates(net, partition, factor)
+        solved = partition.zero & net.active
+        out = tuple(
+            one if s is cf.Status.POSITIVE else rates.out[i] if i in solved else zero
+            for i, s in enumerate(partition.statuses)
+        )
+        balance = tuple(x - r if r else x for x, r in zip(rates.inflow, out))
+        paying = [
+            i for i, s in enumerate(partition.statuses)
+            if s is cf.Status.POSITIVE or s is cf.Status.ZERO and out[i] > eps
+        ]
+        draining = [i for i in paying if partition.statuses[i] is cf.Status.POSITIVE
+                    and balance[i] < -eps]
+        times = [debt[i] / out[i] for i in paying]
+        times += [t if (t := -cash[i] / balance[i]) > 0 else zero for i in draining]
+        t_prime = min(times)
+        time = time + t_prime
+        for i in range(net.n):
+            if out[i]:
+                debt[i] = debt[i] + out[i] * -t_prime
+                paid[i] = paid[i] + out[i] * t_prime
+            if balance[i]:
+                cash[i] = cash[i] + balance[i] * t_prime
+        absorbed = [i for i in paying if debt[i] <= tol]
+        emptied = [i for i in draining if cash[i] <= tol and i not in absorbed]
+        assert all(debt[i] >= -tol for i in paying) and all(cash[i] >= -tol for i in draining)
+        assert absorbed == [] or t_prime > 0
+        bound = 1000 * net.zero_rel * max(1, net.total_cash)
+        assert abs(sum(cash) - net.total_cash) <= bound
+        statuses = list(partition.statuses)
+        for i in absorbed:
+            statuses[i] = cf.Status.ABSORBING
+            debt[i], paid[i] = zero, net.total_debt[i]
+        for i in emptied:
+            statuses[i] = cf.Status.ZERO
+        movers = tuple(sorted(absorbed + emptied))
+        after = cf.Partition(tuple(statuses))
+        state = cf.SystemState(time, after, tuple(debt), tuple(cash), tuple(paid))
+        events.append(cf.FlowEvent(
+            index=len(events),
+            time=time,
+            movers=movers,
+            transitions=tuple(
+                cf.Transition(i, partition.statuses[i], statuses[i]) for i in movers
+            ),
+            rates=cf.IntervalRates(out=out, inflow=rates.inflow, balance=balance),
+            state_after=state,
+        ))
+        partition = after
+    return cf.ClearingResult(
+        payments=tuple(paid),
+        final_partition=partition,
+        defaults=frozenset(partition.zero),
+        total_time=time,
+        final_cash=tuple(cash),
+        trajectory=tuple(events),
+        algorithm="flow",
+    )
 
 
 def flow_bailout(net: cf.FinancialNetwork) -> cf.BailoutPlan:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 from fractions import Fraction as F
@@ -11,8 +12,9 @@ import pytest
 import clearflow as cf
 from clearflow.errors import InvariantViolationError, NonTransientZeroGroupError, StalledError
 from clearflow.markov import ZeroGroupFactor
+from clearflow.scalars import zero_one
 from conftest import statuses_of, swampy_network, wide_magnitude_network, with_cash
-from oracles import probe_revealed
+from oracles import eager_run_flow, probe_revealed
 
 
 def make_partition(pattern: str) -> cf.Partition:
@@ -225,6 +227,26 @@ class TestStep:
         for event in cf.run_flow(net).trajectory:
             assert repr(cf.step(net, state, index=event.index)) == repr(event)
             state = event.state_after
+        # carried steps whose states nobody reads keep each bank's amounts
+        # where its rates last changed, often before the previous event; a
+        # fresh step moves every bank from there
+        older = 0
+        for swamp_seed in range(5 * seed, 5 * seed + 5):
+            net = swampy_network(swamp_seed)
+            state = initial_state(net, cf.big_bang_partition(net)[0])
+            factor = ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
+            carried = []
+            while state.partition.positive:
+                carried.append(cf.step(net, state, len(carried), factor))
+                state = carried[-1].state_after
+                anchors = state._anchors
+                older += sum(1 for t in anchors.since if t is not state.time
+                             and t is not anchors.previous)
+            state = initial_state(net, cf.big_bang_partition(net)[0])
+            for event in carried:
+                assert repr(cf.step(net, state, index=event.index)) == repr(event)
+                state = event.state_after
+        assert older > 0
 
     @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
     def test_run_flow_steps_through_the_public_names(self, monkeypatch, mode):
@@ -246,6 +268,152 @@ class TestStep:
             events = len(cf.run_flow(net).trajectory)
             assert events > 0
             assert calls == {"step": events, "equilibrium_rates": events}
+
+
+def moved_amounts(monkeypatch) -> list[int]:
+    """Count the amounts the event kernel moves: a one-item list, the banks
+    with a nonzero rate over every `scalars.advance` call of the flow."""
+    count = [0]
+    advance = cf.flow.advance
+
+    def counted(values, rates, t, banks):
+        banks = list(banks)
+        count[0] += sum(1 for i in banks if rates[i])
+        advance(values, rates, t, banks)
+
+    monkeypatch.setattr(cf.flow, "advance", counted)
+    return count
+
+
+def changed_banks(trajectory) -> int:
+    """Σ over the events of the banks whose out-rate or balance differs from
+    the interval before (the first interval's: from none)."""
+    total = 0
+    before = None
+    for event in trajectory:
+        out, balance = event.rates.out, event.rates.balance
+        if before is None:
+            total += sum(1 for r, x in zip(out, balance) if r or x)
+        else:
+            total += sum(
+                1 for r, x, r0, x0 in zip(out, balance, *before) if r != r0 or x != x0
+            )
+        before = (out, balance)
+    return total
+
+
+def hexed(trajectory):
+    """Every float of a trajectory as `float.hex`, beside its other fields."""
+
+    def h(values):
+        return tuple(float.hex(x) for x in values)
+
+    return [
+        (
+            float.hex(e.time), e.movers, e.transitions, h(e.rates.out), h(e.rates.inflow),
+            h(e.rates.balance), e.state_after.partition, h(e.state_after.remaining_debt),
+            h(e.state_after.cash), h(e.state_after.paid),
+        )
+        for e in trajectory
+    ]
+
+
+class TestAnchoredAmounts:
+    @pytest.mark.parametrize("seed", range(0, 30, 3))
+    def test_an_event_moves_only_the_banks_whose_rates_changed(self, monkeypatch, seed):
+        # a run that records nothing moves each bank's amounts when its
+        # out-rate or balance changes, or when it is tested at a hit time,
+        # and once more for the result; not every moving bank at every event
+        net = swampy_network(seed)
+        trajectory = cf.run_flow(net).trajectory
+        count = moved_amounts(monkeypatch)
+        result = cf.run_flow(net, record_trajectory=False)
+        assert result.payments == trajectory[-1].state_after.paid
+        assert count[0] <= 3 * changed_banks(trajectory) + 3 * net.n
+        moving = sum(
+            2 * sum(1 for r in e.rates.out if r) + sum(1 for x in e.rates.balance if x)
+            for e in trajectory
+        )
+        assert count[0] < moving
+
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_equilibrium_rates_reports_exactly_the_changed_banks(self, mode):
+        # on a carried factor each interval names the banks whose out-rate
+        # or balance differs from the interval before; float mode, which
+        # sums every in-rate afresh, names none and so every bank
+        for seed in range(10):
+            net = swampy_network(seed, mode=mode)
+            factor = ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
+            partitions = [cf.big_bang_partition(net)[0]]
+            partitions += [e.state_after.partition for e in cf.run_flow(net).trajectory[:-1]]
+            before = None
+            for partition in partitions:
+                rates = cf.equilibrium_rates(net, partition, factor)
+                if mode == cf.FLOAT or before is None:
+                    assert factor.carried.changed is None
+                else:
+                    assert factor.carried.changed == [
+                        i for i in range(net.n)
+                        if rates.out[i] != before.out[i] or rates.balance[i] != before.balance[i]
+                    ]
+                before = rates
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_rational_run_matches_eager_bookkeeping_on_swamp_networks(self, seed):
+        net = swampy_network(seed)
+        assert repr(cf.run_flow(net)) == repr(eager_run_flow(net))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rational_run_matches_eager_bookkeeping_on_cascades(self, seed):
+        net = cf.generate_network(seed, 20, 0.3, "1/4")
+        assert repr(cf.run_flow(net)) == repr(eager_run_flow(net))
+
+    def test_rational_run_matches_eager_bookkeeping_after_a_big_bang(self, net_1b):
+        # bank 2 is revealed positive at time zero
+        assert cf.big_bang_partition(net_1b)[1]
+        assert repr(cf.run_flow(net_1b)) == repr(eager_run_flow(net_1b))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_float_run_is_bit_equal_to_eager_bookkeeping(self, seed):
+        net = cf.generate_network(seed, 64, 0.3, "1/4", mode=cf.FLOAT)
+        run, eager = cf.run_flow(net), eager_run_flow(net)
+        assert hexed(run.trajectory) == hexed(eager.trajectory)
+        assert [float.hex(x) for x in run.payments] == [float.hex(x) for x in eager.payments]
+
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_running_cash_sum_catches_a_balance_that_breaks_conservation(
+        self, monkeypatch, mode
+    ):
+        # from the third interval on, one changed bank's balance is off by
+        # 1/2: the carried sum of the cash must see it at that event
+        net = cf.generate_network(1, 20, 0.3, "1/4", mode=mode)
+        assert len(cf.run_flow(net).trajectory) > 3
+        _, one = zero_one(mode)
+        calls = []
+        differences = cf.flow.differences
+
+        def skewed(values, minuends, subtrahends, banks):
+            banks = list(banks)
+            differences(values, minuends, subtrahends, banks)
+            calls.append(banks)
+            if len(calls) == 3:
+                values[banks[0]] += one / 2
+
+        monkeypatch.setattr(cf.flow, "differences", skewed)
+        message = r"^cash conservation violated \(event 2,"
+        with pytest.raises(InvariantViolationError, match=message):
+            cf.run_flow(net, record_trajectory=False)
+
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_a_run_that_records_nothing_ends_as_a_recorded_one(self, mode):
+        # a recorded run forms every state as it goes, the other only the
+        # last one, from amounts anchored at many different events
+        for seed in range(10):
+            net = swampy_network(seed, mode=mode)
+            recorded = cf.run_flow(net)
+            alone = cf.run_flow(net, record_trajectory=False)
+            assert alone.trajectory == ()
+            assert repr(dataclasses.replace(recorded, trajectory=())) == repr(alone)
 
 
 class TestBigBang:

@@ -205,6 +205,32 @@ class TestInitialPartition:
                 assert status is expected
 
 
+class TestPartitionMoved:
+    def test_moved_partition_equals_a_fresh_one_and_iterates_alike(self):
+        # the flow sums held in-rates in the order of `positive`, so a
+        # derived set must iterate as the pass over the statuses builds it
+        rng = random.Random(5)
+        statuses = list(cf.Status)
+        for _ in range(200):
+            n = rng.randint(1, 70)
+            part = cf.Partition(tuple(rng.choice(statuses) for _ in range(n)))
+            for name in rng.sample(["positive", "zero", "absorbing"], rng.randint(0, 3)):
+                getattr(part, name)
+            positive, zero = sorted(part.positive), sorted(part.zero)
+            absorbed = rng.sample(positive + zero, rng.randint(0, min(3, n)))
+            emptied = [i for i in rng.sample(positive, min(2, len(positive))) if i not in absorbed]
+            moved = part.moved(absorbed, emptied)
+            statuses_after = list(part.statuses)
+            for i in absorbed:
+                statuses_after[i] = cf.Status.ABSORBING
+            for i in emptied:
+                statuses_after[i] = cf.Status.ZERO
+            fresh = cf.Partition(tuple(statuses_after))
+            assert moved == fresh
+            for name in ("positive", "zero", "absorbing"):
+                assert list(getattr(moved, name)) == list(getattr(fresh, name))
+
+
 class TestSerialization:
     EXAMPLE_1C = """
     {"banks": [{"id": "1", "cash": 1}, {"id": "2", "cash": 0},

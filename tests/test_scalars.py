@@ -1,14 +1,27 @@
-"""The scalar kernels of the flow's event bookkeeping, `advance` and `total`,
-and the shared scalars of `zero_one`."""
+"""The scalar kernels of the flow's event bookkeeping (`advance`,
+`differences`, `total` and `order_key`), the shared scalars of `zero_one`
+and the serialization of one scalar."""
 
 from __future__ import annotations
 
 import random
+import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
-from clearflow.scalars import FLOAT, RATIONAL, advance, total, zero_one
+from clearflow.scalars import (
+    FLOAT,
+    RATIONAL,
+    advance,
+    differences,
+    order_key,
+    order_keys,
+    scalar_to_json,
+    total,
+    zero_one,
+)
 
 
 def random_fraction(rng: random.Random, bits: int) -> F:
@@ -89,3 +102,87 @@ def test_zero_one_returns_the_same_scalars_on_every_call(mode):
     assert zero == 0 and one == 1
     assert all(a is b for a, b in zip(zero_one(mode), (zero, one)))
     assert type(one) is (F if mode == RATIONAL else float)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rational_total_less_matches_fraction_sums(seed):
+    values, rates, _, _ = fraction_cases(seed)
+    assert repr(total(values, rates)) == repr(sum(values) - sum(rates))
+
+
+def test_float_total_less_is_the_difference_of_the_sums_in_index_order():
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        values = [random_float(rng) for _ in range(n)]
+        less = [random_float(rng) for _ in range(n)]
+        assert total(values, less).hex() == (sum(values) - sum(less)).hex()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rational_differences_match_fraction_arithmetic(seed):
+    # about a fifth of the subtrahends are 0 and a fifth 1, and some equal
+    # their minuend: each must still give the normalized difference
+    values, rates, _, banks = fraction_cases(seed)
+    rng = random.Random(seed)
+    rates = [F(1) if rng.random() < 0.2 else r for r in rates]
+    rates = [x if rng.random() < 0.1 else r for x, r in zip(values, rates)]
+    formed = [F(-99)] * len(values)
+    differences(formed, values, rates, banks)
+    expected = [
+        (values[i] - rates[i] if rates[i] else values[i]) if i in banks else F(-99)
+        for i in range(len(values))
+    ]
+    assert repr(formed) == repr(expected)
+
+
+def test_float_differences_are_bit_equal_to_the_plain_subtraction():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        values = [random_float(rng) for _ in range(n)] + [0.0, -0.0, 2.5]
+        rates = [0.0 if rng.random() < 0.2 else random_float(rng) for _ in range(n)]
+        rates += [1.0, 0.0, 2.5]
+        formed = [0.0] * len(values)
+        differences(formed, values, rates, range(len(values)))
+        assert [x.hex() for x in formed] == [
+            (x - r if r else x).hex() for x, r in zip(values, rates)
+        ]
+
+
+def test_order_key_keeps_the_order_of_fractions():
+    # correct rounding keeps order; past float range the key is infinite
+    rng = random.Random(14)
+    values = [random_fraction(rng, rng.choice((4, 60, 2000))) for _ in range(300)]
+    values += [F(10) ** 400, -F(10) ** 400, F(1, 10**400), F(0), F(1, 3), F(1, 3) + F(1, 10**30)]
+    values.sort()
+    keys = [order_key(x) for x in values]
+    assert keys == sorted(keys)
+    assert order_key(F(10) ** 400) == math.inf and order_key(-F(10) ** 400) == -math.inf
+    assert order_key(F(1, 3)) == order_key(F(1, 3) + F(1, 10**30)) == 1 / 3
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_order_keys_of_a_mode(mode):
+    key = order_keys(mode)
+    zero, one = zero_one(mode)
+    assert key(one) == 1.0 and key(zero) == 0.0 and type(key(one)) is float
+    if mode == FLOAT:
+        x = 0.1 + 0.2
+        assert key(x) is x
+
+
+def test_scalar_to_json_gives_the_same_output_for_every_type():
+    # floats return at once, before the Fraction test; every other type
+    # keeps its path: Fractions as "p/q" strings, past Python's digit limit
+    # through Decimal, and ints (an integer residual) as themselves
+    for x in (0.1, -0.0, 1e308, 2.5e-320, float("inf")):
+        assert scalar_to_json(x) is x
+    assert scalar_to_json(F(3, 4)) == "3/4"
+    assert scalar_to_json(F(-5)) == "-5"
+    assert scalar_to_json(7) == 7 and type(scalar_to_json(7)) is int
+    huge = 10**4500 + 1
+    assert scalar_to_json(huge) is huge
+    assert scalar_to_json(F(huge)) == str(Decimal(huge))
+    assert scalar_to_json(F(huge, 3)) == f"{Decimal(huge)}/3"
+    assert scalar_to_json(F(1, huge)) == f"1/{Decimal(huge)}"
