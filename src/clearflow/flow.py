@@ -20,11 +20,12 @@ fictitious-defaults round, come in two parts from the factor that solves
 it. The held banks (the positive ones in the flow, those at their cap in
 fd) give Q^T h, which is also the solve's input on the zero group; the
 solved banks give the rest. In rational mode the factor carries Q^T h from
-call to call, moving it by one row when a bank leaves the held set, and
-forms the solved part from the integers of its solve, so no
-O(n m) `Fraction` sum is built. In float mode `markov.in_rates` sums both
-afresh: the input in the order of the held banks, the in-rates bank by
-bank in index order.
+call to call, moving it by one sparse row when a bank leaves the held set,
+in the one Q^T p kernel (`scalars.scatter`, on integers), and forms the
+solved part from the integers of its solve, over each solved bank's row
+scaled to integers by its own denominators; so no O(n m) `Fraction` sum is
+built. In float mode `markov.in_rates` sums both afresh: the input in the
+order of the held banks, the in-rates bank by bank in index order.
 
 Nonactive banks (no cash and unreachable from any cash along debt edges)
 never move money: the active set is fixed for the whole run
@@ -302,12 +303,9 @@ class ClearingResult:
     algorithm: str
 
 
-def _network_factor(
-    net: FinancialNetwork, scope: frozenset[int] | None = None
-) -> ZeroGroupFactor:
-    """A factor of (diag(b) - L^T)_B for zero groups and default sets B
-    within `scope`."""
-    return ZeroGroupFactor(net.liabilities, net.total_debt, net.mode, scope)
+def _network_factor(net: FinancialNetwork) -> ZeroGroupFactor:
+    """A factor of (diag(b) - L^T)_B for zero groups and default sets B."""
+    return ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
 
 
 def balance_rates(net: FinancialNetwork, out: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -643,10 +641,11 @@ def _greatest_fixed_point(
     the banks that fall short of their cap by more than `tol`, and solves
     x = base + Q^T x exactly on that short set, the rest of `banks` at cap.
     The short set only grows, so this stops within |banks| rounds, and one
-    factor, scaled over `banks`, serves every round by bordering the banks
-    new to the set. It also gives each round's in-rates: the held part, Q^T
-    applied to the start with the short set zeroed (the solve's input, less
-    `base`), and the short set's part from its solve. It never holds a closed group
+    factor serves every round by bordering the banks new to the set; it
+    reads only the rows of the banks that join. It also gives each round's
+    in-rates: the held part, Q^T applied to the start with the short set
+    zeroed (the solve's input, less `base`), and the short set's part from
+    its solve. It never holds a closed group
     fed from outside: the members' in-rates sum to their out-rates plus the
     feed, so one of them stays at its cap.
 
@@ -662,7 +661,7 @@ def _greatest_fixed_point(
     solves = []
     x = start
     previous: frozenset[int] = frozenset()
-    factor = _network_factor(net, banks)
+    factor = _network_factor(net)
     everyone = range(net.n)
     factor.held_inflow(net, everyone, start, ())
     while True:

@@ -21,9 +21,10 @@ the proportions with ones) and a transient bank set B,
 (diag(d) - M^T)_B w = e, whose v = d * w solves v = e + Q_B^T v with
 Q = M / d row by row. On the liabilities no proportion is divided out
 before the solve. One kernel, `ZeroGroupFactor`, solves it: the exact
-adjugate and determinant of D (diag(d) - M^T)_B in rational mode (D clears
-the denominators, so the updates run on Python ints and only the answer is
-reduced), and its inverse in float mode, updated per bank that joins or
+adjugate and determinant of (diag(d) - M^T)_B diag(s) in rational mode
+(each s_j clears the denominators of d_j and of bank j's row, so the
+updates run on Python ints and only the answer is reduced), and its
+inverse in float mode, updated per bank that joins or
 leaves B: O(m^2) for the rank-one update, while a join's products with the
 factor walk only the joiner's nonzero debts with B, O(m) each. The flow
 carries one factor from event to event, fictitious defaults from round to
@@ -34,8 +35,9 @@ which float mode recomputes as a sum of nonnegative terms when the usual
 difference may have cancelled, so a solve raises `SingularSystemError`
 exactly when its set is not transient, with no separate graph test. The
 factor also gives the flow's and fd's in-rates: in rational mode from a
-carried held part and the integers of its last solve (see
-`ZeroGroupFactor.inflow`), in float mode by `in_rates`. `solve_linear`,
+carried held part, moved by `in_rates`'s kernel `scalars.scatter`, and the
+integers of its last solve (see `ZeroGroupFactor.inflow`), in float mode by
+`in_rates`. `solve_linear`,
 Gaussian elimination with partial pivoting, is kept for reference; no
 solver calls it.
 """
@@ -58,7 +60,7 @@ from .errors import (
     ZeroDebtInSwampError,
 )
 from .network import FinancialNetwork
-from .scalars import FLOAT, FLOAT_ZERO_REL, RATIONAL, Scalar, zero_one
+from .scalars import FLOAT, FLOAT_ZERO_REL, RATIONAL, Scalar, scatter, zero_one
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 
@@ -178,7 +180,7 @@ def fundamental_solve(sub: SubMatrix, e: Sequence[Scalar]) -> list[Scalar]:
 
     The input must be componentwise nonnegative; the solution then is as
     well (it is the transposed fundamental matrix applied to e). A fresh
-    factor solves it, its scale taken over B alone, and raises
+    factor solves it, reading only the rows of B, and raises
     `SingularSystemError` when B is not transient. That decision takes the
     parent's rows of B to sum to one, as a proportion matrix's do; a row
     that does not (exactly in rational mode, within ε n in float mode, ε =
@@ -191,7 +193,7 @@ def fundamental_solve(sub: SubMatrix, e: Sequence[Scalar]) -> list[Scalar]:
         total = sum(sub.parent[b])
         if abs(total - one) > slack:
             raise RowSumError(f"row {b} of the parent matrix sums to {total}, not 1")
-    factor = ZeroGroupFactor(sub.parent, [one] * len(sub.parent), mode, sub.index)
+    factor = ZeroGroupFactor(sub.parent, [one] * len(sub.parent), mode)
     return factor.solve(sub.index, e)
 
 
@@ -200,19 +202,23 @@ class ZeroGroupFactor:
     that changes a little between calls.
 
     M is a square matrix and d a vector, both indexed by bank. The factor
-    holds, for the current ordered set B, the matrix K_B = D (diag(d) - M^T)_B:
-    in rational mode D is the lcm of the denominators of d and M over
-    `scope`, the banks that B is drawn from (all by default), so K_B is an
-    integer matrix and the factor is the exact pair (adj K_B, det K_B); in
-    float mode D = 1 and the factor is the inverse of K_B. `solve` moves it
-    to a new set by deleting each leaver (Jacobi's identity) and bordering
-    each joiner (Sylvester's identity), O(m^2) per bank for the rank-one
-    update; a join's products adj u and v^T adj cost O(m) per nonzero entry
-    of its new column u and row v, the joiner's debts with B. A fresh factor
-    borders from the empty set. Every division of the exact updates is exact.
+    holds, for the current ordered set B, the matrix K_B = (diag(d) -
+    M^T)_B diag(s): in rational mode s_j is the lcm of the denominators of
+    d_j and of bank j's whole row of M, formed when bank j first joins, so
+    that a factor reads only the rows of the banks that join. Column j of
+    K_B is then bank j's integer row, K_B is an integer matrix, and the
+    factor is the exact pair (adj K_B, det K_B); its entries grow with the
+    joined rows' own denominators, not with those of every row. In float
+    mode each s_j is 1 and the factor is the inverse of K_B. `solve` moves
+    it to a new set by deleting each leaver (Jacobi's identity) and
+    bordering each joiner (Sylvester's identity), O(m^2) per bank for the
+    rank-one update; a join's products adj u and v^T adj cost O(m) per
+    nonzero entry of its new column u and row v, the joiner's debts with B.
+    A fresh factor borders from the empty set. Every division of the exact
+    updates is exact.
 
     When each d_i is the sum of row i of M, K_B is a Z-matrix whose column
-    sums are D times each member's row mass outside B, so det K_B > 0
+    j sums to s_j times member j's row mass outside B, so det K_B > 0
     exactly when B is transient, and every subset of a transient set is
     transient. Both modes therefore decide a join by the sign of its Schur
     pivot s alone: a join with s not positive resets the factor and raises
@@ -230,34 +236,20 @@ class ZeroGroupFactor:
     A factor of a network's liabilities and total debts also gives in-rates
     Q^T p, where p holds some banks at fixed rates (`held_inflow`, whose
     answer on B is the solve's input) and is the last solve's answer on B
-    (`inflow`). The exact solve keeps w = D N / T as integers N over one T
-    = common * det. Rational mode carries the held part Q^T h from call to
-    call and adds the solved part sum_j L_ji w_j from N and each solved
-    bank's integer row E L_j, built from `net.shares` the first time it is
-    needed (E is D widened to clear the scope's whole rows): O(n)
-    `Fraction`s per solve rather than O(n m). Float mode sums both afresh.
+    (`inflow`). The exact solve keeps w_j = s_j N_j / T as integers N over
+    one T = common * det. Rational mode carries the held part Q^T h from
+    call to call, moving it by `scalars.scatter`, and adds the solved part
+    sum_j M_ji w_j from N and each solved bank's integer row s_j M_j, built
+    from `net.shares` the first time it is needed: O(n) `Fraction`s per
+    solve rather than O(n m). Float mode sums both afresh.
     """
 
-    def __init__(
-        self,
-        matrix: Sequence[Sequence[Scalar]],
-        diagonal: Sequence[Scalar],
-        mode: str,
-        scope: Sequence[int] | None = None,
-    ):
+    def __init__(self, matrix: Sequence[Sequence[Scalar]], diagonal: Sequence[Scalar], mode: str):
         self.matrix, self.diagonal = matrix, diagonal
         self.exact = mode == RATIONAL
-        self.scale = 1
-        if self.exact:
-            scope = range(len(diagonal)) if scope is None else scope
-            denominators = {diagonal[i].denominator for i in scope}
-            for i in scope:
-                row = matrix[i]
-                denominators.update(row[j].denominator for j in scope if row[j])
-            self.scale = lcm(*denominators)
-        #: the banks B is drawn from; in rational mode every bank when none
-        #: are given
-        self.scope = scope
+        #: s_j of each bank j that has joined, in rational mode: the lcm of the
+        #: denominators of d_j and of row j of M
+        self.scales: dict[int, int] = {}
         self.banks: list[int] = []
         #: adj K_B in rational mode, K_B^-1 in float mode; rows follow `banks`
         self.adj: list[list[Scalar]] = []
@@ -267,11 +259,9 @@ class ZeroGroupFactor:
         self.held: dict[int, Scalar] = {}
         self.held_in = [zero] * len(diagonal)
         #: the last exact solve since `held_in` moved: its banks, the integers
-        #: N with w = D N / T, and T
+        #: N with w_j = s_j N_j / T, and T
         self.solution: tuple[tuple[int, ...], list[int], int] | None = None
-        #: E, the lcm of D and of every denominator in the scope's rows, and
-        #: E * M_j for each solved bank j, by its nonzero entries
-        self.row_scale = 0
+        #: s_j M_j for each solved bank j, by its nonzero entries
         self.rows: dict[int, list[tuple[int, int]]] = {}
         #: in rational mode, the receivers whose held part moved since the
         #: last `inflow`, and those the last `inflow` fed from its solve
@@ -286,12 +276,8 @@ class ZeroGroupFactor:
         #: (`flow.equilibrium_rates` and `flow.step` own it)
         self.carried = None
 
-    def _entry(self, x: Scalar) -> Scalar:
-        """D * x, an int in rational mode."""
-        return x.numerator * (self.scale // x.denominator) if self.exact else x
-
     def _pivot(self, k: int) -> Scalar:
-        """K_kk / D."""
+        """d_k - M_kk, which is K_kk / s_k."""
         return self.diagonal[k] - self.matrix[k][k]
 
     def _reset(self) -> None:
@@ -330,13 +316,30 @@ class ZeroGroupFactor:
         terms in the same order as the dense products, from the same start
         0, so float results are bit for bit theirs (on Pythons whose `sum`
         of floats adds in order, up to 3.11)."""
-        matrix, entry, adj = self.matrix, self._entry, self.adj
-        zero = 0 if self.exact else 0.0
-        # K's new column (w_k in the members' equations) and row (bank k's)
+        matrix, adj = self.matrix, self.adj
+        # K's new column (w_k in the members' equations, from bank k's row)
+        # and row (bank k's equation, from the members' rows)
         row_k = matrix[k]
-        u = [(p, -entry(x)) for p, b in enumerate(self.banks) if (x := row_k[b])]
-        v = [(p, -entry(x)) for p, b in enumerate(self.banks) if (x := matrix[b][k])]
-        d = entry(self._pivot(k))
+        d = self._pivot(k)
+        if self.exact:
+            zero, scales = 0, self.scales
+            if k not in scales:
+                # s_k, formed when bank k first joins, from its own row alone
+                scales[k] = lcm(self.diagonal[k].denominator, *{x.denominator for x in row_k})
+            s_k = scales[k]
+            u = [
+                (p, -x.numerator * (s_k // x.denominator))
+                for p, b in enumerate(self.banks) if (x := row_k[b])
+            ]
+            v = [
+                (p, -x.numerator * (scales[b] // x.denominator))
+                for p, b in enumerate(self.banks) if (x := matrix[b][k])
+            ]
+            d = d.numerator * (s_k // d.denominator)
+        else:
+            zero = 0.0
+            u = [(p, -x) for p, b in enumerate(self.banks) if (x := row_k[b])]
+            v = [(p, -x) for p, b in enumerate(self.banks) if (x := matrix[b][k])]
         if len(u) > 1:
             at, values = itemgetter(*[p for p, _ in u]), [c for _, c in u]
             au = [sum(map(mul, at(row), values)) for row in adj]
@@ -395,7 +398,7 @@ class ZeroGroupFactor:
                 self._border(k)
         position = {b: p for p, b in enumerate(self.banks)}
         if self.exact:
-            # w = D adj e / det, with e cleared to integers over their lcm
+            # w_b = s_b (adj e)_b / det, with e cleared to integers over their lcm
             common = lcm(*(x.denominator for x in e))
             scaled = [0] * len(banks)
             for b, x in zip(banks, e):
@@ -403,13 +406,22 @@ class ZeroGroupFactor:
             total = common * self.det
             numerators = [sum(map(mul, row, scaled)) for row in self.adj]
             self.solution = (tuple(self.banks), numerators, total)
-            w = [Fraction(self.scale * x, total) for x in numerators]
+            # v_b = d_b s_b N_b / T, where d_b s_b is an integer
+            diagonal, scales = self.diagonal, self.scales
+            return [
+                Fraction(
+                    (d := diagonal[b]).numerator * (scales[b] // d.denominator)
+                    * numerators[position[b]],
+                    total,
+                )
+                for b in banks
+            ]
         else:
             scaled = [0.0] * len(banks)
             for b, x in zip(banks, e):
                 scaled[position[b]] = x
             w = [sum(map(mul, row, scaled)) for row in self.adj]
-        return [self.diagonal[b] * w[position[b]] for b in banks]
+            return [self.diagonal[b] * w[position[b]] for b in banks]
 
     def held_inflow(
         self,
@@ -423,8 +435,9 @@ class ZeroGroupFactor:
         and 0 elsewhere.
 
         Rational mode carries Q^T h from the last call and moves it by the
-        rows (`net.shares`) of the banks whose held rate changed, so a bank
-        leaving the held set costs one sparse row, exactly. Float mode sums
+        rows (`net.shares`) of the banks whose held rate changed, in one
+        `scalars.scatter`: a bank leaving the held set adds its row at the
+        negated rate, so it costs one sparse row, exactly. Float mode sums
         it afresh, row by row in the order of `banks` (`in_rates`), and
         only when some receiver asks. Either way the next `inflow` starts
         from this h."""
@@ -435,32 +448,30 @@ class ZeroGroupFactor:
             inflow = in_rates(net, banks, rates)
             return [inflow[i] for i in receivers]
         held = {j: rates[j] for j in banks if rates[j]}
-        inflow, old, shares, moved = self.held_in, self.held, net.shares, self.moved
+        old = self.held
+        change: dict[int, Scalar] = {}
         # a rate held on is mostly the same object (`zero_one`'s 1, a cap):
         # identity settles it before a `Fraction` comparison
         for j, rate in old.items():
             if (now := held.get(j)) is not rate and now != rate:
-                for i, q in shares[j]:
-                    inflow[i] -= rate * q
-                    moved.add(i)
+                change[j] = -rate if now is None else now - rate
         for j, rate in held.items():
-            if (then := old.get(j)) is not rate and then != rate:
-                for i, q in shares[j]:
-                    inflow[i] += rate * q
-                    moved.add(i)
+            if j not in old:
+                change[j] = rate
+        if change:
+            self.moved.update(scatter(self.held_in, net.shares, change, change))
         self.held = held
-        return [inflow[i] for i in receivers]
+        return [self.held_in[i] for i in receivers]
 
     def inflow(self, net: FinancialNetwork, rates: Sequence[Scalar]) -> list[Scalar]:
         """Q^T p for p = `rates`, which must be the held vector of the last
         `held_inflow` with the answer of any solve since then on its banks.
 
         Rational mode adds to the carried Q^T h the solved banks' part,
-        sum_j M_ji w_j = sum_j (E M_ji) N_j / ((E / D) T): one integer dot
-        product and one `Fraction` per receiver. E clears the denominators
-        of the scope's whole rows, not only those inside the scope, so every
-        receiver gets its exact in-rate. Float mode applies `in_rates` to
-        `rates`, bank by bank in index order.
+        sum_j M_ji w_j = sum_j (s_j M_ji) N_j / T: one integer dot product
+        over the solved banks' integer rows, whole rows, and one `Fraction`
+        per receiver. Float mode applies `in_rates` to `rates`, bank by bank
+        in index order.
 
         Rational mode also leaves in `touched` the receivers whose in-rate
         may differ from the last call's: those whose held part moved, and
@@ -478,28 +489,22 @@ class ZeroGroupFactor:
         if not self.solution:
             return inflow
         banks, numerators, total = self.solution
-        matrix, rows = self.matrix, self.rows
-        if not self.row_scale:
-            self.row_scale = lcm(self.scale, *(
-                matrix[j][i].denominator for j in self.scope for i, _ in net.shares[j]))
-        scale = self.row_scale
+        matrix, rows, scales = self.matrix, self.rows, self.scales
         received = [0] * net.n
         for j, x in zip(banks, numerators):
             if x:
                 if j not in rows:
+                    scale = scales[j]
                     rows[j] = [
                         (i, m.numerator * (scale // m.denominator))
                         for i, _ in net.shares[j] if (m := matrix[j][i])
                     ]
                 for i, a in rows[j]:
                     received[i] += a * x
-        denominator = scale // self.scale * total
         for i, a in enumerate(received):
             if a:
                 h = inflow[i]
-                inflow[i] = Fraction(
-                    h.numerator * denominator + a * h.denominator, h.denominator * denominator
-                )
+                inflow[i] = Fraction(h.numerator * total + a * h.denominator, h.denominator * total)
                 fed.append(i)
         touched.update(fed)
         return inflow
@@ -508,18 +513,14 @@ class ZeroGroupFactor:
 def in_rates(
     net: FinancialNetwork, banks: Iterable[int], rates: Sequence[Scalar]
 ) -> list[Scalar]:
-    """Q^T p for p = `rates` on `banks` and 0 elsewhere: the Q^T p kernel.
-    Each paying bank's nonzero proportion entries (`net.shares`) are
-    scattered in the order of `banks`, so each in-rate sums its terms in
-    that order."""
+    """Q^T p for p = `rates` on `banks` and 0 elsewhere: the Q^T p kernel
+    `scalars.scatter` over each paying bank's nonzero proportion entries
+    (`net.shares`). In float mode each in-rate sums its terms in the order
+    of `banks`; in rational mode each is one `Fraction` formed from
+    integers."""
     zero, _ = zero_one(net.mode)
     inflow = [zero] * net.n
-    shares = net.shares
-    for j in banks:
-        rate = rates[j]
-        if rate:
-            for i, q in shares[j]:
-                inflow[i] += rate * q
+    scatter(inflow, net.shares, banks, rates)
     return inflow
 
 
@@ -630,7 +631,7 @@ def invariant_distribution(sub: SubMatrix) -> InvariantDistribution:
     _, one = zero_one(mode)
     raw = [one]
     if rest:
-        factor = ZeroGroupFactor(sub.parent, [one] * len(sub.parent), mode, rest)
+        factor = ZeroGroupFactor(sub.parent, [one] * len(sub.parent), mode)
         raw = factor.solve(rest, [sub.parent[last][r] for r in rest]) + raw
     total = sum(raw)
     weights = [w / total for w in raw]

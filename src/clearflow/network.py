@@ -7,9 +7,10 @@ self-loop in the proportion matrix so that every row sums to one.
 
 Interbank networks are sparse: a bank owes a few others among n. So each
 network also holds, once, every bank's nonzero proportion entries
-(`FinancialNetwork.shares`), and every pass over the rows (the Q^T p
-kernel, the active set, the graph search for swamps) walks those lists.
-The dense `liabilities` and `relative` fields remain, with the same values.
+(`FinancialNetwork.shares`), which the entry validator forms from the
+columns it already holds, and every pass over the rows (the Q^T p kernel,
+the active set, the graph search for swamps) walks those lists. The dense
+`liabilities` and `relative` fields remain, with the same values.
 
 Both input forms, a dense matrix (`build_network`) and a document of
 (from, to, amount) entries (JSON or CSV), go through one entry validator,
@@ -26,7 +27,7 @@ import enum
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -110,9 +111,15 @@ class FinancialNetwork:
     """Immutable liability network with derived total debts and proportions.
 
     `relative[i][j]` is the share of bank i's total debt owed to j; rows of
-    `relative` sum to one exactly in rational mode. `shares[i]` lists the
-    nonzero entries of row i. Bank ids are only used at the serialization
-    boundary; all internal indexing is positional.
+    `relative` sum to one exactly in rational mode. Bank ids are only used
+    at the serialization boundary; all internal indexing is positional.
+
+    `shares[i]` lists the nonzero entries (j, q_ij) of row i, j ascending:
+    bank i's creditors, or the unit self-entry of a debt-free bank. The
+    entry validator forms them from the columns it holds, and
+    `dataclasses.replace` carries them over; a network built without them
+    forms them from the dense rows. They take no part in equality, hashing
+    or `repr`, which the other fields determine.
     """
 
     liabilities: tuple[tuple[Scalar, ...], ...]
@@ -121,6 +128,17 @@ class FinancialNetwork:
     relative: tuple[tuple[Scalar, ...], ...]
     mode: str
     ids: tuple[str, ...]
+    shares: tuple[tuple[tuple[int, Scalar], ...], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        if self.shares is None:
+            rows = []
+            for i, (debts, relative) in enumerate(zip(self.liabilities, self.relative)):
+                creditors = list(compress(range(self.n), debts)) or [i]
+                rows.append(tuple([(j, relative[j]) for j in creditors]))
+            object.__setattr__(self, "shares", tuple(rows))
 
     @property
     def n(self) -> int:
@@ -141,18 +159,6 @@ class FinancialNetwork:
     def total_cash(self) -> Scalar:
         """Σ c, which the flow conserves."""
         return sum(self.cash)
-
-    @cached_property
-    def shares(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
-        """Each bank's nonzero proportion entries (j, q_ij), j ascending: its
-        creditors, from the nonzero pattern of `liabilities`, or the unit
-        self-entry of a debt-free bank."""
-        columns = range(self.n)
-        rows = []
-        for i, (debts, relative) in enumerate(zip(self.liabilities, self.relative)):
-            creditors = list(compress(columns, debts)) or [i]
-            rows.append(tuple([(j, relative[j]) for j in creditors]))
-        return tuple(rows)
 
     @cached_property
     def active(self) -> frozenset[int]:
@@ -233,23 +239,25 @@ def _network_from_entries(
         # the flow conserves total cash, so a finite total keeps every position finite
         raise NegativeEntryError("total cash is not finite")
 
-    rows, total, relative = [], [], []
+    rows, total, relative, shares = [], [], [], []
     for i, row_debts in enumerate(debts):
         columns = sorted(row_debts)
         t = sum((row_debts[j] for j in columns), zero)
         if isinstance(t, float) and not math.isfinite(t):
             raise NegativeEntryError(f"total debt of bank {i} is not finite")
-        row, shares = [zero] * n, [zero] * n
+        row, proportions = [zero] * n, [zero] * n
         for j in columns:
-            row[j], shares[j] = row_debts[j], row_debts[j] / t
+            row[j], proportions[j] = row_debts[j], row_debts[j] / t
         if not columns:
-            shares[i] = one
+            proportions[i] = one
         rows.append(tuple(row))
         total.append(t)
-        relative.append(tuple(shares))
+        relative.append(tuple(proportions))
+        shares.append(tuple([(j, proportions[j]) for j in columns]) or ((i, one),))
 
     return FinancialNetwork(liabilities=tuple(rows), cash=cash_vec, total_debt=tuple(total),
-                            relative=tuple(relative), mode=mode, ids=id_tuple)
+                            relative=tuple(relative), mode=mode, ids=id_tuple,
+                            shares=tuple(shares))
 
 
 def initial_partition(net: FinancialNetwork) -> Partition:

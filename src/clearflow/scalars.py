@@ -8,21 +8,22 @@ trades exactness for speed on larger batches.
 The helpers here convert user-facing values (ints, decimal strings, "p/q"
 strings, floats) into the scalar type of a mode and back into JSON-friendly
 form ("p/q" strings in rational mode, plain numbers in float mode). The
-vector kernels of the flow's event bookkeeping live here too, so that exact
-arithmetic stays in this module: `advance` moves amounts linearly in time,
-`differences` forms the balances in-rate - out-rate and `total` sums
-amounts. Each tests the scalar type once per call; in rational mode it
-works on the integers of each `Fraction`, in float mode it does exactly
-the float operations of the plain loop. `order_key` maps a time to a
-float that keeps its order, so that most comparisons of exact times are
-comparisons of floats.
+vector kernels of the flow's event bookkeeping, and the one Q^T p kernel,
+live here too, so that exact arithmetic stays in this module: `advance`
+moves amounts linearly in time, `differences` forms the balances in-rate -
+out-rate, `total` sums amounts and `scatter` adds rate-weighted sparse rows
+into a vector (the in-rates Q^T p). Each tests the scalar type once per
+call; in rational mode it works on the integers of each `Fraction`, in
+float mode it does exactly the float operations of the plain loop.
+`order_key` maps a time to a float that keeps its order, so that most
+comparisons of exact times are comparisons of floats.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterable, MutableSequence, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, MutableSequence, Sequence
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -88,6 +89,53 @@ def advance(
             rate = rates[i]
             if rate:
                 values[i] += rate * t
+
+
+def scatter(
+    values: MutableSequence[Scalar],
+    rows: Sequence[Sequence[tuple[int, Scalar]]],
+    banks: Iterable[int],
+    rates: Sequence[Scalar] | Mapping[int, Scalar],
+) -> Collection[int] | None:
+    """values[i] += sum_j rates[j] * q_ji in place, over the entries (i, q_ji)
+    of rows[j] for each bank j of `banks` whose rate is not zero: Q^T p on
+    sparse rows.
+
+    Rational mode keeps, per receiver, one integer numerator over the lcm
+    of its terms' denominators, adds each term r_n q_n / (r_d q_d) to it with
+    one gcd, and forms one `Fraction` per receiver at the end, from it and
+    the receiver's old value; it returns the receivers it wrote. A rate
+    there may be any number with an exact integer ratio (an int, or a float
+    read exactly). Float mode
+    adds rate * q in the order of `banks`, as the plain loop did, and
+    returns None."""
+    if not values or not isinstance(values[0], Fraction):
+        for j in banks:
+            rate = rates[j]
+            if rate:
+                for i, q in rows[j]:
+                    values[i] += rate * q
+        return None
+    gcd = math.gcd
+    numerators: dict[int, int] = {}
+    denominators: dict[int, int] = {}
+    for j in banks:
+        c, d = rates[j].as_integer_ratio()
+        if c:
+            for i, q in rows[j]:
+                b = d * q.denominator
+                if i in denominators:
+                    y = denominators[i]
+                    g = gcd(y, b)
+                    numerators[i] = numerators[i] * (b // g) + c * q.numerator * (y // g)
+                    denominators[i] = y // g * b
+                else:
+                    numerators[i], denominators[i] = c * q.numerator, b
+    for i, y in denominators.items():
+        x = values[i]
+        p, q = x.numerator, x.denominator
+        values[i] = Fraction(p * y + numerators[i] * q, q * y)
+    return denominators.keys()
 
 
 def differences(

@@ -30,11 +30,18 @@ every round's in-rates by `dense_balance_rates` and every solve by
 round to round.
 
 `dense_border` is one join of the balance factor by the dense formulas:
-the new column u and row v with a zero in every gap, adj u row by row,
-v^T adj column by column over the transposed adjugate, and in float mode
-the Schur pivot recomputed from whole-row column sums when it may have
-cancelled. It is the reference the factor's sparse bordering must match
-bit for bit.
+the new column u and row v with a zero in every gap, each rational column
+scaled by its own bank's `row_scale` (the lcm of its row's denominators,
+over the dense row), adj u row by row, v^T adj column by column over the
+transposed adjugate, and in float mode the Schur pivot recomputed from
+whole-row column sums when it may have cancelled. It is the reference the
+factor's sparse bordering must match bit for bit.
+
+`prime_denominator_network` gives every debt its own prime denominator
+above 10^6, from the segment sieve `primes_from`: the input on which one
+scale over every row makes the factor's integers grow with the whole
+network. `exact_form` compares Fractions as `repr` does, past the 4300
+digits that `repr` prints.
 
 `eager_run_flow` is the flow with event-by-event bookkeeping: at every
 event each bank that moves money is advanced by t', each paying and
@@ -54,6 +61,7 @@ took before it ran them on fictitious defaults.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -82,24 +90,63 @@ def gauss_jordan_solve(rows: list[list], rhs: list) -> list:
     return [a[i][m] / a[i][i] for i in range(m)]
 
 
+def exact_form(values) -> list:
+    """What `repr` shows of each number (type, numerator, denominator), also
+    past the 4300 digits that `repr` prints of an int."""
+    return [(type(x), x.numerator, x.denominator) for x in values]
+
+
+def primes_from(start: int, count: int) -> list[int]:
+    """The first `count` primes above `start`, by a sieve of the segment
+    (start, start + width] with the primes up to its square root."""
+    width = 64 * count + 1000
+    small = [p for p in range(2, math.isqrt(start + width) + 1)
+             if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    composite = bytearray(width + 1)
+    for p in small:
+        for m in range(max(p * p, (start + p) // p * p), start + width + 1, p):
+            composite[m - start] = 1
+    return [start + k for k in range(1, width + 1) if not composite[k]][:count]
+
+
+def prime_denominator_network(seed: int, n: int) -> cf.FinancialNetwork:
+    """`generate_network(seed, n, 0.3, "1/4")` with 1/p added to each
+    nonzero debt, each debt its own prime p above 10^6: the rows share no
+    denominator, so one scale over every row would be their product."""
+    base = cf.generate_network(seed, n, 0.3, "1/4")
+    cells = [(i, j) for i in range(n) for j in range(n) if base.liabilities[i][j]]
+    primes = iter(primes_from(10**6 + 10**4 * seed, len(cells)))
+    debts = [list(row) for row in base.liabilities]
+    for i, j in cells:
+        debts[i][j] += Fraction(1, next(primes))
+    return cf.build_network(debts, base.cash)
+
+
+def row_scale(matrix, diagonal, j: int) -> int:
+    """s_j, the least positive integer that makes d_j and every entry of row
+    j of M integers: the lcm of their denominators, over the dense row."""
+    return math.lcm(*(Fraction(x).denominator for x in (diagonal[j], *matrix[j])))
+
+
 def dense_border(factor, k: int):
     """The (adj, det) that a `markov.ZeroGroupFactor` holds after bank k
     joins it, or None when the join's Schur pivot is not positive.
 
-    K_{B+k} = D (diag(d) - M^T)_{B+k} gains the column u (K's entries in
-    the members' rows, -D M_kb) and the row v (bank k's, -D M_bk), kept
-    dense. Rational mode: det' = d det - v^T adj u and the integer
-    Sylvester update; float mode: the inverse's rank-one update, its
-    pivot d - v^T K^-1 u recomputed from the masses leaving B + k when it
-    is not above d / 2."""
+    K_{B+k} = (diag(d) - M^T)_{B+k} diag(s), each column j scaled by
+    `row_scale` s_j in rational mode (1 in float mode), gains the column u
+    (K's entries in the members' rows, -s_k M_kb) and the row v (bank k's,
+    -s_b M_bk), kept dense. Rational mode: det' = d det - v^T adj u and
+    the integer Sylvester update; float mode: the inverse's rank-one
+    update, its pivot d - v^T K^-1 u recomputed from the masses leaving
+    B + k when it is not above d / 2."""
     matrix, banks, adj, det = factor.matrix, factor.banks, factor.adj, factor.det
 
-    def entry(x):
-        return int(x * factor.scale) if factor.exact else x
+    def entry(x, j):
+        return int(x * row_scale(matrix, factor.diagonal, j)) if factor.exact else x
 
-    u = [-entry(matrix[k][b]) if matrix[k][b] else 0 for b in banks]
-    v = [-entry(matrix[b][k]) if matrix[b][k] else 0 for b in banks]
-    d = entry(factor.diagonal[k] - matrix[k][k])
+    u = [-entry(matrix[k][b], k) if matrix[k][b] else 0 for b in banks]
+    v = [-entry(matrix[b][k], b) if matrix[b][k] else 0 for b in banks]
+    d = entry(factor.diagonal[k] - matrix[k][k], k)
     au = [sum(map(mul, row, u)) for row in adj]
     va = [sum(map(mul, column, v)) for column in zip(*adj)]
     if factor.exact:

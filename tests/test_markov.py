@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +21,16 @@ from clearflow.errors import (
     ZeroDebtInSwampError,
 )
 from conftest import swampy_network, with_cash
-from oracles import dense_border, gauss_jordan_solve, reachability_transient
+from oracles import (
+    dense_balance_rates,
+    dense_border,
+    exact_form,
+    gauss_jordan_solve,
+    prime_denominator_network,
+    primes_from,
+    reachability_transient,
+    row_scale,
+)
 
 #: float solves agree with exact ones to this fraction of the largest entry
 FLOAT_SOLVE_TOL = 1e-9
@@ -413,10 +424,12 @@ def network_factor(net):
     return cf.markov.ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
 
 
-def integer_balance_matrix(net, banks, scale):
-    """K_B = scale * (diag(b) - L^T)_B of a rational network, as ints."""
+def integer_balance_matrix(net, banks):
+    """K_B = (diag(b) - L^T)_B diag(s) of a rational network, as ints: column
+    j scaled by s_j (`oracles.row_scale`), which clears bank j's row."""
+    scales = {j: row_scale(net.liabilities, net.total_debt, j) for j in banks}
     return [
-        [int(scale * ((net.total_debt[i] if i == j else 0) - net.liabilities[j][i]))
+        [int(scales[j] * ((net.total_debt[i] if i == j else 0) - net.liabilities[j][i]))
          for j in banks]
         for i in banks
     ]
@@ -446,7 +459,7 @@ def test_factor_follows_scripted_transitions(mode):
         expected = cf.fundamental_solve(cf.restrict(net.relative, banks), e) if banks else []
         if mode == cf.RATIONAL:
             assert got == expected
-            k = integer_balance_matrix(net, factor.banks, factor.scale)
+            k = integer_balance_matrix(net, factor.banks)
             m = len(k)
             # K_B adj K_B = det K_B I
             product = [
@@ -590,6 +603,154 @@ def test_float_join_after_a_reset_matches_the_dense_border_oracle():
     assert [x.hex() for x in factor.adj[0]] == [x.hex() for x in fresh.adj[0]]
     join_against_dense_oracle(factor, 2)
     join_against_dense_oracle(factor, 0)
+
+
+class RowReads(Sequence):
+    """A matrix that records which of its rows are read."""
+
+    def __init__(self, rows):
+        self.rows, self.read = rows, set()
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return self.rows[i]
+
+
+class AskedFactor(cf.markov.ZeroGroupFactor):
+    """A factor of the network's liabilities, read through `RowReads`, that
+    keeps every bank it was asked to solve for."""
+
+    def __init__(self, net):
+        super().__init__(RowReads(net.liabilities), net.total_debt, net.mode)
+        self.asked = set()
+
+    def solve(self, banks, e):
+        self.asked.update(banks)
+        return super().solve(banks, e)
+
+
+@pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+def test_a_factor_reads_only_the_rows_of_banks_that_join(mode, monkeypatch):
+    # the flow's, fd's and the big bang's factors, and fresh solves of
+    # `fundamental_solve` and `invariant_distribution`, read no row of a
+    # bank they never solve for
+    factors = []
+
+    def recording(net):
+        factors.append(AskedFactor(net))
+        return factors[-1]
+
+    monkeypatch.setattr(cf.flow, "_network_factor", recording)
+    networks = [swampy_network(seed, mode) for seed in range(6)]
+    networks += [cf.generate_network(seed, 12, 0.3, "1/4", mode=mode) for seed in range(4)]
+    unread = 0
+    for net in networks:
+        factors.clear()
+        cf.run_flow(net)
+        cf.fictitious_defaults(net)
+        cf.big_bang_partition(net)
+        assert factors
+        for factor in factors:
+            assert factor.matrix.read <= factor.asked
+            unread += net.n - len(factor.matrix.read)
+        decomposition = cf.decompose_nonactive(net)
+        for swamp in decomposition.swamps:
+            sub = cf.restrict(RowReads(net.relative), swamp)
+            sub.parent.read.clear()
+            cf.invariant_distribution(sub)
+            assert sub.parent.read <= set(swamp)
+        banks = sorted(decomposition.transient)
+        if banks:
+            sub = cf.restrict(RowReads(net.relative), banks)
+            sub.parent.read.clear()
+            _, one = cf.scalars.zero_one(mode)
+            cf.fundamental_solve(sub, [one] * len(banks))
+            assert sub.parent.read <= set(banks)
+    # and some factor leaves some row unread
+    assert unread > 0
+
+
+def huge_prime_network(seed: int, digits: int) -> cf.FinancialNetwork:
+    """A swampy network whose every nonzero debt gains m / p: a numerator
+    m of `digits` digits over its own prime p above 10^6."""
+    net = swampy_network(seed)
+    rng = random.Random(seed)
+    cells = [(i, j) for i in range(net.n) for j, _ in net.shares[i] if net.liabilities[i][j]]
+    primes = iter(primes_from(10**6 + 10**4 * seed, len(cells)))
+    debts = [list(row) for row in net.liabilities]
+    for i, j in cells:
+        debts[i][j] += F(rng.randint(1, 10**digits), next(primes))
+    return cf.build_network(debts, net.cash)
+
+
+@pytest.mark.parametrize("digits", [1, 4400])
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_held_moves_match_fraction_sums(seed, digits):
+    # banks join and leave the held set, at 1, at their caps and at other
+    # rates; after each move the held in-rates, the solve on the banks left
+    # out and the full in-rates equal plain Fraction sums
+    net = huge_prime_network(seed, digits)
+    rng = random.Random(seed)
+    factor = network_factor(net)
+    indebted = [i for i in range(net.n) if net.total_debt[i]]
+    everyone = range(net.n)
+    held = set(rng.sample(indebted, len(indebted) // 2))
+    for _ in range(6):
+        rates = [F(0)] * net.n
+        for j in held:
+            rates[j] = rng.choice([F(1), net.total_debt[j], F(rng.randint(1, 9), rng.randint(1, 9))])
+        e = factor.held_inflow(net, sorted(held), rates, everyone)
+        assert exact_form(e) == exact_form(dense_balance_rates(net, rates))
+        assert exact_form(cf.balance_rates(net, rates)) == exact_form(e)
+        solve_set = [i for i in cf.decompose_nonactive(net).transient if i not in held][:4]
+        if solve_set:
+            v = factor.solve(solve_set, [e[i] for i in solve_set])
+            for i, x in zip(solve_set, v):
+                rates[i] = x
+        assert exact_form(factor.inflow(net, rates)) == exact_form(dense_balance_rates(net, rates))
+        # the next round draws each held rate anew, so some change and
+        # some stay; one bank leaves and another may join
+        held.discard(rng.choice(sorted(held)))
+        held.add(rng.choice(indebted))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_float_in_rates_equal_the_plain_loop(seed):
+    net = swampy_network(seed, cf.FLOAT)
+    rng = random.Random(seed)
+    rates = [0.0 if rng.random() < 0.3 else rng.random() for _ in range(net.n)]
+    banks = rng.sample(range(net.n), net.n)
+    expected = [0.0] * net.n
+    for j in banks:
+        if rates[j]:
+            for i, q in net.shares[j]:
+                expected[i] += rates[j] * q
+    got = cf.markov.in_rates(net, banks, rates)
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_factor_determinant_within_the_hadamard_bound(seed):
+    # rows with their own prime denominators: the determinant on fd's final
+    # system stays within the Hadamard bound of K_B with each column scaled
+    # by its own row's s_j, far below one scale over every row
+    net = prime_denominator_network(seed, 8 + seed % 5)
+    _, trace = cf.fictitious_defaults(net)
+    banks, e, r = trace.solves[-1]
+    factor = network_factor(net)
+    assert factor.solve(banks, list(e)) == list(r)
+    k = integer_balance_matrix(net, factor.banks)
+    m = len(k)
+    assert m >= 3
+    bound = sum(math.log2(sum(k[i][j] ** 2 for i in range(m))) / 2 for j in range(m))
+    assert 0 < factor.det.bit_length() <= bound + 1
+    product = [
+        [sum(k[i][t] * factor.adj[t][j] for t in range(m)) for j in range(m)] for i in range(m)
+    ]
+    assert product == [[factor.det if i == j else 0 for j in range(m)] for i in range(m)]
 
 
 class TestActiveSet:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -161,6 +162,35 @@ class TestBuildNetwork:
             ]
             for again in parsed:
                 assert repr(_fields(again)) == repr(_fields(net))
+
+    def test_shares_equal_the_rows_of_the_dense_pattern(self):
+        # the validator's rows equal those a pass over every cell finds,
+        # entry objects included; `replace` keeps them, and they change no
+        # network's equality, hash or repr
+        nets = [swampy_network(seed, mode) for seed in range(20) for mode in (cf.RATIONAL, cf.FLOAT)]
+        nets += [cf.generate_network(seed, 2 + seed % 14, 0.4, "1/2", mode=mode)
+                 for seed in range(40) for mode in (cf.RATIONAL, cf.FLOAT)]
+        nets += [wide_magnitude_network(seed) for seed in range(20)]
+        nets += [cf.build_network([[0, 0], [0, 0]], [1, 2]),
+                 cf.build_network([[0, 1e-300], [0, 0]], [1e300, 0], mode=cf.FLOAT)]
+        for net in nets:
+            pattern = tuple(
+                tuple((j, net.relative[i][j]) for j in itertools.compress(range(net.n), row))
+                or ((i, net.relative[i][i]),)
+                for i, row in enumerate(net.liabilities)
+            )
+            assert repr(net.shares) == repr(pattern)
+            assert all(
+                q is net.relative[i][j] for i, row in enumerate(net.shares) for j, q in row
+            )
+            moved = dataclasses.replace(net, cash=net.cash[::-1])
+            assert moved.shares is net.shares
+            again = cf.FinancialNetwork(
+                net.liabilities, net.cash, net.total_debt, net.relative, net.mode, net.ids
+            )
+            assert repr(again.shares) == repr(net.shares)
+            assert again == net and hash(again) == hash(net) and repr(again) == repr(net)
+            assert "shares" not in repr(net)
 
     def test_parsing_reads_each_amount_once(self, monkeypatch):
         calls = []

@@ -509,8 +509,8 @@ def test_sparse_rows_match_dense_scans_on_swamp_networks(mode):
 
 #: a cashless bank (2) owes 1/7 and 6/7 to the cash-holding banks 0 and 1,
 #: and bank 0 owes it half its debt: at time zero bank 2 falls short, so the
-#: big bang's factor, scaled over the cashless block {2} where no
-#: denominator is 7, solves for it
+#: big bang's factor solves for it alone, and its in-rates reach the held
+#: banks 0 and 1 through the sevenths of bank 2's row
 SEVENTHS = cf.build_network(
     [[0, 1, 1], [0, 0, 0], [F(1, 7), F(6, 7), 0]], [F(1, 4), F(1, 2), 0]
 )
@@ -552,12 +552,12 @@ def test_rational_in_rates_match_dense_oracles():
 
 
 def test_inflow_is_exact_outside_the_factor_scope():
-    # the big bang solves bank 2 alone, by a factor whose scale over {2}
-    # clears no seventh; its in-rates still reach banks 0 and 1 exactly
+    # the big bang solves bank 2 alone, whose row holds the sevenths; its
+    # in-rates still reach banks 0 and 1 exactly
     net = SEVENTHS
     trace = cf.flow._greatest_fixed_point(net, *fixed_point_cases(net)[1])
     assert [banks for banks, _, _ in trace.solves] == [(2,)]
-    factor = ZeroGroupFactor(net.liabilities, net.total_debt, net.mode, [2])
+    factor = ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
     rates = [F(1), F(1), F(0)]
     e = factor.held_inflow(net, range(net.n), rates, [2])
     assert e == [F(1, 2)]

@@ -1,6 +1,6 @@
 """The scalar kernels of the flow's event bookkeeping (`advance`,
-`differences`, `total` and `order_key`), the shared scalars of `zero_one`
-and the serialization of one scalar."""
+`differences`, `total` and `order_key`), the Q^T p kernel `scatter`, the
+shared scalars of `zero_one` and the serialization of one scalar."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import exact_form, primes_from
 from clearflow.scalars import (
     FLOAT,
     RATIONAL,
@@ -19,6 +20,7 @@ from clearflow.scalars import (
     order_key,
     order_keys,
     scalar_to_json,
+    scatter,
     total,
     zero_one,
 )
@@ -93,6 +95,86 @@ def test_float_total_is_the_sum_in_index_order():
         for x in values:
             expected += x
         assert total(values).hex() == expected.hex()
+
+
+def sparse_rows_case(seed: int, digits: int):
+    """(values, rows, rates) for a random sparse Q^T p: each row's entries
+    have their own prime denominators just above 10^6, numerators of up to
+    `digits` digits, and some rates are 0, 1, negative or ints."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    primes = iter(primes_from(10**6 + 7919 * seed, n * n + n))
+    rows = []
+    for j in range(n):
+        columns = sorted(rng.sample(range(n), rng.randint(0, min(n, 4))))
+        rows.append(tuple(
+            (i, F(rng.randint(1, 10**digits), next(primes))) for i in columns
+        ))
+    rates = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.2:
+            rates.append(F(0))
+        elif kind < 0.4:
+            rates.append(F(1))
+        elif kind < 0.5:
+            rates.append(rng.randint(-3, 3))
+        else:
+            rates.append(F(rng.randint(-(10**digits), 10**digits), next(primes)))
+    values = [F(0) if rng.random() < 0.5 else random_fraction(rng, 60) for _ in range(n)]
+    return values, rows, rates
+
+
+@pytest.mark.parametrize("digits", [3, 4400])
+@pytest.mark.parametrize("seed", range(20))
+def test_rational_scatter_matches_fraction_sums(seed, digits):
+    # each receiver gets one Fraction formed from integers, equal by repr
+    # to the plain sum of Fraction products, also past 4300 digits; it
+    # reports the receivers it wrote
+    values, rows, rates = sparse_rows_case(seed, digits)
+    banks = random.Random(seed).sample(range(len(rows)), len(rows))
+    expected = list(values)
+    for j in banks:
+        if rates[j]:
+            for i, q in rows[j]:
+                expected[i] += rates[j] * q
+    got = list(values)
+    written = scatter(got, rows, banks, rates)
+    assert exact_form(got) == exact_form(expected)
+    assert set(written) == {i for j in banks if rates[j] for i, _ in rows[j]}
+    # a float rate in rational mode counts at its exact value
+    floats = [float(r) if isinstance(r, F) and abs(r) < 2**60 else r for r in rates]
+    exact = list(values)
+    assert set(scatter(exact, rows, banks, floats)) == set(written)
+    expected = list(values)
+    for j in banks:
+        for i, q in rows[j]:
+            expected[i] += F(floats[j]) * q
+    assert exact_form(exact) == exact_form(expected)
+    # a mapping of rates serves as well, and a signed pass undoes one
+    undo = {j: -F(rates[j]) for j in banks}
+    scatter(got, rows, undo, undo)
+    assert exact_form(got) == exact_form(F(x) for x in values)
+
+
+def test_float_scatter_is_bit_equal_to_the_plain_loop():
+    rng = random.Random(15)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        rows = [
+            tuple((i, random_float(rng)) for i in sorted(rng.sample(range(n), rng.randint(0, n))))
+            for _ in range(n)
+        ]
+        rates = [0.0 if rng.random() < 0.2 else random_float(rng) for _ in range(n)]
+        values = [0.0] * n
+        banks = rng.sample(range(n), rng.randint(0, n))
+        expected = list(values)
+        for j in banks:
+            if rates[j]:
+                for i, q in rows[j]:
+                    expected[i] += rates[j] * q
+        assert scatter(values, rows, banks, rates) is None
+        assert [x.hex() for x in values] == [x.hex() for x in expected]
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
