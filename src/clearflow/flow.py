@@ -85,6 +85,7 @@ from .network import FinancialNetwork, Partition, Status, initial_partition
 from .scalars import (
     Scalar,
     advance,
+    clamp,
     differences,
     order_keys,
     scalar_to_json,
@@ -637,8 +638,10 @@ def _greatest_fixed_point(
     """Greatest fixed point of x = min(cap, base + Q^T x) on `banks`, with
     every other bank held at its value in `held` (fictitious defaults).
 
-    Starts with every bank in `banks` at its cap. Each round clamps, collects
-    the banks that fall short of their cap by more than `tol`, and solves
+    Starts with every bank in `banks` at its cap. Each round clamps
+    (`scalars.clamp`), collects the banks that fall short of their cap by
+    more than `tol` (the thresholds cap - tol are formed once, and not at
+    all when `tol` is 0), and solves
     x = base + Q^T x exactly on that short set, the rest of `banks` at cap.
     The short set only grows, so this stops within |banks| rounds, and one
     factor serves every round by bordering the banks new to the set; it
@@ -656,6 +659,8 @@ def _greatest_fixed_point(
     start = list(held)
     for i in banks:
         start[i] = cap[i]
+    # a bank is short when its clamp is below cap - tol; with tol 0, below its cap
+    floor = {i: cap[i] - tol for i in banks} if tol else None
     iterates = [tuple(start)]
     short_sets: list[frozenset[int]] = []
     solves = []
@@ -667,9 +672,8 @@ def _greatest_fixed_point(
     while True:
         received = factor.inflow(net, x)
         x = list(held)
-        for i in banks:
-            x[i] = min(base[i] + received[i], cap[i])
-        short = frozenset(i for i in banks if x[i] < cap[i] - tol)
+        below = clamp(x, base, received, cap, banks)
+        short = frozenset(below if floor is None else [i for i in below if x[i] < floor[i]])
         iterates.append(tuple(x))
         short_sets.append(short)
         if short == previous:

@@ -40,7 +40,17 @@ from .errors import (
     SchemaError,
     SelfDebtError,
 )
-from .scalars import FLOAT_ZERO_REL, RATIONAL, Scalar, check_mode, scalar_to_json, to_scalar, zero_one
+from .scalars import (
+    FLOAT_ZERO_REL,
+    RATIONAL,
+    Scalar,
+    check_mode,
+    quotients,
+    scalar_to_json,
+    to_scalar,
+    total,
+    zero_one,
+)
 
 
 class Status(enum.Enum):
@@ -151,8 +161,12 @@ class FinancialNetwork:
 
     @cached_property
     def zero_tol(self) -> Scalar:
-        """ε times the largest cash or debt entry: an amount within it counts as zero."""
+        """ε times the largest cash or debt entry: an amount within it counts
+        as zero. With ε = 0 (rational mode) it is 0, with no pass over the
+        amounts."""
         zero, _ = zero_one(self.mode)
+        if not self.zero_rel:
+            return zero
         return self.zero_rel * max([abs(x) for x in self.cash + self.total_debt], default=zero)
 
     @cached_property
@@ -204,7 +218,10 @@ def _network_from_entries(
     is read and checked once, before repeated pairs are summed: it must be
     finite, nonnegative and, if nonzero, no self-debt; `name(i, j)` labels it
     in errors. Totals and proportions come from the nonzero entries, each
-    row summed in column order; no total may overflow."""
+    row summed in column order (`scalars.total`) and divided by its total
+    (`scalars.quotients`); no total may overflow. In rational mode the sign
+    tests read each amount's numerator, and the totals and proportions are
+    formed from integers."""
     check_mode(mode)
     n = len(cash)
     if ids is None:
@@ -216,46 +233,48 @@ def _network_from_entries(
         if len(set(id_tuple)) != n:
             raise SchemaError("bank ids must be unique")
     zero, one = zero_one(mode)
+    rational = mode == RATIONAL
     debts: list[dict[int, Scalar]] = [{} for _ in range(n)]
     for i, j, raw in entries:
         x = to_scalar(raw, mode)
-        if isinstance(x, float) and not math.isfinite(x):
+        sign = x.numerator if rational else x
+        if not rational and not math.isfinite(x):
             raise NegativeEntryError(f"{name(i, j)} is not finite")
-        if x < 0:
+        if sign < 0:
             raise NegativeEntryError(f"{name(i, j)} = {x} is negative")
-        if x:
+        if sign:
             if i == j:
                 raise SelfDebtError(f"{name(i, j)} = {x} is a self-debt")
             debts[i][j] = debts[i][j] + x if j in debts[i] else x
     # `or zero` stores a float -0.0 as 0.0, as the parsers read it
     cash_vec = tuple(to_scalar(x, mode) or zero for x in cash)
     for i, c in enumerate(cash_vec):
-        if isinstance(c, float) and not math.isfinite(c):
+        if not rational and not math.isfinite(c):
             raise NegativeEntryError(f"cash[{i}] is not finite")
-        if c < 0:
+        if (c.numerator if rational else c) < 0:
             raise NegativeEntryError(f"cash[{i}] = {c} is negative")
-    total_cash = sum(cash_vec)
-    if isinstance(total_cash, float) and not math.isfinite(total_cash):
+    if not rational and not math.isfinite(total(cash_vec)):
         # the flow conserves total cash, so a finite total keeps every position finite
         raise NegativeEntryError("total cash is not finite")
 
-    rows, total, relative, shares = [], [], [], []
+    rows, totals, relative, shares = [], [], [], []
     for i, row_debts in enumerate(debts):
         columns = sorted(row_debts)
-        t = sum((row_debts[j] for j in columns), zero)
-        if isinstance(t, float) and not math.isfinite(t):
+        amounts = [row_debts[j] for j in columns]
+        t = total(amounts) if columns else zero
+        if not rational and not math.isfinite(t):
             raise NegativeEntryError(f"total debt of bank {i} is not finite")
         row, proportions = [zero] * n, [zero] * n
-        for j in columns:
-            row[j], proportions[j] = row_debts[j], row_debts[j] / t
+        for j, x, q in zip(columns, amounts, quotients(amounts, t)):
+            row[j], proportions[j] = x, q
         if not columns:
             proportions[i] = one
         rows.append(tuple(row))
-        total.append(t)
+        totals.append(t)
         relative.append(tuple(proportions))
         shares.append(tuple([(j, proportions[j]) for j in columns]) or ((i, one),))
 
-    return FinancialNetwork(liabilities=tuple(rows), cash=cash_vec, total_debt=tuple(total),
+    return FinancialNetwork(liabilities=tuple(rows), cash=cash_vec, total_debt=tuple(totals),
                             relative=tuple(relative), mode=mode, ids=id_tuple,
                             shares=tuple(shares))
 
@@ -313,7 +332,9 @@ def network_from_document(doc, mode: str = RATIONAL) -> FinancialNetwork:
     index = {bank_id: k for k, bank_id in enumerate(ids)}
     entries = []
     for entry in liability_entries:
-        if not isinstance(entry, dict) or not {"from", "to", "amount"} <= set(entry):
+        if not (
+            isinstance(entry, dict) and "from" in entry and "to" in entry and "amount" in entry
+        ):
             raise SchemaError('each liability needs "from", "to" and "amount"')
         src, dst = str(entry["from"]), str(entry["to"])
         if src not in index:

@@ -8,13 +8,18 @@ trades exactness for speed on larger batches.
 The helpers here convert user-facing values (ints, decimal strings, "p/q"
 strings, floats) into the scalar type of a mode and back into JSON-friendly
 form ("p/q" strings in rational mode, plain numbers in float mode). The
-vector kernels of the flow's event bookkeeping, and the one Q^T p kernel,
-live here too, so that exact arithmetic stays in this module: `advance`
-moves amounts linearly in time, `differences` forms the balances in-rate -
-out-rate, `total` sums amounts and `scatter` adds rate-weighted sparse rows
-into a vector (the in-rates Q^T p). Each tests the scalar type once per
-call; in rational mode it works on the integers of each `Fraction`, in
-float mode it does exactly the float operations of the plain loop.
+vector kernels of the flow's event bookkeeping, the one Q^T p kernel and
+the per-bank arithmetic at the edges of every command live here too, so
+that exact arithmetic stays in this module: `advance` moves amounts
+linearly in time, `differences` forms the balances in-rate - out-rate,
+`total` sums amounts, `scatter` adds rate-weighted sparse rows into a
+vector (the in-rates Q^T p), `clamp` forms min(base + received, cap) (the
+clearing map), `signed_sums` forms per-bank sums and differences such as
+a result's final cash, `outside` finds the first amount outside a range
+and `quotients` divides a row by its total (the proportions). Each tests
+the scalar type once per call; in rational mode it works on the integers
+of each `Fraction`, in float mode it does exactly the float operations of
+the plain loop.
 `order_key` maps a time to a float that keeps its order, so that most
 comparisons of exact times are comparisons of floats.
 """
@@ -162,17 +167,134 @@ def differences(
     zero = _RATIONAL_ZERO_ONE[0]
     for i in banks:
         x, rate = minuends[i], subtrahends[i]
-        c = rate.numerator
+        c, d = rate.as_integer_ratio()
         if not c:
             values[i] = x
             continue
-        p, q, d = x.numerator, x.denominator, rate.denominator
+        p, q = x.as_integer_ratio()
         if c == d:
             values[i] = _coprime(p - q, q)
         elif p == c and q == d:
             values[i] = zero
         else:
             values[i] = x - rate
+
+
+def clamp(
+    values: MutableSequence[Scalar],
+    base: Sequence[Scalar],
+    received: Sequence[Scalar],
+    cap: Sequence[Scalar],
+    banks: Iterable[int],
+) -> list[int]:
+    """values[i] = min(base[i] + received[i], cap[i]) for each bank i of
+    `banks`; returns the banks left below their cap, in the order of
+    `banks`.
+
+    Rational mode decides by cross-multiplied integers: a sum that reaches
+    the cap gives cap[i] itself, any other one `Fraction` with one gcd.
+    Float mode computes min(b + r, c), as the plain loop did."""
+    below = []
+    if not received or not isinstance(received[0], Fraction):
+        for i in banks:
+            x, c = base[i] + received[i], cap[i]
+            if c < x:
+                values[i] = c
+            else:
+                values[i] = x
+                if x < c:
+                    below.append(i)
+        return below
+    gcd = math.gcd
+    for i in banks:
+        a, b = base[i].as_integer_ratio()
+        r, d = received[i].as_integer_ratio()
+        c, e = cap[i].as_integer_ratio()
+        if b == d:
+            p, q = a + r, b
+        else:
+            p, q = a * d + r * b, b * d
+        if p * e < c * q:
+            g = gcd(p, q)
+            values[i] = _coprime(p // g, q // g)
+            below.append(i)
+        else:
+            values[i] = cap[i]
+    return below
+
+
+def signed_sums(
+    values: MutableSequence[Scalar],
+    plus: Sequence[Sequence[Scalar]],
+    minus: Sequence[Sequence[Scalar]],
+    banks: Iterable[int],
+) -> None:
+    """values[i] = the sum of v[i] over the vectors v of `plus`, less v[i]
+    over those of `minus`, for each bank i of `banks`; `plus` is not empty.
+
+    Rational mode forms each as one `Fraction` from integers, with one gcd;
+    a float there counts at its exact value. Float mode adds and subtracts
+    in the order given, left to right, as the plain expression did."""
+    first, *more = plus
+    if not first or not isinstance(first[0], Fraction):
+        for i in banks:
+            x = first[i]
+            for v in more:
+                x = x + v[i]
+            for v in minus:
+                x = x - v[i]
+            values[i] = x
+        return
+    gcd = math.gcd
+    for i in banks:
+        p, q = first[i].as_integer_ratio()
+        for v in more:
+            a, b = v[i].as_integer_ratio()
+            p, q = (p + a, q) if b == q else (p * b + a * q, q * b)
+        for v in minus:
+            a, b = v[i].as_integer_ratio()
+            p, q = (p - a, q) if b == q else (p * b - a * q, q * b)
+        g = gcd(p, q)
+        values[i] = _coprime(p // g, q // g)
+
+
+def outside(values: Sequence[Scalar], low: Scalar, high: Sequence[Scalar]) -> int | None:
+    """The first index i with values[i] < low or values[i] > high[i], or
+    None. Rational mode compares integers; an infinite or NaN float among
+    the values is compared as it is."""
+    if not isinstance(low, Fraction):
+        for i, x in enumerate(values):
+            if x < low or x > high[i]:
+                return i
+        return None
+    m, n = low.as_integer_ratio()
+    for i, x in enumerate(values):
+        try:
+            a, b = x.as_integer_ratio()
+        except (OverflowError, ValueError):
+            if x < low or x > high[i]:
+                return i
+            continue
+        c, d = high[i].as_integer_ratio()
+        if a * n < m * b or a * d > c * b:
+            return i
+    return None
+
+
+def quotients(values: Iterable[Scalar], divisor: Scalar) -> list[Scalar]:
+    """x / divisor for each x of `values`, the divisor positive. Rational
+    mode forms each from the integers of both, with one gcd."""
+    if not isinstance(divisor, Fraction):
+        return [x / divisor for x in values]
+    gcd = math.gcd
+    m, n = divisor.as_integer_ratio()
+    out = []
+    for x in values:
+        a, b = x.as_integer_ratio()
+        p, q = a * n, b * m
+        g = gcd(p, q)
+        out.append(_coprime(p // g, q // g))
+    return out
 
 
 def _coprime(numerator: int, denominator: int) -> Fraction:
@@ -223,6 +345,21 @@ def to_scalar(value, mode: str) -> Scalar:
     if isinstance(value, bool):
         raise SchemaError(f"boolean is not a valid amount: {value!r}")
     if mode == RATIONAL:
+        if isinstance(value, str):
+            s = value.strip()
+            # an unsigned "p" or "p/q", q not 0, of at most 40 ASCII
+            # characters is read from its two ints, to the Fraction the exact
+            # reader gives; every other string takes that reader and its errors
+            if len(s) <= 40 and s.isascii():
+                num, slash, den = s.partition("/")
+                if num.isdigit():
+                    if not slash:
+                        return _coprime(int(num), 1)
+                    if den.isdigit() and (q := int(den)):
+                        p = int(num)
+                        g = math.gcd(p, q)
+                        return _coprime(p // g, q // g)
+            return _fraction_from_str(value)
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
@@ -231,8 +368,6 @@ def to_scalar(value, mode: str) -> Scalar:
             if not math.isfinite(value):
                 raise SchemaError(f"amount is not finite: {value!r}")
             return Fraction(Decimal(repr(value)))
-        if isinstance(value, str):
-            return _fraction_from_str(value)
         raise SchemaError(f"cannot read amount of type {type(value).__name__}: {value!r}")
     # float mode
     if isinstance(value, str):

@@ -28,7 +28,16 @@ from .markov import (
     swamp_solution,
 )
 from .network import FinancialNetwork, Partition, classify_status
-from .scalars import RATIONAL, Scalar, to_scalar, zero_one
+from .scalars import (
+    RATIONAL,
+    Scalar,
+    clamp,
+    differences,
+    outside,
+    signed_sums,
+    to_scalar,
+    zero_one,
+)
 
 #: default stopping tolerance for fixed-point iteration
 PICARD_TOL = Fraction(1, 10**12)
@@ -98,30 +107,37 @@ class BailoutPlan:
 
 
 def phi(net: FinancialNetwork, p: Sequence[Scalar]) -> list[Scalar]:
-    """One application of the clamped payment map min(cash + received, debt)."""
+    """One application of the clamped payment map min(cash + received, debt).
+
+    Each payment must lie in [-tol, b_i + tol], tol = `zero_tol`: the
+    bounds are formed once per call and the range test is
+    `scalars.outside`, which in rational mode compares integers."""
     if len(p) != net.n:
         raise OutOfRangeError(f"payment vector has length {len(p)}, expected {net.n}")
     tol = net.zero_tol
-    for i, x in enumerate(p):
-        if x < -tol or x > net.total_debt[i] + tol:
-            raise OutOfRangeError(
-                f"payment {x} for bank {i} outside [0, {net.total_debt[i]}]"
-            )
+    high = [b + tol for b in net.total_debt] if tol else net.total_debt
+    i = outside(p, -tol, high)
+    if i is not None:
+        raise OutOfRangeError(f"payment {p[i]} for bank {i} outside [0, {net.total_debt[i]}]")
     return _clamp(net, p)
 
 
 def _clamp(net: FinancialNetwork, p: Sequence[Scalar]) -> list[Scalar]:
-    """min(c + Q^T p, b), with no check of p."""
-    received = balance_rates(net, p)
-    return [min(net.cash[i] + received[i], net.total_debt[i]) for i in range(net.n)]
+    """min(c + Q^T p, b) by `scalars.clamp`, with no check of p."""
+    image = list(net.cash)
+    clamp(image, net.cash, balance_rates(net, p), net.total_debt, range(net.n))
+    return image
 
 
 def verify_clearing(net: FinancialNetwork, p: Sequence[Scalar]) -> Scalar:
-    """Largest componentwise residual of the clearing equation; zero iff p clears."""
+    """Largest componentwise residual of the clearing equation; zero iff p
+    clears. A bank whose payment is its image, by identity or else by
+    equality, adds nothing: the largest residual starts at zero."""
     image = phi(net, p)
     residual, _ = zero_one(net.mode)
-    for i in range(net.n):
-        residual = max(residual, abs(p[i] - image[i]))
+    for x, y in zip(p, image):
+        if x is not y and x != y:
+            residual = max(residual, abs(x - y))
     return residual
 
 
@@ -129,22 +145,24 @@ def result_from_payments(
     net: FinancialNetwork, p: Sequence[Scalar], algorithm: str
 ) -> ClearingResult:
     """Wrap a known clearing vector in a result, deriving the final partition
-    and cash positions it implies."""
+    and cash positions it implies: final cash c + Q^T p - p by
+    `scalars.signed_sums`, and remaining debt b - p by `scalars.differences`,
+    where a bank that pays in full gives 0 with no arithmetic."""
     tol = net.zero_tol
-    received = balance_rates(net, p)
-    final_cash = tuple(net.cash[i] + received[i] - p[i] for i in range(net.n))
+    everyone = range(net.n)
+    final_cash = list(net.cash)
+    signed_sums(final_cash, (net.cash, balance_rates(net, p)), (p,), everyone)
+    debts = list(net.total_debt)
+    differences(debts, net.total_debt, p, everyone)
     partition = Partition(
-        tuple(
-            classify_status(net.total_debt[i] - p[i], final_cash[i], tol)
-            for i in range(net.n)
-        )
+        tuple(classify_status(d, c, tol) for d, c in zip(debts, final_cash))
     )
     return ClearingResult(
         payments=tuple(p),
         final_partition=partition,
         defaults=frozenset(partition.zero),
         total_time=None,
-        final_cash=final_cash,
+        final_cash=tuple(final_cash),
         trajectory=(),
         algorithm=algorithm,
     )
@@ -269,34 +287,35 @@ def bailout_vector(net: FinancialNetwork) -> BailoutPlan:
     replay's on a copy of `net` with x* added to the cash; the replay demands
     that every debt outside the remaining cashless swamps clears and every
     injected bank finishes empty; failure is reported, never patched over.
+    The shortfalls b - p, x* and the boosted cash c + x* are per-bank sums
+    of `scalars.signed_sums`, formed only for the defaulters, and the
+    replay's remaining debts come from `scalars.differences`.
     """
     base, _ = fictitious_defaults(net)
     zero, _ = zero_one(net.mode)
+    debts = net.total_debt
     defaults = sorted(base.defaults)
     unpaid = [zero] * net.n
-    for i in defaults:
-        unpaid[i] = net.total_debt[i] - base.payments[i]
+    signed_sums(unpaid, (debts,), (base.payments,), defaults)
     if not defaults:
         return BailoutPlan(
             unpaid=tuple(unpaid), injections=tuple(unpaid), verified=True, seed_required=()
         )
 
-    received = balance_rates(net, net.total_debt)
     injections = [zero] * net.n
-    boosted_cash = list(net.cash)
+    signed_sums(injections, (debts,), (net.cash, balance_rates(net, debts)), defaults)
     for i in defaults:
-        injections[i] = max(net.total_debt[i] - net.cash[i] - received[i], zero)
-        boosted_cash[i] = boosted_cash[i] + injections[i]
+        injections[i] = max(injections[i], zero)
+    boosted_cash = list(net.cash)
+    signed_sums(boosted_cash, (net.cash, injections), (), defaults)
     boosted = replace(net, cash=tuple(boosted_cash))
     replay, _ = fictitious_defaults(boosted)
     seed_required = decompose_nonactive(boosted).swamps
     seeded = {i for swamp in seed_required for i in swamp}
     tol = net.zero_tol
-    all_paid = all(
-        net.total_debt[i] - replay.payments[i] <= tol
-        for i in range(net.n)
-        if i not in seeded
-    )
+    left = list(debts)
+    differences(left, debts, replay.payments, range(net.n))
+    all_paid = all(left[i] <= tol for i in range(net.n) if i not in seeded)
     injected_empty = all(
         replay.final_cash[i] <= tol for i in defaults if injections[i] > tol
     )

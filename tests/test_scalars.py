@@ -1,6 +1,8 @@
 """The scalar kernels of the flow's event bookkeeping (`advance`,
 `differences`, `total` and `order_key`), the Q^T p kernel `scatter`, the
-shared scalars of `zero_one` and the serialization of one scalar."""
+kernels at the edges of every command (`clamp`, `signed_sums`, `outside`
+and `quotients`), the shared scalars of `zero_one`, the reading of one
+amount and the serialization of one scalar."""
 
 from __future__ import annotations
 
@@ -12,15 +14,22 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import exact_form, primes_from
+from clearflow.errors import SchemaError
 from clearflow.scalars import (
     FLOAT,
     RATIONAL,
+    _fraction_from_str,
     advance,
+    clamp,
     differences,
     order_key,
     order_keys,
+    outside,
+    quotients,
     scalar_to_json,
     scatter,
+    signed_sums,
+    to_scalar,
     total,
     zero_one,
 )
@@ -268,3 +277,171 @@ def test_scalar_to_json_gives_the_same_output_for_every_type():
     assert scalar_to_json(F(huge)) == str(Decimal(huge))
     assert scalar_to_json(F(huge, 3)) == f"{Decimal(huge)}/3"
     assert scalar_to_json(F(1, huge)) == f"1/{Decimal(huge)}"
+
+
+def prime_amounts(seed: int, digits: int, count: int):
+    """A source of `count` Fractions, each over its own prime just above
+    10^6 with a numerator of up to `digits` digits; about a tenth are 0."""
+    rng = random.Random(seed)
+    primes = iter(primes_from(10**6 + 7919 * seed, count))
+
+    def amount() -> F:
+        return F(0) if rng.random() < 0.1 else F(rng.randint(1, 10**digits), next(primes))
+
+    return rng, amount
+
+
+@pytest.mark.parametrize("digits", [3, 4400])
+@pytest.mark.parametrize("seed", range(12))
+def test_rational_clamp_matches_fraction_arithmetic(seed, digits):
+    # caps exactly reached, caps of 0 and sums over one shared denominator
+    # among them; a reached cap is the cap itself
+    n = 12
+    rng, amount = prime_amounts(seed, digits, 4 * n)
+    base = [amount() for _ in range(n)]
+    received = []
+    for b in base:
+        shared = rng.random() < 0.3 and b.denominator > 1
+        received.append(F(rng.randint(1, 10**digits), b.denominator) if shared else amount())
+    cap = []
+    for b, r in zip(base, received):
+        kind = rng.random()
+        cap.append(b + r if kind < 0.3 else F(0) if kind < 0.4 else amount())
+    banks = rng.sample(range(n), rng.randint(0, n))
+    values = [F(-7)] * n
+    below = clamp(values, base, received, cap, banks)
+    expected = [min(base[i] + received[i], cap[i]) if i in banks else F(-7) for i in range(n)]
+    assert exact_form(values) == exact_form(expected)
+    assert below == [i for i in banks if expected[i] < cap[i]]
+    assert all(values[i] is cap[i] for i in banks if i not in below)
+
+
+def test_float_clamp_is_bit_equal_to_the_plain_min():
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        base = [random_float(rng) for _ in range(n)] + [0.0, -0.0, 1.0]
+        received = [random_float(rng) for _ in range(n)] + [0.0, 0.0, 1.5]
+        cap = [random_float(rng) for _ in range(n)] + [0.0, 0.0, 2.5]
+        banks = rng.sample(range(n + 3), rng.randint(0, n + 3))
+        values = [9.0] * (n + 3)
+        below = clamp(values, base, received, cap, banks)
+        expected = [
+            min(base[i] + received[i], cap[i]) if i in banks else 9.0 for i in range(n + 3)
+        ]
+        assert [x.hex() for x in values] == [x.hex() for x in expected]
+        assert below == [i for i in banks if expected[i] < cap[i]]
+
+
+@pytest.mark.parametrize("digits", [3, 4400])
+@pytest.mark.parametrize("seed", range(12))
+def test_rational_signed_sums_match_fraction_arithmetic(seed, digits):
+    # sums that cancel to 0 exactly among them, and ints, which a replaced
+    # network may hold
+    n = 10
+    rng, amount = prime_amounts(seed, digits, 6 * n)
+    plus = [[amount() for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    minus = [[amount() for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    for i in rng.sample(range(n), 3):
+        minus.append([F(0)] * n)
+        minus[-1][i] = sum(v[i] for v in plus) - sum(v[i] for v in minus[:-1])
+    plus[0][0] = 3
+    banks = rng.sample(range(n), rng.randint(0, n))
+    values = [F(-7)] * n
+    signed_sums(values, plus, minus, banks)
+    expected = [F(-7)] * n
+    for i in banks:
+        x = plus[0][i]
+        for v in plus[1:]:
+            x = x + v[i]
+        for v in minus:
+            x = x - v[i]
+        expected[i] = F(x)
+    assert exact_form(values) == exact_form(expected)
+
+
+def test_float_signed_sums_are_bit_equal_to_the_plain_expression():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        vectors = [[random_float(rng) for _ in range(n)] + [0.0, -0.0] for _ in range(4)]
+        banks = rng.sample(range(n + 2), rng.randint(0, n + 2))
+        c, r, p, b = vectors
+        values = [9.0] * (n + 2)
+        signed_sums(values, (c, r), (p,), banks)
+        assert [values[i].hex() for i in banks] == [(c[i] + r[i] - p[i]).hex() for i in banks]
+        signed_sums(values, (b,), (c, r), banks)
+        assert [values[i].hex() for i in banks] == [(b[i] - c[i] - r[i]).hex() for i in banks]
+        signed_sums(values, (c, r), (), banks)
+        assert [values[i].hex() for i in banks] == [(c[i] + r[i]).hex() for i in banks]
+
+
+def first_outside(values, low, high):
+    return next((i for i, x in enumerate(values) if x < low or x > high[i]), None)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rational_outside_matches_fraction_comparisons(seed):
+    # ints and floats among the values, infinities and NaN too, and values
+    # at each bound
+    rng, amount = prime_amounts(seed, 40, 40)
+    n = 10
+    high = [amount() for _ in range(n)]
+    low = rng.choice((F(0), -amount()))
+    for _ in range(20):
+        values = [rng.choice((low, h, h / 2, h + F(1, 10**9), low - F(1, 10**9))) for h in high]
+        k = rng.randrange(n)
+        values[k] = rng.choice((0, 1, -1, 0.5, -0.0, math.inf, -math.inf, math.nan, values[k]))
+        assert outside(values, low, high) == first_outside(values, low, high)
+
+
+def test_float_outside_matches_the_plain_comparisons():
+    rng = random.Random(18)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        high = [abs(random_float(rng)) for _ in range(n)]
+        low = rng.choice((0.0, -0.0, -1e-12))
+        values = [rng.choice((low, h, h * 0.5, h * 1.5, -h, math.nan)) for h in high]
+        assert outside(values, low, high) == first_outside(values, low, high)
+
+
+@pytest.mark.parametrize("digits", [3, 4400])
+@pytest.mark.parametrize("seed", range(12))
+def test_rational_quotients_match_fraction_division(seed, digits):
+    _, amount = prime_amounts(seed, digits, 12)
+    values = [amount() for _ in range(10)] + [F(0), F(3)]
+    divisor = sum(values) or F(1)
+    assert exact_form(quotients(values, divisor)) == exact_form(x / divisor for x in values)
+
+
+def test_float_quotients_are_bit_equal_to_the_plain_division():
+    rng = random.Random(19)
+    for _ in range(200):
+        values = [abs(random_float(rng)) for _ in range(rng.randint(1, 12))]
+        t = sum(values)
+        assert [x.hex() for x in quotients(values, t)] == [(x / t).hex() for x in values]
+
+
+#: amount strings that the rational reader's fast path takes, and strings
+#: beside it that the exact reader keeps: signs, spaces inside, a zero
+#: denominator, decimals, non-ASCII digits, and the 40-character and
+#: 4300-digit edges
+AMOUNT_STRINGS = [
+    "7", "007", "0", "0/5", "12/8", " 3/4 ", "3 /4",
+    "+3", "-3", "3/-4", "5/0", "3.0", "1e3",
+    "\u0663", "\u00b2", "1/\u0663",
+    "9" * 40, "9" * 41, "12345678901234567890/9876543210987654321", "1" * 20 + "/" + "3" * 20,
+    "1" * 20 + "/" + "3" * 21, "1" * 4301, "1" * 4300, "", "/", "3/", "/4", "3/4/5", "1_000",
+]
+
+
+@pytest.mark.parametrize("text", AMOUNT_STRINGS)
+def test_rational_amount_strings_read_as_the_exact_reader_reads_them(text):
+    # the same Fraction, or the same error type and message
+    def read(reader):
+        try:
+            return exact_form([reader(text)])
+        except SchemaError as exc:
+            return type(exc), str(exc)
+
+    assert read(lambda s: to_scalar(s, RATIONAL)) == read(_fraction_from_str)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import fractions
+import importlib.util
 import math
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -354,3 +358,54 @@ class TestThreeWayAgreement:
                 abs(float(a) - b) for a, b in zip(flow_result.payments, approx)
             )
             assert drift <= 1e-12
+
+
+def bench_swamp_networks(count: int):
+    """The first `count` networks of the benchmark's exact-swamps workload at
+    seed 29, from `bench/workloads.py`: 80 sparse banks each, with swamps."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while they are built
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    for k in range(count):
+        debts, cash = workloads.swamp_network(workloads.instance_seed("exact-swamps", 29, k))
+        yield cf.build_network(debts, cash)
+
+
+def fraction_operator_calls(function) -> int:
+    """Calls of `Fraction`'s arithmetic operators, the forward and reverse
+    functions of fractions.py, made while `function()` runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_name in ("forward", "reverse")
+            and code.co_filename == fractions.__file__
+        ):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_command_edges_make_fewer_fraction_operations_than_banks():
+    # parsing, wrapping fd's payments in a result and the clearing residual
+    # work on integers: no per-bank Fraction operator is left in them
+    for net in bench_swamp_networks(4):
+        text = cf.serialize_network(net)
+        payments = cf.fictitious_defaults(net)[0].payments
+        assert net.n == 80
+        assert fraction_operator_calls(lambda: cf.parse_network(text)) < net.n
+        assert fraction_operator_calls(
+            lambda: solvers.result_from_payments(net, payments, "fd")
+        ) < net.n
+        assert fraction_operator_calls(lambda: cf.verify_clearing(net, payments)) < net.n

@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "clearflow"
 
 
@@ -72,12 +74,24 @@ def calls_to(path: Path, name: str) -> list[str]:
     return [f"{path.name}:{line} {name}" for line in sorted(lines)]
 
 
-def mode_decisions(path: Path) -> list[str]:
-    """Places where a module names a mode constant (`RATIONAL`, `FLOAT`) or
-    compares something with an arithmetic mode: a `.mode` or a mode name."""
+def scope(path: Path, function: str | None = None) -> ast.AST:
+    """The syntax tree of a module, or of its function called `function`."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    if function is None:
+        return tree
+    (node,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    return node
+
+
+def mode_decisions(path: Path, function: str | None = None) -> list[str]:
+    """Places where a module, or its function called `function`, names a
+    mode constant (`RATIONAL`, `FLOAT`) or compares something with an
+    arithmetic mode: a `.mode` or a mode name."""
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(scope(path, function)):
         if isinstance(node, ast.alias):
             name = node.name
         else:
@@ -155,6 +169,17 @@ def test_flow_makes_no_mode_decision():
     assert mode_decisions(PACKAGE / "flow.py") == []
 
 
+#: the functions of solvers.py at the edges of every command: their per-bank
+#: arithmetic is the scalars kernels', which test the scalar type
+EDGE_FUNCTIONS = ("phi", "_clamp", "verify_clearing", "result_from_payments", "bailout_vector")
+
+
+@pytest.mark.parametrize("function", EDGE_FUNCTIONS)
+def test_solver_edges_make_no_mode_decision_and_name_no_scalar_type(function):
+    assert mode_decisions(PACKAGE / "solvers.py", function) == []
+    assert scalar_type_names(PACKAGE / "solvers.py", function) == []
+
+
 def test_mode_decision_is_reported(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -162,6 +187,7 @@ def test_mode_decision_is_reported(tmp_path):
         "def f(net, x):\n    zero, _ = zero_one(net.mode)\n"
         "    if net.mode != 'float' and x > zero:\n        return scalars.FLOAT\n"
         "    return 'rational' == x\n"
+        "def g(net):\n    return zero_one(net.mode)\n"
     )
     assert mode_decisions(module) == [
         "sample.py:1 RATIONAL",
@@ -169,19 +195,24 @@ def test_mode_decision_is_reported(tmp_path):
         "sample.py:6 FLOAT",
         "sample.py:7 mode comparison",
     ]
+    assert mode_decisions(module, "f") == [
+        "sample.py:5 mode comparison",
+        "sample.py:6 FLOAT",
+        "sample.py:7 mode comparison",
+    ]
+    assert mode_decisions(module, "g") == []
 
 
 #: names through which a module handles a scalar's type or its integers
 SCALAR_TYPE_NAMES = ("Fraction", "as_integer_ratio", "isinstance", "numerator", "denominator")
 
 
-def scalar_type_names(path: Path) -> list[str]:
-    """Places where a module names a scalar type, tests a type, or reads the
-    integers of a scalar: one of `SCALAR_TYPE_NAMES`, as a name, an
-    attribute or an imported name."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def scalar_type_names(path: Path, function: str | None = None) -> list[str]:
+    """Places where a module, or its function called `function`, names a
+    scalar type, tests a type, or reads the integers of a scalar: one of
+    `SCALAR_TYPE_NAMES`, as a name, an attribute or an imported name."""
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(scope(path, function)):
         if isinstance(node, ast.alias):
             names = (node.name, node.asname)
         else:
@@ -212,6 +243,8 @@ def test_scalar_type_name_is_reported(tmp_path):
         "sample.py:6 denominator",
         "sample.py:6 numerator",
     ]
+    assert scalar_type_names(module, "f") == scalar_type_names(module)[1:]
+    assert scalar_type_names(module, "g") == []
 
 
 def test_no_module_calls_solve_linear():
