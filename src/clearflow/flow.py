@@ -57,14 +57,16 @@ reaches 0. t' runs to the least hit time, found by the float order keys of
 the hit times (`scalars.order_key`) and settled exactly among the few
 whose keys are close; only the banks near their hit are moved there and
 tested. The cash is conserved as a running sum, moved by the change in
-Σ balance at each re-anchor. The amounts of a state are formed when read:
-a run that records no trajectory forms only the last, and a recorded run
-forms each as it records it, from which the next step anchors every bank.
-In rational mode the kernels work on the integers of each `Fraction`. In
-float mode the in-rates are summed afresh and every one counts as
-changed, so every bank moves by t' at every event, bit for bit as the
-plain update x + r t did. This module names no scalar type: exact
-arithmetic lives in `scalars` and `markov`.
+Σ balance at each re-anchor. A state's amounts are formed when it is
+first read: its own anchors move to its time in place, by the routine that
+moves them at an event (`_move`). A run that records no trajectory forms
+only the last state; a recorded run forms each as it records it, so the
+next step finds every bank anchored at its time. In rational mode the
+kernels work on the integers of each `Fraction`. In float mode the
+in-rates are summed afresh and every one counts as changed, so every bank
+moves by t' at every event, bit for bit as the plain update x + r t did.
+This module names no scalar type: exact arithmetic lives in `scalars` and
+`markov`.
 """
 
 from __future__ import annotations
@@ -108,13 +110,14 @@ class SystemState:
 
     Built from plain tuples, or by `step` from anchors (`_Anchors`): each
     bank's amounts at the time its rates last changed, which then move
-    linearly at the rates of the state's last interval. `remaining_debt`,
-    `cash` and `paid` are formed only when read, and kept; so a run that
+    linearly at the rates of the state's last interval. The first read of
+    `remaining_debt`, `cash` or `paid` moves every bank to the state's time,
+    in place, and the anchors then hold the three tuples; so a run that
     records no trajectory never builds the vectors of the events it passes.
     Immutable, and equal, hashed and shown as a dataclass of its five
     fields."""
 
-    __slots__ = ("time", "partition", "_anchors", "_remaining_debt", "_cash", "_paid")
+    __slots__ = ("time", "partition", "_anchors")
 
     def __init__(
         self,
@@ -124,47 +127,46 @@ class SystemState:
         cash: Sequence[Scalar],
         paid: Sequence[Scalar],
     ):
-        anchors = _Anchors(None, None, None, None, None, None, None)
-        self._fill(time, partition, anchors, tuple(remaining_debt), tuple(cash), tuple(paid))
+        debt = tuple(remaining_debt)
+        anchors = _Anchors([time] * len(debt), debt, tuple(paid), tuple(cash), None, None, None)
+        self._fill(time, partition, anchors)
 
     @classmethod
     def _anchored(cls, time: Scalar, partition: Partition, anchors: _Anchors) -> SystemState:
         state = object.__new__(cls)
-        state._fill(time, partition, anchors, None, None, None)
+        state._fill(time, partition, anchors)
         return state
 
-    def _fill(self, time, partition, anchors, debt, cash, paid) -> None:
+    def _fill(self, time, partition, anchors) -> None:
         fill = object.__setattr__
         fill(self, "time", time)
         fill(self, "partition", partition)
         fill(self, "_anchors", anchors)
-        fill(self, "_remaining_debt", debt)
-        fill(self, "_cash", cash)
-        fill(self, "_paid", paid)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def _read(self, name: str) -> tuple[Scalar, ...]:
-        value = object.__getattribute__(self, name)
-        if value is None:
-            value = self._anchors.at(self.time, name)
-            object.__setattr__(self, name, value)
-            if None not in (self._remaining_debt, self._cash, self._paid):
-                self._anchors.release()
-        return value
+    def _formed(self) -> _Anchors:
+        """The anchors, every bank moved to the state's time on the first read."""
+        anchors = self._anchors
+        if anchors.previous is not None:
+            _move(anchors, range(len(anchors.since)), self.time)
+            anchors.debt, anchors.paid, anchors.cash = (
+                tuple(anchors.debt), tuple(anchors.paid), tuple(anchors.cash))
+            anchors.previous = anchors.elapsed = None
+        return anchors
 
     @property
     def remaining_debt(self) -> tuple[Scalar, ...]:
-        return self._read("_remaining_debt")
+        return self._formed().debt
 
     @property
     def cash(self) -> tuple[Scalar, ...]:
-        return self._read("_cash")
+        return self._formed().cash
 
     @property
     def paid(self) -> tuple[Scalar, ...]:
-        return self._read("_paid")
+        return self._formed().paid
 
     @property
     def statuses(self) -> tuple[Status, ...]:
@@ -191,10 +193,6 @@ class SystemState:
         return SystemState, self._fields()
 
 
-#: the anchored amounts of each of a state's fields
-_ANCHORED = {"_remaining_debt": "debt", "_cash": "cash", "_paid": "paid"}
-
-
 class _Anchors:
     """Each bank's debt, payment and cash at `since[i]`, the time its rates
     last changed, and the rates they move by from then on: those of the
@@ -202,45 +200,27 @@ class _Anchors:
 
     A bank anchored at `previous`, the event before the state, moves by
     `elapsed`, that interval's length, itself, and any other by the time
-    since its anchor; so where every rate changes at every event, each
-    amount is moved exactly as an event-by-event update would move it. The
-    lists are never changed once a state holds them, and are dropped once
-    it has formed all of its amounts."""
+    since its anchor (`_move`); so where every rate changes at every event,
+    each amount is moved exactly as an event-by-event update would move it.
+    A state's first read moves every bank to the state's time, leaves the
+    three amounts as tuples and `previous` None, as a state built from
+    tuples has them; that is the only change made to a state's anchors,
+    and `step` moves a copy of them."""
 
-    __slots__ = ("since", "debt", "paid", "cash", "rates", "previous", "elapsed", "moves")
+    __slots__ = ("since", "debt", "paid", "cash", "rates", "previous", "elapsed")
 
     def __init__(self, since, debt, paid, cash, rates, previous, elapsed):
         self.since, self.debt, self.paid, self.cash = since, debt, paid, cash
         self.rates, self.previous, self.elapsed = rates, previous, elapsed
-        #: the (time, banks) moves of `at`, formed on its first call
-        self.moves: list[tuple[Scalar, list[int]]] | None = None
-
-    def release(self) -> None:
-        """Drop the anchored amounts, once the state has formed them all."""
-        self.since = self.debt = self.paid = self.cash = self.moves = None
-
-    def at(self, time: Scalar, name: str) -> tuple[Scalar, ...]:
-        """The debts, cash or payments (by the state's field name) at `time`."""
-        values = list(getattr(self, _ANCHORED[name]))
-        if self.rates is not None:
-            if self.moves is None:
-                groups = _by_anchor(list(self.since), range(len(values)), time, self.previous)
-                self.moves = [
-                    (self.elapsed if start is self.previous else time - start, banks)
-                    for start, banks in groups
-                ]
-            rates = self.rates.balance if name == "_cash" else self.rates.out
-            for t, banks in self.moves:
-                advance(values, rates, -t if name == "_remaining_debt" else t, banks)
-        return tuple(values)
 
 
-def _by_anchor(
-    since: list[Scalar], banks: Iterable[int], time: Scalar, previous: Scalar | None
-) -> list[tuple[Scalar, list[int]]]:
-    """Anchor `banks` at `time`, in place, and return those that were not
-    anchored there, grouped by their old anchor: (anchor, banks) pairs,
-    each anchor once, `previous` first."""
+def _move(anchors: _Anchors, banks: Iterable[int], time: Scalar) -> None:
+    """Move the amounts of `banks` to `time` at the anchors' rates and
+    anchor them there, in place: `scalars.advance` once per vector and old
+    anchor, by `elapsed` from `previous` and by the time since it from any
+    other. The banks already anchored at `time` stay, and the rates are
+    read only when some bank moves."""
+    since, previous = anchors.since, anchors.previous
     moved: list[int] = []
     groups: dict[int, tuple[Scalar, list[int]]] = {}
     for i in banks:
@@ -254,21 +234,11 @@ def _by_anchor(
         else:
             group[1].append(i)
         since[i] = time
-    return [(previous, moved), *groups.values()] if moved else list(groups.values())
-
-
-def _move(
-    anchors: _Anchors, rates: IntervalRates, banks: Iterable[int], time: Scalar,
-    previous: Scalar | None, elapsed: Scalar | None,
-) -> None:
-    """Move the amounts of `banks` to `time` at `rates` and anchor them
-    there, in place: `scalars.advance` once per vector and old anchor, by
-    `elapsed` from `previous` and by the time since it from any other."""
-    out = rates.out
-    for start, group in _by_anchor(anchors.since, banks, time, previous):
-        t = elapsed if start is previous else time - start
-        advance(anchors.debt, out, -t, group)
-        advance(anchors.paid, out, t, group)
+    rates = anchors.rates
+    for start, group in [(previous, moved), *groups.values()] if moved else groups.values():
+        t = anchors.elapsed if start is previous else time - start
+        advance(anchors.debt, rates.out, -t, group)
+        advance(anchors.paid, rates.out, t, group)
         advance(anchors.cash, rates.balance, t, group)
 
 
@@ -446,9 +416,10 @@ def step(
 
     The state holds each bank's amounts at its anchor (`SystemState`). The
     interval's changed banks are moved to the state's time with the old
-    rates and anchored there; when the factor did not step to this state
-    (a fresh one, or another run's), every bank is, and when the state has
-    formed its amounts every bank is anchored at them. Each changed bank then
+    rates and anchored there, in a copy of the state's anchors; when the
+    factor did not step to this state (a fresh one, or another run's), every
+    bank is. A bank already anchored at the state's time stays, so a state
+    built from tuples or already read moves nothing. Each changed bank then
     gets its hit times, absolute. A positive bank pays at rate exactly 1,
     so its debt runs out at τ + debt, with no rate test, and its cash at
     τ - cash / balance when its balance is below -ε (at τ when that is
@@ -484,15 +455,13 @@ def step(
     zero, _ = zero_one(net.mode)
     now = state.time
     changed = carry.changed if carried and carry.changed is not None else range(net.n)
-    debt, paid, cash = state._remaining_debt, state._paid, state._cash
-    if debt is not None and paid is not None and cash is not None:
-        # every amount at the state's time is formed: anchor every bank there
-        anchors = _Anchors([now] * net.n, list(debt), list(paid), list(cash), rates, now, None)
-    else:
-        anchors = _Anchors(
-            list(book.since), list(book.debt), list(book.paid), list(book.cash), rates, now, None
-        )
-        _move(anchors, book.rates, changed, now, book.previous, book.elapsed)
+    anchors = _Anchors(
+        list(book.since), list(book.debt), list(book.paid), list(book.cash),
+        book.rates, book.previous, book.elapsed,
+    )
+    _move(anchors, changed, now)
+    # the copy moves on at this interval's rates, from now
+    anchors.rates, anchors.previous = rates, now
     if not carried:
         carry.due, carry.dry = {}, {}
         held, drift = total(anchors.cash), total(balance)
@@ -558,7 +527,8 @@ def step(
     limit = _reach(key_of(after))
     paying = sorted([i for i in due_near if due[i][1] <= limit])
     draining = sorted([i for i in dry_near if dry[i][1] <= limit])
-    _move(anchors, rates, set(paying).union(draining), after, now, t_prime)
+    anchors.elapsed = t_prime
+    _move(anchors, set(paying).union(draining), after)
     absorbed = []
     for i in paying:
         if debt[i] <= tol:
@@ -594,7 +564,6 @@ def step(
     if abs(held - net.total_cash) > 1000 * net.zero_rel * max(1, net.total_cash):
         raise InvariantViolationError(f"cash conservation violated ({_where(index, after)})")
 
-    anchors.elapsed = t_prime
     after_state = SystemState._anchored(after, state.partition.moved(absorbed, emptied), anchors)
     carry.state, carry.cash_sums = after_state, (held, drift)
     return FlowEvent(
@@ -679,7 +648,9 @@ def _greatest_fixed_point(
         if short == previous:
             return FDTrace(tuple(iterates), tuple(short_sets), tuple(solves))
         if not previous <= short:
-            raise NoConvergenceError("defaulting sets did not grow monotonically")
+            raise NoConvergenceError(
+                f"defaulting sets did not grow monotonically (round {len(short_sets)})"
+            )
         previous = short
 
         fed = list(start)
@@ -749,18 +720,19 @@ def run_flow(net: FinancialNetwork, record_trajectory: bool = True) -> ClearingR
         event = step(net, state, k, factor)
         state = event.state_after
         if record_trajectory:
-            # a recorded state is read (trace prints its debts and cash); the
-            # next step anchors every bank at what is formed here
-            state.remaining_debt, state.cash, state.paid
+            # a recorded state is read (trace prints its debts and cash): form
+            # it now, so the next step finds every bank anchored at its time
+            state.cash
             events.append(event)
+        if k >= 2 * net.n:
+            raise InvariantViolationError(f"event count exceeded 2n ({_where(k, state.time)})")
         k += 1
-        if k > 2 * net.n:
-            raise InvariantViolationError("event count exceeded 2n")
 
     max_debt = max(net.total_debt, default=zero)
     if state.time > max_debt + net.zero_tol:
         raise InvariantViolationError(
-            f"total time {state.time} exceeds the largest debt {max_debt}"
+            f"total time {state.time} exceeds the largest debt {max_debt} "
+            f"({_where(k - 1, state.time)})"
         )
     return ClearingResult(
         payments=state.paid,

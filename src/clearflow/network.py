@@ -171,8 +171,8 @@ class FinancialNetwork:
 
     @cached_property
     def total_cash(self) -> Scalar:
-        """Σ c, which the flow conserves."""
-        return sum(self.cash)
+        """Σ c, which the flow conserves (`scalars.total`)."""
+        return total(self.cash)
 
     @cached_property
     def active(self) -> frozenset[int]:

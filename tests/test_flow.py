@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -10,7 +11,13 @@ from fractions import Fraction as F
 import pytest
 
 import clearflow as cf
-from clearflow.errors import InvariantViolationError, NonTransientZeroGroupError, StalledError
+from clearflow.errors import (
+    InvariantViolationError,
+    NoConvergenceError,
+    NonTransientZeroGroupError,
+    SingularSystemError,
+    StalledError,
+)
 from clearflow.markov import ZeroGroupFactor
 from clearflow.scalars import zero_one
 from conftest import statuses_of, swampy_network, wide_magnitude_network, with_cash
@@ -233,12 +240,9 @@ class TestStep:
         older = 0
         for swamp_seed in range(5 * seed, 5 * seed + 5):
             net = swampy_network(swamp_seed)
-            state = initial_state(net, cf.big_bang_partition(net)[0])
-            factor = ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
-            carried = []
-            while state.partition.positive:
-                carried.append(cf.step(net, state, len(carried), factor))
-                state = carried[-1].state_after
+            carried = unread_steps(net)
+            for event in carried:
+                state = event.state_after
                 anchors = state._anchors
                 older += sum(1 for t in anchors.since if t is not state.time
                              and t is not anchors.previous)
@@ -268,6 +272,18 @@ class TestStep:
             events = len(cf.run_flow(net).trajectory)
             assert events > 0
             assert calls == {"step": events, "equilibrium_rates": events}
+
+
+def unread_steps(net) -> list[cf.FlowEvent]:
+    """The events of a run stepped on one carried factor, reading no state:
+    each state keeps its amounts where its banks' rates last changed."""
+    state = initial_state(net, cf.big_bang_partition(net)[0])
+    factor = ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
+    events = []
+    while state.partition.positive:
+        events.append(cf.step(net, state, len(events), factor))
+        state = events[-1].state_after
+    return events
 
 
 def moved_amounts(monkeypatch) -> list[int]:
@@ -414,6 +430,152 @@ class TestAnchoredAmounts:
             alone = cf.run_flow(net, record_trajectory=False)
             assert alone.trajectory == ()
             assert repr(dataclasses.replace(recorded, trajectory=())) == repr(alone)
+
+
+#: the fields of a state's anchors that a later read or step could change
+ANCHORED_FIELDS = ("since", "debt", "paid", "cash")
+
+
+class TestSystemState:
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_a_stepped_state_equals_one_built_from_its_tuples(self, mode):
+        # equality, hash and repr see the five fields, not how they are held
+        net = swampy_network(1, mode=mode)
+        recorded = cf.run_flow(net).trajectory
+        for event, kept in zip(unread_steps(net), recorded, strict=True):
+            s = kept.state_after
+            built = cf.SystemState(s.time, s.partition, s.remaining_debt, s.cash, s.paid)
+            stepped = event.state_after
+            assert stepped == built and built == stepped
+            assert hash(stepped) == hash(built)
+            assert repr(stepped) == repr(built)
+            assert stepped != cf.SystemState(s.time, s.partition, s.remaining_debt, s.cash,
+                                             s.cash)
+            assert stepped != repr(stepped)
+
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_a_pickled_state_is_equal(self, mode):
+        net = swampy_network(2, mode=mode)
+        states = [initial_state(net)] + [e.state_after for e in unread_steps(net)]
+        for state in states:
+            copy = pickle.loads(pickle.dumps(state))
+            assert type(copy) is cf.SystemState
+            assert copy == state and repr(copy) == repr(state)
+
+    @pytest.mark.parametrize(
+        "name", ["time", "partition", "remaining_debt", "cash", "paid", "_anchors"]
+    )
+    def test_assigning_a_field_raises(self, net_1a, name):
+        state = initial_state(net_1a)
+        stepped = cf.step(net_1a, state).state_after
+        before = repr(stepped)
+        for s in (state, stepped):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=name):
+                setattr(s, name, None)
+        assert repr(stepped) == before
+
+    def test_a_formed_state_holds_one_copy_of_its_amounts(self, net_1a):
+        stepped = cf.step(net_1a, initial_state(net_1a)).state_after
+        anchors = stepped._anchors
+        assert stepped.cash is stepped.cash is anchors.cash
+        assert stepped.remaining_debt is anchors.debt and stepped.paid is anchors.paid
+
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_an_old_state_read_after_later_steps_gives_its_values(self, mode):
+        # read newest first, so each state is read after its successors
+        # were stepped from it
+        for seed in range(5):
+            net = swampy_network(seed, mode=mode)
+            recorded = cf.run_flow(net).trajectory
+            events = unread_steps(net)
+            assert len(events) == len(recorded)
+            for event, kept in reversed(list(zip(events, recorded))):
+                assert repr(event.state_after) == repr(kept.state_after)
+
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_forming_a_state_leaves_its_successor_unchanged(self, mode):
+        for seed in range(5):
+            net = swampy_network(seed, mode=mode)
+            recorded = cf.run_flow(net).trajectory
+            states = [event.state_after for event in unread_steps(net)]
+            for state, successor in zip(states, states[1:]):
+                anchors = successor._anchors
+                kept = [list(getattr(anchors, name)) for name in ANCHORED_FIELDS]
+                state.cash
+                seen = [list(getattr(anchors, name)) for name in ANCHORED_FIELDS]
+                assert all(
+                    x is y for old, new in zip(kept, seen) for x, y in zip(old, new, strict=True)
+                )
+            assert [repr(s) for s in states] == [repr(e.state_after) for e in recorded]
+
+
+class TestGuards:
+    """Guards that no valid run reaches, forced by a patched routine."""
+
+    def test_a_run_past_2n_events_names_the_event_and_time(self, monkeypatch, net_1a):
+        # a step that leaves the state where it was never ends the run
+        step = cf.flow.step
+
+        def stuck(net, state, index=0, factor=None):
+            return dataclasses.replace(step(net, state, index, factor), state_after=state)
+
+        monkeypatch.setattr(cf.flow, "step", stuck)
+        with pytest.raises(
+            InvariantViolationError, match=r"^event count exceeded 2n \(event 10, time 0\)$"
+        ):
+            cf.run_flow(net_1a)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_a_late_end_names_the_last_event_and_time(self, monkeypatch, net_1a, record):
+        # the last state is moved 100 past its time
+        step = cf.flow.step
+
+        def late(net, state, index=0, factor=None):
+            event = step(net, state, index, factor)
+            s = event.state_after
+            if s.partition.positive:
+                return event
+            moved = cf.SystemState(s.time + 100, s.partition, s.remaining_debt, s.cash, s.paid)
+            return dataclasses.replace(event, state_after=moved)
+
+        last = cf.run_flow(net_1a).trajectory[-1]
+        monkeypatch.setattr(cf.flow, "step", late)
+        end = last.time + 100
+        message = (
+            rf"^total time {end} exceeds the largest debt {max(net_1a.total_debt)} "
+            rf"\(event {last.index}, time {end}\)$"
+        )
+        with pytest.raises(InvariantViolationError, match=message):
+            cf.run_flow(net_1a, record_trajectory=record)
+
+    def test_fd_names_the_round_whose_set_shrank(self, monkeypatch, net_1a):
+        # fd's sets on example 1a are {2, 3} then {1, 2, 3}; the second
+        # clamp is made to find bank 3 short alone
+        clamp = cf.flow.clamp
+        calls = []
+
+        def shrinking(x, base, received, cap, banks):
+            below = clamp(x, base, received, cap, banks)
+            calls.append(below)
+            return [3] if len(calls) == 2 else below
+
+        monkeypatch.setattr(cf.flow, "clamp", shrinking)
+        with pytest.raises(
+            NoConvergenceError,
+            match=r"^defaulting sets did not grow monotonically \(round 2\)$",
+        ):
+            cf.fictitious_defaults(net_1a)
+
+    def test_fd_names_a_set_that_is_not_transient(self, monkeypatch, net_1a):
+        def singular(self, banks, rhs):
+            raise SingularSystemError("forced")
+
+        monkeypatch.setattr(ZeroGroupFactor, "solve", singular)
+        with pytest.raises(
+            SingularSystemError, match=r"^defaulting set \[2, 3\] is not transient: forced$"
+        ) as caught:
+            cf.fictitious_defaults(net_1a)
+        assert str(caught.value.__cause__) == "forced"
 
 
 class TestBigBang:

@@ -61,13 +61,12 @@ def unreferenced_definitions(package: Path, readers: list[Path]) -> list[str]:
     return [f"{module}:{line} {name}" for module, line, name in sorted(defined) if name not in read]
 
 
-def calls_to(path: Path, name: str) -> list[str]:
-    """Calls a module makes to a function called `name`, by its bare name
-    or as an attribute."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def calls_to(path: Path, name: str, function: str | None = None) -> list[str]:
+    """Calls a module, or its function called `function`, makes to a
+    function called `name`, by its bare name or as an attribute."""
     lines = {
         node.lineno
-        for node in ast.walk(tree)
+        for node in ast.walk(scope(path, function))
         if isinstance(node, ast.Call)
         and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
@@ -266,6 +265,33 @@ def test_call_is_reported(tmp_path):
         "sample.py:4 solve_linear",
         "sample.py:5 solve_linear",
     ]
+
+
+def calls_outside(path: Path, name: str, function: str) -> list[str]:
+    """Calls a module makes to a function called `name` outside its
+    function called `function`."""
+    inside = set(calls_to(path, name, function))
+    return [entry for entry in calls_to(path, name) if entry not in inside]
+
+
+def test_only_move_calls_advance():
+    # one move routine: an event and a state's first read both move amounts
+    # through flow._move
+    flow = PACKAGE / "flow.py"
+    assert calls_to(flow, "advance", "_move") != []
+    assert calls_outside(flow, "advance", "_move") == []
+
+
+def test_second_caller_of_advance_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from . import scalars\nfrom .scalars import advance\n"
+        "def _move(anchors, banks, t):\n    advance(anchors.debt, anchors.rates, t, banks)\n"
+        "def form(state, t):\n    _move(state, [0], t)\n"
+        "    scalars.advance(state.cash, state.rates, t, [0])\n"
+    )
+    assert calls_to(module, "advance") == ["sample.py:4 advance", "sample.py:7 advance"]
+    assert calls_outside(module, "advance", "_move") == ["sample.py:7 advance"]
 
 
 def test_no_module_calls_active_set():
