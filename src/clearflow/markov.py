@@ -26,7 +26,10 @@ adjugate and determinant of (diag(d) - M^T)_B diag(s) in rational mode
 updates run on Python ints and only the answer is reduced), and its
 inverse in float mode, updated per bank that joins or
 leaves B: O(m^2) for the rank-one update, while a join's products with the
-factor walk only the joiner's nonzero debts with B, O(m) each. The flow
+factor walk only the joiner's nonzero debts with B, O(m) each. A factor
+reads a bank's row and d entry once, the first time the bank joins, into
+one record (its scaled weight, pivot and nonzero row entries) that every
+later step reads. The flow
 carries one factor from event to event, fictitious defaults from round to
 round (where it only borders, since the default sets only grow), and
 `fundamental_solve` and `invariant_distribution` start a fresh one on the
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
@@ -63,6 +67,8 @@ from .network import FinancialNetwork
 from .scalars import FLOAT, FLOAT_ZERO_REL, RATIONAL, Scalar, scatter, zero_one
 
 Matrix = tuple[tuple[Scalar, ...], ...]
+#: a joining bank's weight s_k d_k, pivot s_k (d_k - M_kk) and entries {i: s_k M_ki}
+_Record = tuple[Scalar, Scalar, dict[int, Scalar]]
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,7 @@ def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar]:
 def _check_input(e: Sequence[Scalar], m: int) -> None:
     if len(e) != m:
         raise IndexOutOfRangeError(f"input vector has length {len(e)}, expected {m}")
-    if any(x < 0 for x in e):
+    if not all(x >= 0 for x in e):  # a NaN is not >= 0 either
         raise NegativeInputError("input vector must be nonnegative")
 
 
@@ -201,21 +207,24 @@ class ZeroGroupFactor:
     """The balance solve (diag(d) - M^T)_B w = e, v = d * w, on a bank set B
     that changes a little between calls.
 
-    M is a square matrix and d a vector, both indexed by bank. The factor
-    holds, for the current ordered set B, the matrix K_B = (diag(d) -
-    M^T)_B diag(s): in rational mode s_j is the lcm of the denominators of
-    d_j and of bank j's whole row of M, formed when bank j first joins, so
-    that a factor reads only the rows of the banks that join. Column j of
-    K_B is then bank j's integer row, K_B is an integer matrix, and the
-    factor is the exact pair (adj K_B, det K_B); its entries grow with the
-    joined rows' own denominators, not with those of every row. In float
-    mode each s_j is 1 and the factor is the inverse of K_B. `solve` moves
-    it to a new set by deleting each leaver (Jacobi's identity) and
-    bordering each joiner (Sylvester's identity), O(m^2) per bank for the
-    rank-one update; a join's products adj u and v^T adj cost O(m) per
-    nonzero entry of its new column u and row v, the joiner's debts with B.
-    A fresh factor borders from the empty set. Every division of the exact
-    updates is exact.
+    M is a square matrix and d a vector, both indexed by bank. Each bank
+    that joins gets one record, formed the first time it joins and the only
+    place the factor reads M and d (`_record`): its weight s_k d_k, its
+    pivot s_k (d_k - M_kk) and its nonzero row entries {i: s_k M_ki}. In
+    rational mode s_k is the lcm of the denominators of d_k and of bank k's
+    row, so every record holds integers; in float mode it is 1. A factor
+    thus reads each joining bank's row and debt once, and no other row.
+    The factor holds, for the current ordered set B, the matrix K_B =
+    (diag(d) - M^T)_B diag(s): column j of K_B is bank j's record, K_B is an
+    integer matrix in rational mode, and the factor is the exact pair
+    (adj K_B, det K_B); its entries grow with the joined rows' own
+    denominators, not with those of every row. In float mode the factor is
+    the inverse of K_B. `solve` moves it to a new set by deleting each
+    leaver (Jacobi's identity) and bordering each joiner (Sylvester's
+    identity), O(m^2) per bank for the rank-one update; a join's products
+    adj u and v^T adj cost O(m) per nonzero entry of its new column u and
+    row v, the joiner's debts with B. A fresh factor borders from the empty
+    set. Every division of the exact updates is exact.
 
     When each d_i is the sum of row i of M, K_B is a Z-matrix whose column
     j sums to s_j times member j's row mass outside B, so det K_B > 0
@@ -225,13 +234,13 @@ class ZeroGroupFactor:
     `SingularSystemError`. The float pivot d - v^T K_B^-1 u subtracts a sum
     of nonnegative terms; when s is not above d/2 it may have cancelled, and
     s is recomputed from the column sums as r_k + sum_b r_b (K_B^-1 (-u))_b,
-    with r the row masses leaving B + k (Grassmann, Taksar and Heyman, Oper.
-    Res. 33, 1985). Every term is nonnegative, so on a bordered factor s is
-    accurate and zero exactly when the new set is not transient, and the
-    bordering updates only add nonnegative products. A float deletion whose
-    Schur pivot is not above ε K_pp (ε = `FLOAT_ZERO_REL`) would lose that
-    accuracy: it resets the factor instead, and the wanted set is bordered
-    afresh.
+    with r the row masses leaving B + k, summed over the records' entries
+    (Grassmann, Taksar and Heyman, Oper. Res. 33, 1985). Every term is
+    nonnegative, so on a bordered factor s is accurate and zero exactly when
+    the new set is not transient, and the bordering updates only add
+    nonnegative products. A float deletion whose Schur pivot is not above ε
+    K_pp (ε = `FLOAT_ZERO_REL`) would lose that accuracy: it resets the
+    factor instead, and the wanted set is bordered afresh.
 
     A factor of a network's liabilities and total debts also gives in-rates
     Q^T p, where p holds some banks at fixed rates (`held_inflow`, whose
@@ -239,17 +248,17 @@ class ZeroGroupFactor:
     (`inflow`). The exact solve keeps w_j = s_j N_j / T as integers N over
     one T = common * det. Rational mode carries the held part Q^T h from
     call to call, moving it by `scalars.scatter`, and adds the solved part
-    sum_j M_ji w_j from N and each solved bank's integer row s_j M_j, built
-    from `net.shares` the first time it is needed: O(n) `Fraction`s per
-    solve rather than O(n m). Float mode sums both afresh.
+    sum_j M_ji w_j from N and each solved bank's record entries s_j M_j:
+    O(n) `Fraction`s per solve rather than O(n m). Float mode sums both
+    afresh.
     """
 
     def __init__(self, matrix: Sequence[Sequence[Scalar]], diagonal: Sequence[Scalar], mode: str):
         self.matrix, self.diagonal = matrix, diagonal
         self.exact = mode == RATIONAL
-        #: s_j of each bank j that has joined, in rational mode: the lcm of the
-        #: denominators of d_j and of row j of M
-        self.scales: dict[int, int] = {}
+        #: each bank's (weight, pivot, entries) from `_record`, None until it
+        #: first joins
+        self.records: list[_Record | None] = [None] * len(diagonal)
         self.banks: list[int] = []
         #: adj K_B in rational mode, K_B^-1 in float mode; rows follow `banks`
         self.adj: list[list[Scalar]] = []
@@ -261,8 +270,6 @@ class ZeroGroupFactor:
         #: the last exact solve since `held_in` moved: its banks, the integers
         #: N with w_j = s_j N_j / T, and T
         self.solution: tuple[tuple[int, ...], list[int], int] | None = None
-        #: s_j M_j for each solved bank j, by its nonzero entries
-        self.rows: dict[int, list[tuple[int, int]]] = {}
         #: in rational mode, the receivers whose held part moved since the
         #: last `inflow`, and those the last `inflow` fed from its solve
         #: (None before the first)
@@ -276,9 +283,21 @@ class ZeroGroupFactor:
         #: (`flow.equilibrium_rates` and `flow.step` own it)
         self.carried = None
 
-    def _pivot(self, k: int) -> Scalar:
-        """d_k - M_kk, which is K_kk / s_k."""
-        return self.diagonal[k] - self.matrix[k][k]
+    def _record(self, k: int) -> _Record:
+        """Bank k's record (s_k d_k, s_k (d_k - M_kk), {i: s_k M_ki} over
+        row k's nonzero entries in index order), formed from row k and d_k
+        the first time it is asked for."""
+        record = self.records[k]
+        if record is None:
+            row, weight = self.matrix[k], self.diagonal[k]
+            pivot = weight - row[k]
+            entries = dict(zip(compress(count(), row), compress(row, row)))
+            if self.exact:
+                s = lcm(weight.denominator, *(x.denominator for x in entries.values()))
+                weight, pivot = (x.numerator * (s // x.denominator) for x in (weight, pivot))
+                entries = {i: x.numerator * (s // x.denominator) for i, x in entries.items()}
+            record = self.records[k] = (weight, pivot, entries)
+        return record
 
     def _reset(self) -> None:
         self.banks, self.adj, self.det = [], [], 1
@@ -295,8 +314,8 @@ class ZeroGroupFactor:
             ]
             self.det = pivot
         else:
-            # the Schur pivot of position p is 1 / pivot
-            if not (pivot > 0 and 1 / pivot > FLOAT_ZERO_REL * self._pivot(self.banks[p])):
+            # the Schur pivot of position p is 1 / pivot; K_pp is the record's pivot
+            if not (pivot > 0 and 1 / pivot > FLOAT_ZERO_REL * self.records[self.banks[p]][1]):
                 self._reset()
                 return
             self.adj = [
@@ -316,30 +335,13 @@ class ZeroGroupFactor:
         terms in the same order as the dense products, from the same start
         0, so float results are bit for bit theirs (on Pythons whose `sum`
         of floats adds in order, up to 3.11)."""
-        matrix, adj = self.matrix, self.adj
-        # K's new column (w_k in the members' equations, from bank k's row)
-        # and row (bank k's equation, from the members' rows)
-        row_k = matrix[k]
-        d = self._pivot(k)
-        if self.exact:
-            zero, scales = 0, self.scales
-            if k not in scales:
-                # s_k, formed when bank k first joins, from its own row alone
-                scales[k] = lcm(self.diagonal[k].denominator, *{x.denominator for x in row_k})
-            s_k = scales[k]
-            u = [
-                (p, -x.numerator * (s_k // x.denominator))
-                for p, b in enumerate(self.banks) if (x := row_k[b])
-            ]
-            v = [
-                (p, -x.numerator * (scales[b] // x.denominator))
-                for p, b in enumerate(self.banks) if (x := matrix[b][k])
-            ]
-            d = d.numerator * (s_k // d.denominator)
-        else:
-            zero = 0.0
-            u = [(p, -x) for p, b in enumerate(self.banks) if (x := row_k[b])]
-            v = [(p, -x) for p, b in enumerate(self.banks) if (x := matrix[b][k])]
+        banks, records, adj = self.banks, self.records, self.adj
+        # K's new column (w_k in the members' equations, from bank k's row),
+        # its row (bank k's equation, from the members' rows) and K_kk
+        _, d, entries = self._record(k)
+        u = [(p, -entries[b]) for p, b in enumerate(banks) if b in entries]
+        v = [(p, -e[k]) for p, b in enumerate(banks) if k in (e := records[b][2])]
+        zero = 0 if self.exact else 0.0
         if len(u) > 1:
             at, values = itemgetter(*[p for p, _ in u]), [c for _, c in u]
             au = [sum(map(mul, at(row), values)) for row in adj]
@@ -360,10 +362,10 @@ class ZeroGroupFactor:
             s = d - vau
             if not s > d / 2:
                 # the same pivot from the masses leaving B + k: no term cancels
-                inside = {*self.banks, k}
+                inside = {*banks, k}
                 mass = [
-                    sum(x for j, x in enumerate(matrix[b]) if j not in inside)
-                    for b in (*self.banks, k)
+                    sum(x for j, x in records[b][2].items() if j not in inside)
+                    for b in (*banks, k)
                 ]
                 s = mass[-1] - sum(map(mul, mass, au))
         if not s > 0:
@@ -382,11 +384,14 @@ class ZeroGroupFactor:
                 [x + g * y for x, y in zip(row, va)] + [-g] for row, g in zip(adj, ga)
             ]
             self.adj.append([-y / s for y in va] + [1 / s])
-        self.banks.append(k)
+        banks.append(k)
 
     def solve(self, banks: Sequence[int], e: Sequence[Scalar]) -> list[Scalar]:
         """v = d * w, where (diag(d) - M^T)_B w = e for B = `banks`, distinct
-        banks in any order, after moving the factor to B."""
+        banks in any order, after moving the factor to B.
+
+        In rational mode each input counts at its exact value (an int, a
+        float or a `Fraction`, read by `as_integer_ratio`)."""
         _check_input(e, len(banks))
         wanted = set(banks)
         for p in reversed([p for p, b in enumerate(self.banks) if b not in wanted]):
@@ -397,31 +402,24 @@ class ZeroGroupFactor:
             if k not in current:
                 self._border(k)
         position = {b: p for p, b in enumerate(self.banks)}
+        records = self.records
         if self.exact:
             # w_b = s_b (adj e)_b / det, with e cleared to integers over their lcm
-            common = lcm(*(x.denominator for x in e))
+            ratios = [x.as_integer_ratio() for x in e]
+            common = lcm(*(q for _, q in ratios))
             scaled = [0] * len(banks)
-            for b, x in zip(banks, e):
-                scaled[position[b]] = x.numerator * (common // x.denominator)
+            for b, (x, q) in zip(banks, ratios):
+                scaled[position[b]] = x * (common // q)
             total = common * self.det
             numerators = [sum(map(mul, row, scaled)) for row in self.adj]
             self.solution = (tuple(self.banks), numerators, total)
-            # v_b = d_b s_b N_b / T, where d_b s_b is an integer
-            diagonal, scales = self.diagonal, self.scales
-            return [
-                Fraction(
-                    (d := diagonal[b]).numerator * (scales[b] // d.denominator)
-                    * numerators[position[b]],
-                    total,
-                )
-                for b in banks
-            ]
-        else:
-            scaled = [0.0] * len(banks)
-            for b, x in zip(banks, e):
-                scaled[position[b]] = x
-            w = [sum(map(mul, row, scaled)) for row in self.adj]
-            return [self.diagonal[b] * w[position[b]] for b in banks]
+            # v_b = s_b d_b N_b / T, the record's integer weight s_b d_b
+            return [Fraction(records[b][0] * numerators[position[b]], total) for b in banks]
+        scaled = [0.0] * len(banks)
+        for b, x in zip(banks, e):
+            scaled[position[b]] = x
+        w = [sum(map(mul, row, scaled)) for row in self.adj]
+        return [records[b][0] * w[position[b]] for b in banks]
 
     def held_inflow(
         self,
@@ -469,8 +467,8 @@ class ZeroGroupFactor:
 
         Rational mode adds to the carried Q^T h the solved banks' part,
         sum_j M_ji w_j = sum_j (s_j M_ji) N_j / T: one integer dot product
-        over the solved banks' integer rows, whole rows, and one `Fraction`
-        per receiver. Float mode applies `in_rates` to `rates`, bank by bank
+        over the solved banks' record entries, and one `Fraction` per
+        receiver. Float mode applies `in_rates` to `rates`, bank by bank
         in index order.
 
         Rational mode also leaves in `touched` the receivers whose in-rate
@@ -489,17 +487,11 @@ class ZeroGroupFactor:
         if not self.solution:
             return inflow
         banks, numerators, total = self.solution
-        matrix, rows, scales = self.matrix, self.rows, self.scales
+        records = self.records
         received = [0] * net.n
         for j, x in zip(banks, numerators):
             if x:
-                if j not in rows:
-                    scale = scales[j]
-                    rows[j] = [
-                        (i, m.numerator * (scale // m.denominator))
-                        for i, _ in net.shares[j] if (m := matrix[j][i])
-                    ]
-                for i, a in rows[j]:
+                for i, a in records[j][2].items():
                     received[i] += a * x
         for i, a in enumerate(received):
             if a:

@@ -210,7 +210,8 @@ def picard_iterate(
     when reached; otherwise iteration stops once the sup-norm step falls
     below the tolerance. Exists as an independent check on the other two
     algorithms, not as the fast path. Raises `InvalidParamsError` when
-    `max_iter` is below 1 or `tol` is negative or not finite.
+    `max_iter` is not an int (a bool is not one) of at least 1, or `tol` is
+    negative or not finite.
     """
     if net.n == 0:
         return []
@@ -221,6 +222,8 @@ def picard_iterate(
         tol = PICARD_TOL if rational else PICARD_TOL_FLOAT
     elif rational and not isinstance(tol, (Fraction, int)):
         tol = to_scalar(tol, RATIONAL)
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int):
+        raise InvalidParamsError(f"max_iter must be an int, got {max_iter!r}")
     if max_iter < 1:
         raise InvalidParamsError(f"max_iter must be at least 1, got {max_iter}")
     if not 0 <= tol < math.inf:

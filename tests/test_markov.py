@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction as F
 
@@ -139,6 +140,29 @@ class TestFundamentalSolve:
         sub = cf.restrict(net_1a.relative, [1, 2])
         with pytest.raises(NegativeInputError):
             cf.fundamental_solve(sub, [F(-1), 0])
+
+    def test_nan_input_rejected(self, net_1a):
+        # a NaN is not below 0, but not nonnegative either
+        net = cf.convert_network(net_1a, cf.FLOAT)
+        sub = cf.restrict(net.relative, [0, 1])
+        with pytest.raises(NegativeInputError):
+            cf.fundamental_solve(sub, [math.nan, 0.0])
+        with pytest.raises(NegativeInputError):
+            network_factor(net).solve([1, 2], [0.0, math.nan])
+
+    def test_rational_solve_reads_ints_and_floats_at_their_exact_values(self, net_1a):
+        sub = cf.restrict(net_1a.relative, [0, 1])
+        expected = cf.fundamental_solve(sub, [F(1, 2), F(1)])
+        assert cf.fundamental_solve(sub, [0.5, F(1)]) == expected
+        assert cf.fundamental_solve(sub, [F(1, 2), 1]) == expected
+        factor = network_factor(net_1a)
+        expected = factor.solve([1, 2, 3], [F(1, 3), F(1, 2), 0])
+        for e in ([F(1, 3), 0.5, 0], [F(1, 3), F(1, 2), 0.0]):
+            v = factor.solve([1, 2, 3], e)
+            assert v == expected and all(isinstance(x, F) for x in v)
+        # a float counts at its binary value, not at the decimal it prints as
+        (v,) = network_factor(net_1a).solve([3], [0.1])
+        assert v == F(0.1) * network_factor(net_1a).solve([3], [1])[0]
 
     def test_wrong_length_input_rejected(self, net_1a):
         sub = cf.restrict(net_1a.relative, [0, 1])
@@ -606,25 +630,30 @@ def test_float_join_after_a_reset_matches_the_dense_border_oracle():
 
 
 class RowReads(Sequence):
-    """A matrix that records which of its rows are read."""
+    """A matrix, or a vector, that counts the reads of each of its rows (or
+    entries)."""
 
     def __init__(self, rows):
-        self.rows, self.read = rows, set()
+        self.rows, self.reads = rows, Counter()
 
     def __len__(self):
         return len(self.rows)
 
     def __getitem__(self, i):
-        self.read.add(i)
+        self.reads[i] += 1
         return self.rows[i]
+
+    @property
+    def read(self) -> set[int]:
+        return set(self.reads)
 
 
 class AskedFactor(cf.markov.ZeroGroupFactor):
-    """A factor of the network's liabilities, read through `RowReads`, that
-    keeps every bank it was asked to solve for."""
+    """A factor of the network's liabilities and total debts, read through
+    `RowReads`, that keeps every bank it was asked to solve for."""
 
     def __init__(self, net):
-        super().__init__(RowReads(net.liabilities), net.total_debt, net.mode)
+        super().__init__(RowReads(net.liabilities), RowReads(net.total_debt), net.mode)
         self.asked = set()
 
     def solve(self, banks, e):
@@ -655,22 +684,64 @@ def test_a_factor_reads_only_the_rows_of_banks_that_join(mode, monkeypatch):
         assert factors
         for factor in factors:
             assert factor.matrix.read <= factor.asked
+            assert factor.diagonal.read <= factor.asked
             unread += net.n - len(factor.matrix.read)
         decomposition = cf.decompose_nonactive(net)
         for swamp in decomposition.swamps:
             sub = cf.restrict(RowReads(net.relative), swamp)
-            sub.parent.read.clear()
+            sub.parent.reads.clear()
             cf.invariant_distribution(sub)
             assert sub.parent.read <= set(swamp)
         banks = sorted(decomposition.transient)
         if banks:
             sub = cf.restrict(RowReads(net.relative), banks)
-            sub.parent.read.clear()
+            sub.parent.reads.clear()
             _, one = cf.scalars.zero_one(mode)
             cf.fundamental_solve(sub, [one] * len(banks))
             assert sub.parent.read <= set(banks)
     # and some factor leaves some row unread
     assert unread > 0
+
+
+@pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+def test_a_factor_reads_each_row_and_debt_once(mode, monkeypatch):
+    # the flow's, fd's and the big bang's factors, and the fresh factors of
+    # `fundamental_solve` and `invariant_distribution`, read each row of
+    # their matrix and each entry of their diagonal at most once, however
+    # often its bank joins, leaves and is solved for
+    made = []
+
+    class CountedFactor(cf.markov.ZeroGroupFactor):
+        def __init__(self, matrix, diagonal, mode):
+            super().__init__(RowReads(matrix), RowReads(diagonal), mode)
+            made.append(self)
+
+    monkeypatch.setattr(cf.flow, "ZeroGroupFactor", CountedFactor)
+    monkeypatch.setattr(cf.markov, "ZeroGroupFactor", CountedFactor)
+    _, one = cf.scalars.zero_one(mode)
+    networks = [swampy_network(seed, mode) for seed in range(6)]
+    networks += [cf.generate_network(seed, 12, 0.3, "1/4", mode=mode) for seed in range(6)]
+    fresh = 0
+    for net in networks:
+        cf.run_flow(net)
+        cf.fictitious_defaults(net)
+        cf.big_bang_partition(net)
+        decomposition = cf.decompose_nonactive(net)
+        before = len(made)
+        for swamp in decomposition.swamps:
+            cf.invariant_distribution(cf.restrict(net.relative, swamp))
+        banks = sorted(decomposition.transient)
+        if banks:
+            cf.fundamental_solve(cf.restrict(net.relative, banks), [one] * len(banks))
+        fresh += len(made) - before
+    assert fresh > 0 and len(made) > fresh
+    reads = [
+        count
+        for factor in made
+        for reader in (factor.matrix, factor.diagonal)
+        for count in reader.reads.values()
+    ]
+    assert reads and max(reads) == 1
 
 
 def huge_prime_network(seed: int, digits: int) -> cf.FinancialNetwork:

@@ -139,6 +139,13 @@ class TestPicard:
         with pytest.raises(InvalidParamsError):
             cf.picard_iterate(cf.convert_network(net_1a, cf.FLOAT), **params)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, False, "3", F(3)])
+    def test_max_iter_must_be_a_plain_int(self, net_1a, max_iter):
+        # a float would fail in range() and True would run one iteration
+        with pytest.raises(InvalidParamsError, match="max_iter must be an int"):
+            cf.picard_iterate(net_1a, max_iter=max_iter)
+        assert cf.picard_iterate(net_1a, max_iter=1000) == cf.picard_iterate(net_1a)
+
     @pytest.mark.parametrize("liabilities, cash, expected", [
         ([[0, 1e300], [0, 0]], [1e-300, 0], [1e-300, 0.0]),
         ([[0, 1e308], [1e308, 0]], [0, 0], [1e308, 1e308]),

@@ -74,14 +74,14 @@ def calls_to(path: Path, name: str, function: str | None = None) -> list[str]:
 
 
 def scope(path: Path, function: str | None = None) -> ast.AST:
-    """The syntax tree of a module, or of its function called `function`."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    if function is None:
-        return tree
-    (node,) = [
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == function
-    ]
+    """The syntax tree of a module, or of its function called `function`; a
+    dotted name such as "Class.method" reaches a method."""
+    node = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for name in function.split(".") if function else []:
+        (node,) = [
+            child for child in node.body
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == name
+        ]
     return node
 
 
@@ -292,6 +292,58 @@ def test_second_caller_of_advance_is_reported(tmp_path):
     )
     assert calls_to(module, "advance") == ["sample.py:4 advance", "sample.py:7 advance"]
     assert calls_outside(module, "advance", "_move") == ["sample.py:7 advance"]
+
+
+def self_loads(path: Path, names: tuple[str, ...], function: str | None = None) -> list[str]:
+    """Places where a module, or its function or method `function`, loads
+    an attribute `self.<name>` for one of `names`."""
+    found = {
+        (node.lineno, node.attr)
+        for node in ast.walk(scope(path, function))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr in names
+        and getattr(node.value, "id", None) == "self"
+    }
+    return [f"{path.name}:{line} self.{name}" for line, name in sorted(found)]
+
+
+def self_loads_outside(path: Path, names: tuple[str, ...], function: str) -> list[str]:
+    """Loads of `self.<name>` a module makes outside its function or method
+    `function`."""
+    inside = set(self_loads(path, names, function))
+    return [entry for entry in self_loads(path, names) if entry not in inside]
+
+
+def test_only_the_record_routine_reads_the_factors_matrix():
+    # a factor reads a bank's row and d entry once, into the bank's record;
+    # every other step of the factor reads the record
+    markov = PACKAGE / "markov.py"
+    fields = ("matrix", "diagonal")
+    assert self_loads(markov, fields, "ZeroGroupFactor._record") != []
+    assert self_loads_outside(markov, fields, "ZeroGroupFactor._record") == []
+
+
+def test_second_reader_of_the_factors_matrix_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "class Factor:\n"
+        "    def __init__(self, matrix, diagonal):\n"
+        "        self.matrix, self.diagonal = matrix, diagonal\n"
+        "    def _record(self, k):\n        return self.matrix[k], self.diagonal[k]\n"
+        "    def solve(self, k):\n        return self._record(k), self.diagonal[k]\n"
+        "def matrix(self):\n    return self.matrix\n"
+    )
+    fields = ("matrix", "diagonal")
+    assert self_loads(module, fields, "Factor._record") == [
+        "sample.py:5 self.diagonal", "sample.py:5 self.matrix",
+    ]
+    assert self_loads_outside(module, fields, "Factor._record") == [
+        "sample.py:7 self.diagonal", "sample.py:9 self.matrix",
+    ]
+    assert self_loads_outside(module, fields, "matrix") == [
+        "sample.py:5 self.diagonal", "sample.py:5 self.matrix", "sample.py:7 self.diagonal",
+    ]
 
 
 def test_no_module_calls_active_set():
