@@ -48,9 +48,8 @@ solver calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, count
-from math import lcm
+from math import inf, lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
@@ -64,7 +63,7 @@ from .errors import (
     ZeroDebtInSwampError,
 )
 from .network import FinancialNetwork
-from .scalars import FLOAT, FLOAT_ZERO_REL, RATIONAL, Scalar, scatter, zero_one
+from .scalars import FLOAT, FLOAT_ZERO_REL, RATIONAL, Scalar, reduced, scatter, zero_one
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 #: a joining bank's weight s_k d_k, pivot s_k (d_k - M_kk) and entries {i: s_k M_ki}
@@ -170,11 +169,28 @@ def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar]:
     return x
 
 
-def _check_input(e: Sequence[Scalar], m: int) -> None:
+def _check_input(e: Sequence[Scalar], m: int, exact: bool) -> list[tuple[int, int]] | None:
+    """Check that a solve's input has m entries, each finite and nonnegative.
+
+    In rational mode return each entry's integer ratio, whose numerator
+    gives its sign; only an infinite or NaN float, which has no ratio, is
+    compared as it is."""
     if len(e) != m:
         raise IndexOutOfRangeError(f"input vector has length {len(e)}, expected {m}")
+    if exact:
+        try:
+            ratios = [x.as_integer_ratio() for x in e]
+        except (OverflowError, ValueError):
+            pass  # a float infinity or NaN, compared below
+        else:
+            if any(p < 0 for p, _ in ratios):
+                raise NegativeInputError("input vector must be nonnegative")
+            return ratios
     if not all(x >= 0 for x in e):  # a NaN is not >= 0 either
         raise NegativeInputError("input vector must be nonnegative")
+    if inf in e:
+        raise NegativeInputError("input vector must be finite")
+    return None
 
 
 def _mode_of(sub: SubMatrix) -> str:
@@ -184,8 +200,9 @@ def _mode_of(sub: SubMatrix) -> str:
 def fundamental_solve(sub: SubMatrix, e: Sequence[Scalar]) -> list[Scalar]:
     """Unique solution of v = e + Q_B^T v for a transient restriction.
 
-    The input must be componentwise nonnegative; the solution then is as
-    well (it is the transposed fundamental matrix applied to e). A fresh
+    The input must be componentwise finite and nonnegative, or the solve
+    raises `NegativeInputError`; the solution then is nonnegative as well
+    (it is the transposed fundamental matrix applied to e). A fresh
     factor solves it, reading only the rows of B, and raises
     `SingularSystemError` when B is not transient. That decision takes the
     parent's rows of B to sum to one, as a proportion matrix's do; a row
@@ -290,12 +307,14 @@ class ZeroGroupFactor:
         record = self.records[k]
         if record is None:
             row, weight = self.matrix[k], self.diagonal[k]
-            pivot = weight - row[k]
             entries = dict(zip(compress(count(), row), compress(row, row)))
             if self.exact:
                 s = lcm(weight.denominator, *(x.denominator for x in entries.values()))
-                weight, pivot = (x.numerator * (s // x.denominator) for x in (weight, pivot))
+                weight = weight.numerator * (s // weight.denominator)
                 entries = {i: x.numerator * (s // x.denominator) for i, x in entries.items()}
+                pivot = weight - entries.get(k, 0)
+            else:
+                pivot = weight - row[k]
             record = self.records[k] = (weight, pivot, entries)
         return record
 
@@ -391,8 +410,10 @@ class ZeroGroupFactor:
         banks in any order, after moving the factor to B.
 
         In rational mode each input counts at its exact value (an int, a
-        float or a `Fraction`, read by `as_integer_ratio`)."""
-        _check_input(e, len(banks))
+        float or a `Fraction`, read by `as_integer_ratio`), and each answer
+        is one `scalars.reduced` of the solve's integers. An input that is
+        negative, NaN or infinite raises `NegativeInputError`."""
+        ratios = _check_input(e, len(banks), self.exact)
         wanted = set(banks)
         for p in reversed([p for p, b in enumerate(self.banks) if b not in wanted]):
             if p < len(self.banks):  # else a float deletion has reset the factor
@@ -405,7 +426,6 @@ class ZeroGroupFactor:
         records = self.records
         if self.exact:
             # w_b = s_b (adj e)_b / det, with e cleared to integers over their lcm
-            ratios = [x.as_integer_ratio() for x in e]
             common = lcm(*(q for _, q in ratios))
             scaled = [0] * len(banks)
             for b, (x, q) in zip(banks, ratios):
@@ -414,7 +434,7 @@ class ZeroGroupFactor:
             numerators = [sum(map(mul, row, scaled)) for row in self.adj]
             self.solution = (tuple(self.banks), numerators, total)
             # v_b = s_b d_b N_b / T, the record's integer weight s_b d_b
-            return [Fraction(records[b][0] * numerators[position[b]], total) for b in banks]
+            return [reduced(records[b][0] * numerators[position[b]], total) for b in banks]
         scaled = [0.0] * len(banks)
         for b, x in zip(banks, e):
             scaled[position[b]] = x
@@ -449,10 +469,17 @@ class ZeroGroupFactor:
         old = self.held
         change: dict[int, Scalar] = {}
         # a rate held on is mostly the same object (`zero_one`'s 1, a cap):
-        # identity settles it before a `Fraction` comparison
+        # identity settles it before the integers are read, and equal
+        # rates have equal integer ratios
         for j, rate in old.items():
-            if (now := held.get(j)) is not rate and now != rate:
-                change[j] = -rate if now is None else now - rate
+            if (now := held.get(j)) is not rate:
+                a, b = rate.as_integer_ratio()
+                if now is None:
+                    change[j] = reduced(-a, b)
+                else:
+                    c, d = now.as_integer_ratio()
+                    if c != a or d != b:
+                        change[j] = reduced(c * b - a * d, b * d)
         for j, rate in held.items():
             if j not in old:
                 change[j] = rate
@@ -467,7 +494,7 @@ class ZeroGroupFactor:
 
         Rational mode adds to the carried Q^T h the solved banks' part,
         sum_j M_ji w_j = sum_j (s_j M_ji) N_j / T: one integer dot product
-        over the solved banks' record entries, and one `Fraction` per
+        over the solved banks' record entries, and one `scalars.reduced` per
         receiver. Float mode applies `in_rates` to `rates`, bank by bank
         in index order.
 
@@ -495,8 +522,8 @@ class ZeroGroupFactor:
                     received[i] += a * x
         for i, a in enumerate(received):
             if a:
-                h = inflow[i]
-                inflow[i] = Fraction(h.numerator * total + a * h.denominator, h.denominator * total)
+                p, q = inflow[i].as_integer_ratio()
+                inflow[i] = reduced(p * total + a * q, q * total)
                 fed.append(i)
         touched.update(fed)
         return inflow

@@ -22,6 +22,15 @@ of each `Fraction`, in float mode it does exactly the float operations of
 the plain loop.
 `order_key` maps a time to a float that keeps its order, so that most
 comparisons of exact times are comparisons of floats.
+
+In rational mode every result is built by one constructor, `reduced`: one
+gcd of two ints, then the `Fraction`'s two slots set directly, with no
+pass through `Fraction.__new__`. A kernel reads a known `Fraction`'s ints
+from its slots, `_numerator` and `_denominator`, not through the
+`numerator` and `denominator` properties; where an int or a float may
+arrive (`scatter`'s rates, the operands of `differences`, `clamp` and
+`signed_sums`) it reads `as_integer_ratio()`. This module alone touches
+the slots: `markov` builds its exact answers with `reduced`.
 """
 
 from __future__ import annotations
@@ -77,18 +86,18 @@ def advance(
     rate is not zero; a negative t moves values down.
 
     Rational mode forms each sum from integers, (x_n r_d t_d + r_n t_n x_d)
-    over x_d r_d t_d: one gcd and one `Fraction` per amount, not a product
-    and a sum. Float mode computes x + r * t, which for t = -s is bit for
-    bit x - r * s."""
+    over x_d r_d t_d: one `reduced` per amount, not a product and a sum.
+    Float mode computes x + r * t, which for t = -s is bit for bit
+    x - r * s."""
     if isinstance(t, Fraction):
-        p, q = t.numerator, t.denominator
+        p, q = t._numerator, t._denominator
         for i in banks:
             rate = rates[i]
-            c = rate.numerator
+            c = rate._numerator
             if c:
-                x, d = values[i], rate.denominator
-                b = x.denominator
-                values[i] = Fraction(x.numerator * d * q + c * p * b, b * d * q)
+                x, d = values[i], rate._denominator
+                b = x._denominator
+                values[i] = reduced(x._numerator * d * q + c * p * b, b * d * q)
     else:
         for i in banks:
             rate = rates[i]
@@ -108,12 +117,11 @@ def scatter(
 
     Rational mode keeps, per receiver, one integer numerator over the lcm
     of its terms' denominators, adds each term r_n q_n / (r_d q_d) to it with
-    one gcd, and forms one `Fraction` per receiver at the end, from it and
-    the receiver's old value; it returns the receivers it wrote. A rate
-    there may be any number with an exact integer ratio (an int, or a float
-    read exactly). Float mode
-    adds rate * q in the order of `banks`, as the plain loop did, and
-    returns None."""
+    one gcd, and forms one `Fraction` per receiver at the end by `reduced`,
+    from it and the receiver's old value; it returns the receivers it
+    wrote. A rate there may be any number with an exact integer ratio (an
+    int, or a float read exactly). Float mode adds rate * q in the order of
+    `banks`, as the plain loop did, and returns None."""
     if not values or not isinstance(values[0], Fraction):
         for j in banks:
             rate = rates[j]
@@ -128,18 +136,18 @@ def scatter(
         c, d = rates[j].as_integer_ratio()
         if c:
             for i, q in rows[j]:
-                b = d * q.denominator
+                b = d * q._denominator
                 if i in denominators:
                     y = denominators[i]
                     g = gcd(y, b)
-                    numerators[i] = numerators[i] * (b // g) + c * q.numerator * (y // g)
+                    numerators[i] = numerators[i] * (b // g) + c * q._numerator * (y // g)
                     denominators[i] = y // g * b
                 else:
-                    numerators[i], denominators[i] = c * q.numerator, b
+                    numerators[i], denominators[i] = c * q._numerator, b
     for i, y in denominators.items():
         x = values[i]
-        p, q = x.numerator, x.denominator
-        values[i] = Fraction(p * y + numerators[i] * q, q * y)
+        p, q = x._numerator, x._denominator
+        values[i] = reduced(p * y + numerators[i] * q, q * y)
     return denominators.keys()
 
 
@@ -153,9 +161,10 @@ def differences(
     or minuends[i] itself when the subtrahend is zero.
 
     Rational mode takes a subtrahend of 1 from the minuend's integers,
-    (p - q)/q, which is already in lowest terms, and an equal subtrahend
-    gives 0 with no arithmetic; any other pair is a `Fraction`
-    subtraction. Float mode computes x - r, as the plain loop did."""
+    (p - q)/q, and an equal subtrahend gives 0 with no arithmetic; any
+    other pair is one `reduced` of the cross-multiplied integers. Either
+    operand may be any number with an exact integer ratio. Float mode
+    computes x - r, as the plain loop did."""
     if not minuends or not isinstance(minuends[0], Fraction):
         if banks == range(len(minuends)):
             values[:] = [x - rate if rate else x for x, rate in zip(minuends, subtrahends)]
@@ -173,11 +182,11 @@ def differences(
             continue
         p, q = x.as_integer_ratio()
         if c == d:
-            values[i] = _coprime(p - q, q)
+            values[i] = reduced(p - q, q)
         elif p == c and q == d:
             values[i] = zero
         else:
-            values[i] = x - rate
+            values[i] = reduced(p * d - c * q, q * d)
 
 
 def clamp(
@@ -192,7 +201,7 @@ def clamp(
     `banks`.
 
     Rational mode decides by cross-multiplied integers: a sum that reaches
-    the cap gives cap[i] itself, any other one `Fraction` with one gcd.
+    the cap gives cap[i] itself, any other one `reduced` of the sum.
     Float mode computes min(b + r, c), as the plain loop did."""
     below = []
     if not received or not isinstance(received[0], Fraction):
@@ -205,7 +214,6 @@ def clamp(
                 if x < c:
                     below.append(i)
         return below
-    gcd = math.gcd
     for i in banks:
         a, b = base[i].as_integer_ratio()
         r, d = received[i].as_integer_ratio()
@@ -215,8 +223,7 @@ def clamp(
         else:
             p, q = a * d + r * b, b * d
         if p * e < c * q:
-            g = gcd(p, q)
-            values[i] = _coprime(p // g, q // g)
+            values[i] = reduced(p, q)
             below.append(i)
         else:
             values[i] = cap[i]
@@ -232,9 +239,9 @@ def signed_sums(
     """values[i] = the sum of v[i] over the vectors v of `plus`, less v[i]
     over those of `minus`, for each bank i of `banks`; `plus` is not empty.
 
-    Rational mode forms each as one `Fraction` from integers, with one gcd;
-    a float there counts at its exact value. Float mode adds and subtracts
-    in the order given, left to right, as the plain expression did."""
+    Rational mode forms each as one `reduced` of integers; a float there
+    counts at its exact value. Float mode adds and subtracts in the order
+    given, left to right, as the plain expression did."""
     first, *more = plus
     if not first or not isinstance(first[0], Fraction):
         for i in banks:
@@ -245,7 +252,6 @@ def signed_sums(
                 x = x - v[i]
             values[i] = x
         return
-    gcd = math.gcd
     for i in banks:
         p, q = first[i].as_integer_ratio()
         for v in more:
@@ -254,8 +260,7 @@ def signed_sums(
         for v in minus:
             a, b = v[i].as_integer_ratio()
             p, q = (p - a, q) if b == q else (p * b - a * q, q * b)
-        g = gcd(p, q)
-        values[i] = _coprime(p // g, q // g)
+        values[i] = reduced(p, q)
 
 
 def outside(values: Sequence[Scalar], low: Scalar, high: Sequence[Scalar]) -> int | None:
@@ -283,25 +288,27 @@ def outside(values: Sequence[Scalar], low: Scalar, high: Sequence[Scalar]) -> in
 
 def quotients(values: Iterable[Scalar], divisor: Scalar) -> list[Scalar]:
     """x / divisor for each x of `values`, the divisor positive. Rational
-    mode forms each from the integers of both, with one gcd."""
+    mode forms each from the integers of both, by one `reduced`."""
     if not isinstance(divisor, Fraction):
         return [x / divisor for x in values]
-    gcd = math.gcd
     m, n = divisor.as_integer_ratio()
     out = []
     for x in values:
         a, b = x.as_integer_ratio()
-        p, q = a * n, b * m
-        g = gcd(p, q)
-        out.append(_coprime(p // g, q // g))
+        out.append(reduced(a * n, b * m))
     return out
 
 
-def _coprime(numerator: int, denominator: int) -> Fraction:
-    """The `Fraction` numerator/denominator of two coprime integers, the
-    denominator positive, built without a gcd."""
+def reduced(numerator: int, denominator: int) -> Fraction:
+    """The `Fraction` numerator/denominator in lowest terms, the denominator
+    positive: one gcd, and the two slots set directly, without
+    `Fraction.__new__`. The exact kernels build their results here."""
+    g = math.gcd(numerator, denominator)
     x = object.__new__(Fraction)
-    x._numerator, x._denominator = numerator, denominator
+    if g == 1:
+        x._numerator, x._denominator = numerator, denominator
+    else:
+        x._numerator, x._denominator = numerator // g, denominator // g
     return x
 
 
@@ -311,9 +318,9 @@ def total(values: Sequence[Scalar], less: Sequence[Scalar] = ()) -> Scalar:
     `sum` of each in index order, then their difference."""
     if not values or not isinstance(values[0], Fraction):
         return sum(values) - sum(less) if less else sum(values)
-    common = math.lcm(*[x.denominator for x in values], *[x.denominator for x in less])
-    plus = sum([x.numerator * (common // x.denominator) for x in values])
-    return Fraction(plus - sum([x.numerator * (common // x.denominator) for x in less]), common)
+    common = math.lcm(*[x._denominator for x in values], *[x._denominator for x in less])
+    plus = sum([x._numerator * (common // x._denominator) for x in values])
+    return reduced(plus - sum([x._numerator * (common // x._denominator) for x in less]), common)
 
 
 def order_key(x: Scalar) -> float:
@@ -321,8 +328,11 @@ def order_key(x: Scalar) -> float:
     order_key(y). A `Fraction` converts with correct rounding, which keeps
     order, and past float range to an infinity of its sign; a float is
     itself. So equal keys leave the order open, and unequal keys settle it
-    without `Fraction` arithmetic."""
+    without `Fraction` arithmetic. A `Fraction`'s key is the true division
+    of its two ints, which is what `float` computes for it."""
     try:
+        if isinstance(x, Fraction):
+            return x._numerator / x._denominator
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
@@ -354,11 +364,9 @@ def to_scalar(value, mode: str) -> Scalar:
                 num, slash, den = s.partition("/")
                 if num.isdigit():
                     if not slash:
-                        return _coprime(int(num), 1)
+                        return reduced(int(num), 1)
                     if den.isdigit() and (q := int(den)):
-                        p = int(num)
-                        g = math.gcd(p, q)
-                        return _coprime(p // g, q // g)
+                        return reduced(int(num), q)
             return _fraction_from_str(value)
         if isinstance(value, Fraction):
             return value
@@ -417,18 +425,21 @@ def _fraction_from_str(text: str) -> Fraction:
 def scalar_to_json(x: Scalar):
     """Serialize one scalar: "p/q" string for Fractions, number for floats.
 
-    `str` refuses integers past Python's digit limit (`MAX_AMOUNT_DIGITS`),
-    which exact arithmetic can reach; their digits are written through
-    `Decimal`, which that limit does not bind. A float returns at once,
-    before the `isinstance` test, which goes through `ABCMeta` for it.
+    A `Fraction` is written from its two ints, "p" when q is 1, as `str`
+    writes it. `str` refuses integers past Python's digit limit
+    (`MAX_AMOUNT_DIGITS`), which exact arithmetic can reach; their digits
+    are written through `Decimal`, which that limit does not bind. A float
+    returns at once: `Fraction` subclasses `numbers.Rational`, so an
+    `isinstance` test against it goes through `ABCMeta` for a float.
     """
     if type(x) is float:
         return x
     if isinstance(x, Fraction):
+        p, q = x._numerator, x._denominator
         try:
-            return str(x)
+            return str(p) if q == 1 else f"{p}/{q}"
         except ValueError:
-            numerator = str(Decimal(x.numerator))
-            return numerator if x.denominator == 1 else f"{numerator}/{Decimal(x.denominator)}"
+            numerator = str(Decimal(p))
+            return numerator if q == 1 else f"{numerator}/{Decimal(q)}"
     return x
 

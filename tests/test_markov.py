@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import fractions
 import math
 import random
+import sys
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction as F
@@ -149,6 +151,52 @@ class TestFundamentalSolve:
             cf.fundamental_solve(sub, [math.nan, 0.0])
         with pytest.raises(NegativeInputError):
             network_factor(net).solve([1, 2], [0.0, math.nan])
+
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_infinite_input_rejected(self, net_1a, mode):
+        # inf is >= 0 but no amount: both entry points name it, in both
+        # modes, where rational mode found no integer ratio for it
+        net = net_1a if mode == cf.RATIONAL else cf.convert_network(net_1a, cf.FLOAT)
+        sub = cf.restrict(net.relative, [0, 1])
+        with pytest.raises(NegativeInputError, match="^input vector must be finite$"):
+            cf.fundamental_solve(sub, [math.inf, 0])
+        with pytest.raises(NegativeInputError, match="^input vector must be finite$"):
+            network_factor(net).solve([1, 2], [F(1, 2), math.inf])
+        # a negative or NaN entry keeps its message, also beside an infinity
+        for e in ([-math.inf, 0], [math.inf, -1], [math.nan, math.inf], [F(-1), 0]):
+            with pytest.raises(NegativeInputError, match="^input vector must be nonnegative$"):
+                cf.fundamental_solve(sub, e)
+            with pytest.raises(NegativeInputError, match="^input vector must be nonnegative$"):
+                network_factor(net).solve([1, 2], e)
+
+    def test_rational_input_check_compares_no_fraction(self, net_1a):
+        # each input's sign is read from its integers
+        compared = []
+
+        def count(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename == fractions.__file__ and code.co_name in (
+                "_richcmp", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+            ):
+                compared.append(code.co_name)
+
+        factor = network_factor(net_1a)
+        e = [F(1, 3), F(0), F(2, 7)]
+        sys.setprofile(count)
+        try:
+            factor.solve([1, 2, 3], e)
+            with pytest.raises(NegativeInputError):
+                factor.solve([1, 2, 3], [F(1, 3), F(-1, 5), 0])
+        finally:
+            sys.setprofile(None)
+        assert compared == []
+        # the hook sees a comparison when one is made
+        sys.setprofile(count)
+        try:
+            assert e[0] >= 0
+        finally:
+            sys.setprofile(None)
+        assert compared == ["__ge__", "_richcmp"]
 
     def test_rational_solve_reads_ints_and_floats_at_their_exact_values(self, net_1a):
         sub = cf.restrict(net_1a.relative, [0, 1])
@@ -786,6 +834,27 @@ def test_rational_held_moves_match_fraction_sums(seed, digits):
         # some stay; one bank leaves and another may join
         held.discard(rng.choice(sorted(held)))
         held.add(rng.choice(indebted))
+
+
+@pytest.mark.parametrize("digits", [1, 4400])
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_solve_answers_match_fraction_elimination(seed, digits):
+    # the factor builds each answer from its integers with one gcd; inputs
+    # of 0, ints, amounts over primes above 10^6 and numerators of up to
+    # `digits` digits give the normalized Fractions of plain elimination
+    net = huge_prime_network(seed, digits)
+    rng = random.Random(seed)
+    primes = iter(primes_from(2 * 10**6 + 10**4 * seed, 40))
+    transient = sorted(cf.decompose_nonactive(net).transient)
+    factor = network_factor(net)
+    for _ in range(4):
+        banks = rng.sample(transient, min(len(transient), rng.randint(1, 5)))
+        e = [
+            rng.choice([0, F(0), rng.randint(1, 9), F(rng.randint(1, 10**digits), next(primes))])
+            for _ in banks
+        ]
+        expected = gauss_jordan_solve(balance_rows(cf.restrict(net.relative, banks)), e)
+        assert exact_form(factor.solve(banks, e)) == exact_form(expected)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,8 +1,9 @@
-"""The scalar kernels of the flow's event bookkeeping (`advance`,
-`differences`, `total` and `order_key`), the Q^T p kernel `scatter`, the
-kernels at the edges of every command (`clamp`, `signed_sums`, `outside`
-and `quotients`), the shared scalars of `zero_one`, the reading of one
-amount and the serialization of one scalar."""
+"""The reducing constructor `reduced`, the scalar kernels of the flow's
+event bookkeeping (`advance`, `differences`, `total` and `order_key`), the
+Q^T p kernel `scatter`, the kernels at the edges of every command (`clamp`,
+`signed_sums`, `outside` and `quotients`), the shared scalars of
+`zero_one`, the reading of one amount and the serialization of one
+scalar."""
 
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from clearflow.scalars import (
     order_keys,
     outside,
     quotients,
+    reduced,
     scalar_to_json,
     scatter,
     signed_sums,
@@ -253,6 +255,26 @@ def test_order_key_keeps_the_order_of_fractions():
     assert order_key(F(1, 3)) == order_key(F(1, 3) + F(1, 10**30)) == 1 / 3
 
 
+def test_order_key_is_the_float_of_a_fraction():
+    # the true division of the two ints is float(x), correctly rounded,
+    # subnormal results and signed zeros included; past float range an
+    # infinity of x's sign
+    rng = random.Random(16)
+    values = [random_fraction(rng, rng.choice((4, 60, 2000))) for _ in range(300)]
+    values += [F(1, 10**310), F(-3, 10**320), F(5, 2**1076), F(1, 10**400), F(-1, 10**400)]
+    values += [F(2**1024 - 2**970), F(-(2**1024 - 2**971)), F(10**400, 3), -F(10) ** 400, F(0)]
+    overflowed = 0
+    for x in values:
+        try:
+            expected = float(x)
+        except OverflowError:
+            expected = math.inf if x > 0 else -math.inf
+            overflowed += 1
+        assert order_key(x).hex() == expected.hex()
+    assert overflowed == 3
+    assert order_key(F(5, 2**1076)) == 2.0**-1074 and order_key(F(-1, 10**400)).hex() == "-0x0.0p+0"
+
+
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_order_keys_of_a_mode(mode):
     key = order_keys(mode)
@@ -277,6 +299,75 @@ def test_scalar_to_json_gives_the_same_output_for_every_type():
     assert scalar_to_json(F(huge)) == str(Decimal(huge))
     assert scalar_to_json(F(huge, 3)) == f"{Decimal(huge)}/3"
     assert scalar_to_json(F(1, huge)) == f"1/{Decimal(huge)}"
+
+
+def test_scalar_to_json_writes_a_fraction_as_str_does():
+    # from its two ints, "p" or "p/q"; past the digit limit, where str
+    # refuses, through Decimal; a Fraction subclass the same way
+    rng = random.Random(17)
+    values = [random_fraction(rng, bits) for bits in (4, 60, 2000) for _ in range(50)]
+    values += [F(0), F(-3), F(7, 1), F(-1, 10**4000), F(10**4200 + 1, 7)]
+    for x in values:
+        assert scalar_to_json(x) == str(x)
+    huge = 10**4400 + 1
+    for x, written in [
+        (F(huge), str(Decimal(huge))),
+        (F(-huge, 7), f"{Decimal(-huge)}/7"),
+        (F(3, huge), f"3/{Decimal(huge)}"),
+    ]:
+        with pytest.raises(ValueError):
+            str(x)
+        assert scalar_to_json(x) == written
+
+    class Amount(F):
+        pass
+
+    assert scalar_to_json(Amount(6, 8)) == "3/4" and scalar_to_json(Amount(-5)) == "-5"
+    assert scalar_to_json(Amount(huge, 3)) == f"{Decimal(huge)}/3"
+
+
+def test_reduced_is_the_fraction_constructors_result():
+    # one gcd gives lowest terms, the sign on the numerator and 0 as 0/1,
+    # also for prime denominators above 10^6 and 4,400-digit integers
+    p1, p2, p3, p4 = primes_from(10**6, 4)
+    big = 10**4400 + 3
+    numerators = [0, 1, -1, 6, -6, -35, p1 * p2, -p3 * 10, big, -big, big * p4]
+    denominators = [1, 2, 12, 35, p1, p2 * p3, p4 * 6, big + 2, 10**4400]
+    for p in numerators:
+        for q in denominators:
+            x = reduced(p, q)
+            assert type(x) is F
+            assert exact_form([x]) == exact_form([F(p, q)])
+
+
+@pytest.mark.parametrize("digits", [3, 4400])
+@pytest.mark.parametrize("seed", range(8))
+def test_rational_event_kernels_match_fraction_arithmetic_on_prime_amounts(seed, digits):
+    # advance, total and differences on signed amounts over primes above
+    # 10^6 with numerators of up to `digits` digits, zeros among them; the
+    # operands of differences may be ints
+    n = 10
+    rng, amount = prime_amounts(seed, digits, 6 * n + 2)
+
+    def signed() -> F:
+        return amount() * rng.choice((1, -1))
+
+    values = [signed() for _ in range(n)]
+    rates = [signed() for _ in range(n)]
+    for t in (amount(), -amount()):
+        moved = list(values)
+        advance(moved, rates, t, range(n))
+        assert exact_form(moved) == exact_form([x + r * t for x, r in zip(values, rates)])
+    less = [signed() for _ in range(n)]
+    assert exact_form([total(values)]) == exact_form([sum(values)])
+    assert exact_form([total(values, less)]) == exact_form([sum(values) - sum(less)])
+    minuends = [values[0]] + [rng.randint(-5, 5) if rng.random() < 0.3 else x for x in values[1:]]
+    subtrahends = [rng.randint(-5, 5) if rng.random() < 0.3 else x for x in less]
+    formed = [None] * n
+    differences(formed, minuends, subtrahends, range(n))
+    assert exact_form(formed) == exact_form(
+        [F(x - r) if r else x for x, r in zip(minuends, subtrahends)]
+    )
 
 
 def prime_amounts(seed: int, digits: int, count: int):

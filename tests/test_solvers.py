@@ -6,6 +6,7 @@ import fractions
 import importlib.util
 import math
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -416,3 +417,36 @@ def test_command_edges_make_fewer_fraction_operations_than_banks():
             lambda: solvers.result_from_payments(net, payments, "fd")
         ) < net.n
         assert fraction_operator_calls(lambda: cf.verify_clearing(net, payments)) < net.n
+
+
+def fraction_constructions(function) -> Counter:
+    """Calls of `Fraction.__new__` made while `function()` runs, counted by
+    the file of each call's nearest caller outside fractions.py."""
+    callers: Counter = Counter()
+
+    def count(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "__new__" and code.co_filename == fractions.__file__:
+            caller = frame.f_back
+            while caller.f_code.co_filename == fractions.__file__:
+                caller = caller.f_back
+            callers[Path(caller.f_code.co_filename).name] += 1
+
+    sys.setprofile(count)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return callers
+
+
+def test_exact_kernels_build_no_fraction_through_its_constructor():
+    # scalars and markov build each result from its integers with
+    # scalars.reduced; what the flow and fd still construct is the flow's
+    # own Fraction operators
+    for net in bench_swamp_networks(4):
+        callers = fraction_constructions(
+            lambda: (cf.run_flow(net, record_trajectory=True), cf.fictitious_defaults(net))
+        )
+        assert callers["scalars.py"] == 0 and callers["markov.py"] == 0
+        assert callers["flow.py"] > 0

@@ -346,6 +346,43 @@ def test_second_reader_of_the_factors_matrix_is_reported(tmp_path):
     ]
 
 
+#: the private slots of a `Fraction`, which hold its two ints
+FRACTION_SLOTS = ("_numerator", "_denominator")
+
+
+def slot_uses(path: Path) -> list[str]:
+    """Places where a module reads or sets an attribute named after one of
+    `FRACTION_SLOTS`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = {
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in FRACTION_SLOTS
+    }
+    return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_only_scalars_reads_the_fraction_slots():
+    # the exact kernels read a Fraction's ints from its slots and build
+    # each result through scalars.reduced; no other module touches them
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "scalars.py"]
+    assert slot_uses(PACKAGE / "scalars.py") != []
+    assert [entry for path in modules for entry in slot_uses(path)] == []
+
+
+def test_fraction_slot_use_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def f(x, y):\n    p = x._numerator * y.denominator\n"
+        "    y._denominator = x.numerator\n"
+        "    return p, x.as_integer_ratio(), x._numerators\n"
+        "def g(x):\n    return getattr(x, '_numerator'), x._denominator\n"
+    )
+    assert slot_uses(module) == [
+        "sample.py:2 _numerator", "sample.py:3 _denominator", "sample.py:6 _denominator",
+    ]
+
+
 def test_no_module_calls_active_set():
     # the active set is computed once per network, by FinancialNetwork.active;
     # a call to markov.active_set would compute it outside that cache
