@@ -276,7 +276,7 @@ class ClearingResult:
 
 def _network_factor(net: FinancialNetwork) -> ZeroGroupFactor:
     """A factor of (diag(b) - L^T)_B for zero groups and default sets B."""
-    return ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
+    return ZeroGroupFactor(net.debts, net.total_debt, net.mode)
 
 
 def balance_rates(net: FinancialNetwork, out: Sequence[Scalar]) -> tuple[Scalar, ...]:

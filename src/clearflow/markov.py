@@ -7,40 +7,43 @@ active set (absorbing / transient / swamps), and invariant distributions of
 swamps.
 
 One graph search, `_closed_groups`, finds the strongly connected groups of
-a bank set that no positive entry leaves, the groups money can never
+a bank set that no nonzero entry leaves, the groups money can never
 leave. It decides all three graph questions: a set is transient when it
 holds no such group (`is_transient`), the swamps are such groups of the
 liabilities (`closed_classes`), and a set is ergodic when it is one such
-group (`invariant_distribution`). The swamp search follows the network's
-sparse rows (`FinancialNetwork.shares`); the other two follow the
-positive entries of their restriction's parent.
+group (`invariant_distribution`). Every search and solve follows sparse
+rows, each bank's nonzero entries (j, x) with j ascending. The swamp
+search and the swamp weights of `solvers.solution_family`
+(`ergodic_distribution`) walk the network's own (`FinancialNetwork.shares`).
+The public block functions (`is_transient`, `fundamental_solve`,
+`invariant_distribution`) take a dense restriction and form the sparse rows
+of its members once from its parent, reading no other row.
 
-Every linear system the package solves is one balance system: for a square
-matrix M with diagonal weights d (the liabilities with the total debts, or
-the proportions with ones) and a transient bank set B,
+Every linear system the package solves is one balance system: for a matrix
+M, given by its sparse rows, with diagonal weights d (the liabilities with
+the total debts, or the proportions with ones) and a transient bank set B,
 (diag(d) - M^T)_B w = e, whose v = d * w solves v = e + Q_B^T v with
 Q = M / d row by row. On the liabilities no proportion is divided out
 before the solve. One kernel, `ZeroGroupFactor`, solves it: the exact
 adjugate and determinant of (diag(d) - M^T)_B diag(s) in rational mode
 (each s_j clears the denominators of d_j and of bank j's row, so the
 updates run on Python ints and only the answer is reduced), and its
-inverse in float mode, updated per bank that joins or
-leaves B: O(m^2) for the rank-one update, while a join's products with the
-factor walk only the joiner's nonzero debts with B, O(m) each. A factor
-reads a bank's row and d entry once, the first time the bank joins, into
-one record (its scaled weight, pivot and nonzero row entries) that every
-later step reads. The flow
-carries one factor from event to event, fictitious defaults from round to
-round (where it only borders, since the default sets only grow), and
-`fundamental_solve` and `invariant_distribution` start a fresh one on the
-block they solve. Both modes decide a join by the sign of its Schur pivot,
-which float mode recomputes as a sum of nonnegative terms when the usual
-difference may have cancelled, so a solve raises `SingularSystemError`
-exactly when its set is not transient, with no separate graph test. The
-factor also gives the flow's and fd's in-rates: in rational mode from a
-carried held part, moved by `in_rates`'s kernel `scalars.scatter`, and the
-integers of its last solve (see `ZeroGroupFactor.inflow`), in float mode by
-`in_rates`. `solve_linear`,
+inverse in float mode, updated per bank that joins or leaves B: O(m^2) for
+the rank-one update, while a join's products with the factor walk only the
+joiner's nonzero debts with B, O(m) each. A factor reads a bank's sparse
+row and d entry once, the first time the bank joins, into one record (its
+scaled weight, pivot and nonzero row entries) that every later step reads.
+The flow carries one factor from event to event, fictitious defaults from
+round to round (where it only borders, since the default sets only grow),
+and `fundamental_solve` and `ergodic_distribution` start a fresh one on
+the block they solve. Both modes decide a join by the sign of its Schur
+pivot, which float mode recomputes as a sum of nonnegative terms when the
+usual difference may have cancelled, so a solve raises
+`SingularSystemError` exactly when its set is not transient, with no
+separate graph test. The factor also gives the flow's and fd's in-rates:
+in rational mode from a carried held part, moved by `in_rates`'s kernel
+`scalars.scatter`, and the integers of its last solve (see
+`ZeroGroupFactor.inflow`), in float mode by `in_rates`. `solve_linear`,
 Gaussian elimination with partial pivoting, is kept for reference; no
 solver calls it.
 """
@@ -66,6 +69,8 @@ from .network import FinancialNetwork
 from .scalars import FLOAT, FLOAT_ZERO_REL, RATIONAL, Scalar, reduced, scatter, zero_one
 
 Matrix = tuple[tuple[Scalar, ...], ...]
+#: each bank's nonzero entries (j, x), j ascending
+Rows = Sequence[Sequence[tuple[int, Scalar]]]
 #: a joining bank's weight s_k d_k, pivot s_k (d_k - M_kk) and entries {i: s_k M_ki}
 _Record = tuple[Scalar, Scalar, dict[int, Scalar]]
 
@@ -131,11 +136,12 @@ def restrict(matrix: Sequence[Sequence[Scalar]], banks: Sequence[int]) -> SubMat
 def is_transient(sub: SubMatrix) -> bool:
     """True iff every state of the subset can reach the outside world.
 
-    Graph test on positive entries of the parent: the subset is transient
-    exactly when it holds no closed group (`_closed_groups`). Equivalent to
-    invertibility of (I - Q_B) but exact and cheap in both scalar modes.
+    Graph test on the nonzero entries of the members' rows of the parent:
+    the subset is transient exactly when it holds no closed group
+    (`_closed_groups`). Equivalent to invertibility of (I - Q_B) but exact
+    and cheap in both scalar modes.
     """
-    return not _closed_groups(_positive_successors(sub.parent), sub.index)
+    return not _closed_groups(_successors(_member_rows(sub)), sub.index)
 
 
 def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar]:
@@ -197,40 +203,52 @@ def _mode_of(sub: SubMatrix) -> str:
     return FLOAT if isinstance(sub.entries[0][0], float) else RATIONAL
 
 
+def _member_rows(sub: SubMatrix) -> Rows:
+    """The sparse rows of the parent's nonzero entries for the members of
+    `sub`, and an empty row for every other bank, whose row is not read."""
+    rows = [()] * len(sub.parent)
+    for b in sub.index:
+        row = sub.parent[b]
+        rows[b] = tuple(zip(compress(count(), row), compress(row, row)))
+    return rows
+
+
 def fundamental_solve(sub: SubMatrix, e: Sequence[Scalar]) -> list[Scalar]:
     """Unique solution of v = e + Q_B^T v for a transient restriction.
 
     The input must be componentwise finite and nonnegative, or the solve
     raises `NegativeInputError`; the solution then is nonnegative as well
     (it is the transposed fundamental matrix applied to e). A fresh
-    factor solves it, reading only the rows of B, and raises
-    `SingularSystemError` when B is not transient. That decision takes the
-    parent's rows of B to sum to one, as a proportion matrix's do; a row
-    that does not (exactly in rational mode, within ε n in float mode, ε =
-    `FLOAT_ZERO_REL`) raises `RowSumError` naming it.
+    factor solves it on the sparse rows of B, reading no other row, and
+    raises `SingularSystemError` when B is not transient. That decision
+    takes the parent's rows of B to sum to one, as a proportion matrix's
+    do; a row that does not (exactly in rational mode, within ε n in float
+    mode, ε = `FLOAT_ZERO_REL`) raises `RowSumError` naming it.
     """
     mode = _mode_of(sub)
-    _, one = zero_one(mode)
+    zero, one = zero_one(mode)
     slack = 0 if mode == RATIONAL else FLOAT_ZERO_REL * len(sub.parent)
+    rows = _member_rows(sub)
     for b in sub.index:
-        total = sum(sub.parent[b])
+        total = sum([x for _, x in rows[b]], zero)
         if abs(total - one) > slack:
             raise RowSumError(f"row {b} of the parent matrix sums to {total}, not 1")
-    factor = ZeroGroupFactor(sub.parent, [one] * len(sub.parent), mode)
-    return factor.solve(sub.index, e)
+    return ZeroGroupFactor(rows, [one] * len(rows), mode).solve(sub.index, e)
 
 
 class ZeroGroupFactor:
     """The balance solve (diag(d) - M^T)_B w = e, v = d * w, on a bank set B
     that changes a little between calls.
 
-    M is a square matrix and d a vector, both indexed by bank. Each bank
+    M is given by its sparse rows, each bank's nonzero entries (i, M_ki)
+    with i ascending, and d is a vector; both are indexed by bank. Each bank
     that joins gets one record, formed the first time it joins and the only
     place the factor reads M and d (`_record`): its weight s_k d_k, its
     pivot s_k (d_k - M_kk) and its nonzero row entries {i: s_k M_ki}. In
     rational mode s_k is the lcm of the denominators of d_k and of bank k's
     row, so every record holds integers; in float mode it is 1. A factor
-    thus reads each joining bank's row and debt once, and no other row.
+    thus reads each joining bank's nonzero entries and debt once, and no
+    other row.
     The factor holds, for the current ordered set B, the matrix K_B =
     (diag(d) - M^T)_B diag(s): column j of K_B is bank j's record, K_B is an
     integer matrix in rational mode, and the factor is the exact pair
@@ -270,8 +288,8 @@ class ZeroGroupFactor:
     afresh.
     """
 
-    def __init__(self, matrix: Sequence[Sequence[Scalar]], diagonal: Sequence[Scalar], mode: str):
-        self.matrix, self.diagonal = matrix, diagonal
+    def __init__(self, rows: Rows, diagonal: Sequence[Scalar], mode: str):
+        self.rows, self.diagonal = rows, diagonal
         self.exact = mode == RATIONAL
         #: each bank's (weight, pivot, entries) from `_record`, None until it
         #: first joins
@@ -302,20 +320,16 @@ class ZeroGroupFactor:
 
     def _record(self, k: int) -> _Record:
         """Bank k's record (s_k d_k, s_k (d_k - M_kk), {i: s_k M_ki} over
-        row k's nonzero entries in index order), formed from row k and d_k
-        the first time it is asked for."""
+        row k's nonzero entries in index order), formed from sparse row k
+        and d_k the first time it is asked for."""
         record = self.records[k]
         if record is None:
-            row, weight = self.matrix[k], self.diagonal[k]
-            entries = dict(zip(compress(count(), row), compress(row, row)))
+            entries, weight = dict(self.rows[k]), self.diagonal[k]
             if self.exact:
                 s = lcm(weight.denominator, *(x.denominator for x in entries.values()))
                 weight = weight.numerator * (s // weight.denominator)
                 entries = {i: x.numerator * (s // x.denominator) for i, x in entries.items()}
-                pivot = weight - entries.get(k, 0)
-            else:
-                pivot = weight - row[k]
-            record = self.records[k] = (weight, pivot, entries)
+            record = self.records[k] = (weight, weight - entries.get(k, 0), entries)
         return record
 
     def _reset(self) -> None:
@@ -548,21 +562,21 @@ def active_set(net: FinancialNetwork) -> frozenset[int]:
     return net.active
 
 
-def _positive_successors(matrix: Sequence[Sequence[Scalar]]) -> Callable[[int], list[int]]:
-    """Successors by the positive off-diagonal entries of a dense `matrix`."""
-    return lambda i: [j for j, x in enumerate(matrix[i]) if x > 0 and j != i]
+def _successors(rows: Rows) -> Callable[[int], list[int]]:
+    """Successors by the off-diagonal entries of sparse `rows`."""
+    return lambda i: [j for j, _ in rows[i] if j != i]
 
 
 def _closed_groups(
     successors: Callable[[int], Iterable[int]], banks: Iterable[int]
 ) -> list[tuple[int, ...]]:
     """The strongly connected groups of `banks`, linked by `successors` (the
-    banks that bank i's positive off-diagonal entries point to), that no
+    banks that bank i's nonzero off-diagonal entries point to), that no
     link leaves: the groups money can never leave. Sorted tuples, in the
     order an iterative Tarjan search over the sorted banks completes them.
 
-    A positive self-entry neither links nor leaves, so a bank whose only
-    positive entry is its own (a debt-free bank of `relative`) is a group.
+    A self-entry neither links nor leaves, so a bank whose only entry is its
+    own (a debt-free bank of `shares`) is a group.
     """
     nodes = sorted(banks)
     inside = set(nodes)
@@ -611,7 +625,7 @@ def closed_classes(net: FinancialNetwork, banks: set[int]) -> list[tuple[int, ..
     """Strongly connected groups within `banks` that have no debt edge leaving
     the group at all (so money can only circulate inside); indebted
     singletons can never be closed (no self-debt)."""
-    return _closed_groups(lambda i: [j for j, _ in net.shares[i] if j != i], banks)
+    return _closed_groups(_successors(net.shares), banks)
 
 
 def decompose_nonactive(net: FinancialNetwork) -> SwampDecomposition:
@@ -634,29 +648,33 @@ def decompose_nonactive(net: FinancialNetwork) -> SwampDecomposition:
 def invariant_distribution(sub: SubMatrix) -> InvariantDistribution:
     """Unique probability vector pi with pi = Q_B^T pi for an ergodic restriction:
     one closed group that is the whole support."""
-    groups = _closed_groups(_positive_successors(sub.parent), sub.index)
+    return ergodic_distribution(_member_rows(sub), sub.index, _mode_of(sub))
+
+
+def ergodic_distribution(rows: Rows, support: tuple[int, ...], mode: str) -> InvariantDistribution:
+    """`invariant_distribution` of the banks of `support`, on the sparse rows
+    of a proportion matrix; only the rows of `support` are read."""
+    groups = _closed_groups(_successors(rows), support)
     if not groups:
-        # a transient set: some member has a positive entry leaving it
-        inside = set(sub.index)
-        bank = next(b for b in sub.index if any(
-            x > 0 for j, x in enumerate(sub.parent[b]) if j not in inside))
+        # a transient set: some member has an entry leaving it
+        bank = next(b for b in support if any(j not in support for j, _ in rows[b]))
         raise NotErgodicError(f"bank {bank} has flow leaving the set")
-    if len(groups) > 1 or len(groups[0]) < sub.size:
+    if len(groups) > 1 or len(groups[0]) < len(support):
         raise NotErgodicError("set is not a single communicating class")
     # with the last member's weight fixed at 1 the others form a transient
     # set fed by that member's row: one balance solve, then normalise
-    *rest, last = sub.index
-    mode = _mode_of(sub)
-    _, one = zero_one(mode)
+    *rest, last = support
+    zero, one = zero_one(mode)
     raw = [one]
     if rest:
-        factor = ZeroGroupFactor(sub.parent, [one] * len(sub.parent), mode)
-        raw = factor.solve(rest, [sub.parent[last][r] for r in rest]) + raw
+        factor = ZeroGroupFactor(rows, [one] * len(rows), mode)
+        feed = dict(rows[last])
+        raw = factor.solve(rest, [feed.get(r, zero) for r in rest]) + raw
     total = sum(raw)
     weights = [w / total for w in raw]
     if any(w <= 0 for w in weights):
         raise NotErgodicError("invariant distribution is not strictly positive")
-    return InvariantDistribution(support=sub.index, weights=tuple(weights))
+    return InvariantDistribution(support=support, weights=tuple(weights))
 
 
 def swamp_solution(dist: InvariantDistribution, total_debt: Sequence[Scalar]) -> list[Scalar]:

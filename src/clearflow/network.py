@@ -1,16 +1,18 @@
 """Static problem data: liability networks, derived matrices, status partitions.
 
-A network holds the liability matrix (entry (i, j) is the debt of bank i to
-bank j), the cash vector, and two derived objects: the total-debt vector and
-the row-stochastic matrix of debt proportions. Banks with no debt get a unit
-self-loop in the proportion matrix so that every row sums to one.
+A network holds, for each bank, its nonzero debts (entry (i, j) of the
+liability matrix is the debt of bank i to bank j), the cash vector, and two
+derived objects: the total-debt vector and, per bank, the nonzero entries
+of the row-stochastic matrix of debt proportions. Banks with no debt get a
+unit self-loop in the proportion matrix so that every row sums to one.
 
-Interbank networks are sparse: a bank owes a few others among n. So each
-network also holds, once, every bank's nonzero proportion entries
-(`FinancialNetwork.shares`), which the entry validator forms from the
-columns it already holds, and every pass over the rows (the Q^T p kernel,
-the active set, the graph search for swamps) walks those lists. The dense
-`liabilities` and `relative` fields remain, with the same values.
+Interbank networks are sparse: a bank owes a few others among n. So a
+network stores each row as the list of its nonzero entries, j ascending
+(`FinancialNetwork.debts` and `FinancialNetwork.shares`), and every pass
+over the rows (the Q^T p kernel, the balance factor, the active set, the
+graph search for swamps, serialization) walks those lists. Its memory is
+O(n + debts). The dense n×n matrices `liabilities` and `relative` are
+views built on demand for callers outside the package.
 
 Both input forms, a dense matrix (`build_network`) and a document of
 (from, to, amount) entries (JSON or CSV), go through one entry validator,
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -120,35 +121,43 @@ class Partition:
 class FinancialNetwork:
     """Immutable liability network with derived total debts and proportions.
 
-    `relative[i][j]` is the share of bank i's total debt owed to j; rows of
-    `relative` sum to one exactly in rational mode. Bank ids are only used
-    at the serialization boundary; all internal indexing is positional.
-
-    `shares[i]` lists the nonzero entries (j, q_ij) of row i, j ascending:
-    bank i's creditors, or the unit self-entry of a debt-free bank. The
-    entry validator forms them from the columns it holds, and
-    `dataclasses.replace` carries them over; a network built without them
-    forms them from the dense rows. They take no part in equality, hashing
-    or `repr`, which the other fields determine.
+    `debts[i]` lists bank i's nonzero debts (j, L_ij), j ascending, and
+    `shares[i]` the nonzero entries (j, q_ij) of row i of the proportion
+    matrix: bank i's creditors with their shares of its total debt, or the
+    unit self-entry of a debt-free bank. Each row of shares sums to one
+    exactly in rational mode. The entry validator forms both; `shares`,
+    which `debts` and `total_debt` determine, takes no part in equality,
+    hashing or `repr`. Bank ids are only used at the serialization
+    boundary; all internal indexing is positional.
     """
 
-    liabilities: tuple[tuple[Scalar, ...], ...]
+    debts: tuple[tuple[tuple[int, Scalar], ...], ...]
     cash: tuple[Scalar, ...]
     total_debt: tuple[Scalar, ...]
-    relative: tuple[tuple[Scalar, ...], ...]
+    shares: tuple[tuple[tuple[int, Scalar], ...], ...] = field(compare=False, repr=False)
     mode: str
     ids: tuple[str, ...]
-    shares: tuple[tuple[tuple[int, Scalar], ...], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
 
-    def __post_init__(self):
-        if self.shares is None:
-            rows = []
-            for i, (debts, relative) in enumerate(zip(self.liabilities, self.relative)):
-                creditors = list(compress(range(self.n), debts)) or [i]
-                rows.append(tuple([(j, relative[j]) for j in creditors]))
-            object.__setattr__(self, "shares", tuple(rows))
+    @property
+    def liabilities(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The dense liability matrix, built from `debts` on each call."""
+        return self._dense(self.debts)
+
+    @property
+    def relative(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The dense proportion matrix, built from `shares` on each call."""
+        return self._dense(self.shares)
+
+    def _dense(self, rows) -> tuple[tuple[Scalar, ...], ...]:
+        """The n×n matrix of sparse `rows`, with a zero in every gap."""
+        zero, _ = zero_one(self.mode)
+        dense = []
+        for row in rows:
+            values = [zero] * self.n
+            for j, x in row:
+                values[j] = x
+            dense.append(tuple(values))
+        return tuple(dense)
 
     @property
     def n(self) -> int:
@@ -207,7 +216,11 @@ def build_network(
         if len(row) != n:
             raise DimensionMismatchError(f"liability row {i} has length {len(row)}, expected {n}")
     entries = ((i, j, x) for i, row in enumerate(liabilities) for j, x in enumerate(row))
-    return _network_from_entries(entries, cash, mode, ids, lambda i, j: f"liability[{i}][{j}]")
+    return _network_from_entries(entries, cash, mode, ids, _cell_name)
+
+
+def _cell_name(i: int, j: int) -> str:
+    return f"liability[{i}][{j}]"
 
 
 def _network_from_entries(
@@ -257,26 +270,19 @@ def _network_from_entries(
         # the flow conserves total cash, so a finite total keeps every position finite
         raise NegativeEntryError("total cash is not finite")
 
-    rows, totals, relative, shares = [], [], [], []
+    rows, totals, shares = [], [], []
     for i, row_debts in enumerate(debts):
         columns = sorted(row_debts)
         amounts = [row_debts[j] for j in columns]
         t = total(amounts) if columns else zero
         if not rational and not math.isfinite(t):
             raise NegativeEntryError(f"total debt of bank {i} is not finite")
-        row, proportions = [zero] * n, [zero] * n
-        for j, x, q in zip(columns, amounts, quotients(amounts, t)):
-            row[j], proportions[j] = x, q
-        if not columns:
-            proportions[i] = one
-        rows.append(tuple(row))
+        rows.append(tuple(zip(columns, amounts)))
         totals.append(t)
-        relative.append(tuple(proportions))
-        shares.append(tuple([(j, proportions[j]) for j in columns]) or ((i, one),))
+        shares.append(tuple(zip(columns, quotients(amounts, t))) or ((i, one),))
 
-    return FinancialNetwork(liabilities=tuple(rows), cash=cash_vec, total_debt=tuple(totals),
-                            relative=tuple(relative), mode=mode, ids=id_tuple,
-                            shares=tuple(shares))
+    return FinancialNetwork(debts=tuple(rows), cash=cash_vec, total_debt=tuple(totals),
+                            shares=tuple(shares), mode=mode, ids=id_tuple)
 
 
 def initial_partition(net: FinancialNetwork) -> Partition:
@@ -291,7 +297,8 @@ def convert_network(net: FinancialNetwork, mode: str) -> FinancialNetwork:
     """Rebuild the same network under a different arithmetic mode."""
     if mode == net.mode:
         return net
-    return build_network(net.liabilities, net.cash, mode=mode, ids=net.ids)
+    entries = ((i, j, x) for i, row in enumerate(net.debts) for j, x in row)
+    return _network_from_entries(entries, net.cash, mode, net.ids, _cell_name)
 
 
 # -- JSON document format ------------------------------------------------------
@@ -353,10 +360,9 @@ def _document(net: FinancialNetwork) -> dict:
             {"id": net.ids[i], "cash": scalar_to_json(net.cash[i])} for i in range(net.n)
         ],
         "liabilities": [
-            {"from": net.ids[i], "to": net.ids[j], "amount": scalar_to_json(net.liabilities[i][j])}
-            for i in range(net.n)
-            for j, _ in net.shares[i]
-            if j != i
+            {"from": net.ids[i], "to": net.ids[j], "amount": scalar_to_json(x)}
+            for i, row in enumerate(net.debts)
+            for j, x in row
         ],
     }
 

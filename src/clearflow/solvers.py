@@ -23,8 +23,7 @@ from .flow import ClearingResult, FDTrace, _greatest_fixed_point, balance_rates
 from .markov import (
     SwampDecomposition,
     decompose_nonactive,
-    invariant_distribution,
-    restrict,
+    ergodic_distribution,
     swamp_solution,
 )
 from .network import FinancialNetwork, Partition, classify_status
@@ -187,10 +186,7 @@ def fictitious_defaults(net: FinancialNetwork) -> tuple[ClearingResult, FDTrace]
 
 
 def _default_cap(net: FinancialNetwork) -> int:
-    positives = [
-        net.liabilities[i][j] for i, row in enumerate(net.shares) for j, _ in row if j != i
-    ]
-    positives += [c for c in net.cash if c > 0]
+    positives = [x for row in net.debts for _, x in row] + [c for c in net.cash if c > 0]
     if not positives:
         return 10 * max(net.n, 1)
     # clamped before the conversion: the bound can overflow a float
@@ -256,7 +252,7 @@ def solution_family(net: FinancialNetwork) -> SolutionFamily:
     decomposition = decompose_nonactive(net)
     swamps = []
     for banks in decomposition.swamps:
-        dist = invariant_distribution(restrict(net.relative, banks))
+        dist = ergodic_distribution(net.shares, banks, net.mode)
         payments = swamp_solution(dist, net.total_debt)
         scale = sum(payments, zero_one(net.mode)[0])  # weights sum to one
         swamps.append(

@@ -29,8 +29,10 @@ every round's in-rates by `dense_balance_rates` and every solve by
 `gauss_jordan_solve` on I - Q_S^T, with no factor and nothing carried from
 round to round.
 
-`dense_border` is one join of the balance factor by the dense formulas:
-the new column u and row v with a zero in every gap, each rational column
+`dense_matrix` builds the dense matrix of a network's or a factor's sparse
+rows, with a zero in every gap. `dense_border` is one join of the balance
+factor by the dense formulas, on that matrix: the new column u and row v
+with a zero in every gap, each rational column
 scaled by its own bank's `row_scale` (the lcm of its row's denominators,
 over the dense row), adj u row by row, v^T adj column by column over the
 transposed adjugate, and in float mode the Schur pivot recomputed from
@@ -128,6 +130,16 @@ def row_scale(matrix, diagonal, j: int) -> int:
     return math.lcm(*(Fraction(x).denominator for x in (diagonal[j], *matrix[j])))
 
 
+def dense_matrix(rows, zero) -> list[list]:
+    """The n×n matrix whose row i holds the entries (j, x) of `rows[i]` and
+    `zero` in every other cell."""
+    dense = [[zero] * len(rows) for _ in rows]
+    for row, entries in zip(dense, rows):
+        for j, x in entries:
+            row[j] = x
+    return dense
+
+
 def dense_border(factor, k: int):
     """The (adj, det) that a `markov.ZeroGroupFactor` holds after bank k
     joins it, or None when the join's Schur pivot is not positive.
@@ -138,8 +150,10 @@ def dense_border(factor, k: int):
     -s_b M_bk), kept dense. Rational mode: det' = d det - v^T adj u and
     the integer Sylvester update; float mode: the inverse's rank-one
     update, its pivot d - v^T K^-1 u recomputed from the masses leaving
-    B + k when it is not above d / 2."""
-    matrix, banks, adj, det = factor.matrix, factor.banks, factor.adj, factor.det
+    B + k when it is not above d / 2. M is the dense matrix of the
+    factor's sparse rows."""
+    matrix = dense_matrix(factor.rows, Fraction(0) if factor.exact else 0.0)
+    banks, adj, det = factor.banks, factor.adj, factor.det
 
     def entry(x, j):
         return int(x * row_scale(matrix, factor.diagonal, j)) if factor.exact else x
@@ -283,7 +297,7 @@ def eager_run_flow(net: cf.FinancialNetwork) -> cf.ClearingResult:
     eps, tol = net.zero_rel, net.zero_tol
     partition, _ = cf.big_bang_partition(net)
     time, debt, cash, paid = zero, list(net.total_debt), list(net.cash), [zero] * net.n
-    factor = ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
+    factor = ZeroGroupFactor(net.debts, net.total_debt, net.mode)
     events = []
     while partition.positive:
         rates = cf.equilibrium_rates(net, partition, factor)

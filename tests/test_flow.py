@@ -278,7 +278,7 @@ def unread_steps(net) -> list[cf.FlowEvent]:
     """The events of a run stepped on one carried factor, reading no state:
     each state keeps its amounts where its banks' rates last changed."""
     state = initial_state(net, cf.big_bang_partition(net)[0])
-    factor = ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
+    factor = ZeroGroupFactor(net.debts, net.total_debt, net.mode)
     events = []
     while state.partition.positive:
         events.append(cf.step(net, state, len(events), factor))
@@ -359,7 +359,7 @@ class TestAnchoredAmounts:
         # sums every in-rate afresh, names none and so every bank
         for seed in range(10):
             net = swampy_network(seed, mode=mode)
-            factor = ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
+            factor = ZeroGroupFactor(net.debts, net.total_debt, net.mode)
             partitions = [cf.big_bang_partition(net)[0]]
             partitions += [e.state_after.partition for e in cf.run_flow(net).trajectory[:-1]]
             before = None

@@ -493,7 +493,7 @@ def test_fresh_solve_raises_exactly_off_transient_sets(seed, mode, data):
 
 def network_factor(net):
     """The factor the flow carries: (diag(b) - L^T)_B over every bank."""
-    return cf.markov.ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
+    return cf.markov.ZeroGroupFactor(net.debts, net.total_debt, net.mode)
 
 
 def integer_balance_matrix(net, banks):
@@ -622,9 +622,8 @@ def join_against_dense_oracle(factor, k):
 def nonzeros_in_group(factor, k):
     """How many entries of bank k's new column u and row v are nonzero,
     each counted up to 2 (several)."""
-    matrix = factor.matrix
-    column = sum(1 for b in factor.banks if matrix[k][b])
-    row = sum(1 for b in factor.banks if matrix[b][k])
+    column = sum(1 for b in factor.banks if b in dict(factor.rows[k]))
+    row = sum(1 for b in factor.banks if k in dict(factor.rows[b]))
     return min(column, 2), min(row, 2)
 
 
@@ -656,7 +655,7 @@ def test_join_into_an_empty_factor_matches_the_dense_border_oracle(mode):
     # then joins one after another on the proportions with unit weights, as
     # `fundamental_solve` factors them; the first is into an empty factor
     _, one = cf.scalars.zero_one(mode)
-    factor = cf.markov.ZeroGroupFactor(net.relative, [one] * net.n, mode)
+    factor = cf.markov.ZeroGroupFactor(net.shares, [one] * net.n, mode)
     for k in range(net.n):
         join_against_dense_oracle(factor, k)
 
@@ -696,12 +695,28 @@ class RowReads(Sequence):
         return set(self.reads)
 
 
+class EntryReads(RowReads):
+    """Sparse rows that also count, per row, the entries its readers take."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.taken = Counter()
+
+    def __getitem__(self, i):
+        return self._counted(i, super().__getitem__(i))
+
+    def _counted(self, i, row):
+        for entry in row:
+            self.taken[i] += 1
+            yield entry
+
+
 class AskedFactor(cf.markov.ZeroGroupFactor):
-    """A factor of the network's liabilities and total debts, read through
-    `RowReads`, that keeps every bank it was asked to solve for."""
+    """A factor of the network's sparse debt rows and total debts, read
+    through `RowReads`, that keeps every bank it was asked to solve for."""
 
     def __init__(self, net):
-        super().__init__(RowReads(net.liabilities), RowReads(net.total_debt), net.mode)
+        super().__init__(RowReads(net.debts), RowReads(net.total_debt), net.mode)
         self.asked = set()
 
     def solve(self, banks, e):
@@ -731,9 +746,9 @@ def test_a_factor_reads_only_the_rows_of_banks_that_join(mode, monkeypatch):
         cf.big_bang_partition(net)
         assert factors
         for factor in factors:
-            assert factor.matrix.read <= factor.asked
+            assert factor.rows.read <= factor.asked
             assert factor.diagonal.read <= factor.asked
-            unread += net.n - len(factor.matrix.read)
+            unread += net.n - len(factor.rows.read)
         decomposition = cf.decompose_nonactive(net)
         for swamp in decomposition.swamps:
             sub = cf.restrict(RowReads(net.relative), swamp)
@@ -754,14 +769,15 @@ def test_a_factor_reads_only_the_rows_of_banks_that_join(mode, monkeypatch):
 @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
 def test_a_factor_reads_each_row_and_debt_once(mode, monkeypatch):
     # the flow's, fd's and the big bang's factors, and the fresh factors of
-    # `fundamental_solve` and `invariant_distribution`, read each row of
-    # their matrix and each entry of their diagonal at most once, however
-    # often its bank joins, leaves and is solved for
+    # `fundamental_solve`, `invariant_distribution` and the family's swamp
+    # weights, read each row of their matrix and each entry of their
+    # diagonal at most once, however often its bank joins, leaves and is
+    # solved for, and of a row only its bank's nonzero entries
     made = []
 
     class CountedFactor(cf.markov.ZeroGroupFactor):
-        def __init__(self, matrix, diagonal, mode):
-            super().__init__(RowReads(matrix), RowReads(diagonal), mode)
+        def __init__(self, rows, diagonal, mode):
+            super().__init__(EntryReads(rows), RowReads(diagonal), mode)
             made.append(self)
 
     monkeypatch.setattr(cf.flow, "ZeroGroupFactor", CountedFactor)
@@ -771,6 +787,7 @@ def test_a_factor_reads_each_row_and_debt_once(mode, monkeypatch):
     networks += [cf.generate_network(seed, 12, 0.3, "1/4", mode=mode) for seed in range(6)]
     fresh = 0
     for net in networks:
+        first = len(made)
         cf.run_flow(net)
         cf.fictitious_defaults(net)
         cf.big_bang_partition(net)
@@ -781,12 +798,19 @@ def test_a_factor_reads_each_row_and_debt_once(mode, monkeypatch):
         banks = sorted(decomposition.transient)
         if banks:
             cf.fundamental_solve(cf.restrict(net.relative, banks), [one] * len(banks))
+        cf.solution_family(net)
         fresh += len(made) - before
+        liabilities, relative = net.liabilities, net.relative
+        for factor in made[first:]:
+            dense = liabilities if factor.diagonal.rows is net.total_debt else relative
+            assert factor.rows.taken == Counter(
+                {k: sum(1 for x in dense[k] if x) for k in factor.rows.read}
+            )
     assert fresh > 0 and len(made) > fresh
     reads = [
         count
         for factor in made
-        for reader in (factor.matrix, factor.diagonal)
+        for reader in (factor.rows, factor.diagonal)
         for count in reader.reads.values()
     ]
     assert reads and max(reads) == 1

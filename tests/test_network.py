@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -164,8 +166,9 @@ class TestBuildNetwork:
                 assert repr(_fields(again)) == repr(_fields(net))
 
     def test_shares_equal_the_rows_of_the_dense_pattern(self):
-        # the validator's rows equal those a pass over every cell finds,
-        # entry objects included; `replace` keeps them, and they change no
+        # the validator's rows equal those a pass over every cell of the
+        # dense views finds, entry objects included; `replace` keeps them,
+        # the positional constructor takes them, and the shares change no
         # network's equality, hash or repr
         nets = [swampy_network(seed, mode) for seed in range(20) for mode in (cf.RATIONAL, cf.FLOAT)]
         nets += [cf.generate_network(seed, 2 + seed % 14, 0.4, "1/2", mode=mode)
@@ -174,21 +177,25 @@ class TestBuildNetwork:
         nets += [cf.build_network([[0, 0], [0, 0]], [1, 2]),
                  cf.build_network([[0, 1e-300], [0, 0]], [1e300, 0], mode=cf.FLOAT)]
         for net in nets:
+            relative, liabilities = net.relative, net.liabilities
             pattern = tuple(
-                tuple((j, net.relative[i][j]) for j in itertools.compress(range(net.n), row))
-                or ((i, net.relative[i][i]),)
-                for i, row in enumerate(net.liabilities)
+                tuple((j, relative[i][j]) for j in itertools.compress(range(net.n), row))
+                or ((i, relative[i][i]),)
+                for i, row in enumerate(liabilities)
             )
             assert repr(net.shares) == repr(pattern)
+            debts = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in liabilities)
+            assert repr(net.debts) == repr(debts)
             assert all(
-                q is net.relative[i][j] for i, row in enumerate(net.shares) for j, q in row
+                q is relative[i][j] for i, row in enumerate(net.shares) for j, q in row
             )
+            assert all(x is liabilities[i][j] for i, row in enumerate(net.debts) for j, x in row)
             moved = dataclasses.replace(net, cash=net.cash[::-1])
-            assert moved.shares is net.shares
+            assert moved.shares is net.shares and moved.debts is net.debts
             again = cf.FinancialNetwork(
-                net.liabilities, net.cash, net.total_debt, net.relative, net.mode, net.ids
+                net.debts, net.cash, net.total_debt, net.shares, net.mode, net.ids
             )
-            assert repr(again.shares) == repr(net.shares)
+            assert again.shares is net.shares
             assert again == net and hash(again) == hash(net) and repr(again) == repr(net)
             assert "shares" not in repr(net)
 
@@ -210,6 +217,63 @@ class TestBuildNetwork:
 
 def _fields(net):
     return net.liabilities, net.cash, net.total_debt, net.relative, net.ids
+
+
+def _ring_document(n: int) -> str:
+    """n banks in a ring, each owing the next two banks; every third holds
+    no cash."""
+    banks = [{"id": f"b{i}", "cash": "0" if i % 3 == 0 else f"{i % 7}/2"} for i in range(n)]
+    debts = [
+        {"from": f"b{i}", "to": f"b{(i + k) % n}", "amount": f"{k + i % 5}/{1 + i % 4}"}
+        for i in range(n)
+        for k in (1, 2)
+    ]
+    return json.dumps({"banks": banks, "liabilities": debts})
+
+
+class TestSparseRows:
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_a_ring_network_holds_memory_linear_in_its_debts(self, mode):
+        # 2000 banks with 4,000 debts: a network stores no n-length row, so
+        # it holds about a megabyte where two dense n×n lists held 62 MB
+        text = _ring_document(2000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            net = cf.parse_network(text, mode=mode)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert net.n == 2000 and [len(row) for row in net.debts] == [2] * 2000
+        assert held < 4 * 2**20
+
+    def test_every_input_route_gives_the_same_network(self):
+        # a dense matrix, its JSON document, its CSV tables and a
+        # rational -> float -> rational round trip (dyadic amounts, exact
+        # in floats) agree in ==, hash and the dense views
+        rng = random.Random(5)
+        n = 9
+        liabilities = [
+            [F(rng.randint(1, 9), rng.choice((1, 2, 4, 8))) if i != j and rng.random() < 0.3
+             else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        liabilities[4] = [0] * n  # a debt-free bank
+        cash = [F(rng.randint(0, 4), 2) for _ in range(n)]
+        net = cf.build_network(liabilities, cash, ids=[f"bank{i}" for i in range(n)])
+        routes = [
+            cf.parse_network(cf.serialize_network(net)),
+            cf.parse_network_csv(*cf.serialize_network_csv(net)),
+            cf.convert_network(cf.convert_network(net, cf.FLOAT), cf.RATIONAL),
+        ]
+        for again in routes:
+            assert again == net and hash(again) == hash(net) and repr(again) == repr(net)
+            assert repr(again.shares) == repr(net.shares)
+            assert again.liabilities == net.liabilities and again.relative == net.relative
+            assert repr(_fields(again)) == repr(_fields(net))
+        assert net.liabilities == tuple(tuple(F(x) for x in row) for row in liabilities)
+        assert net.relative[4] == tuple(F(j == 4) for j in range(n))
 
 
 class TestInitialPartition:

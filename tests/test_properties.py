@@ -455,7 +455,7 @@ class RecordingFactor(ZeroGroupFactor):
     """The flow's factor, keeping the (set, input) of every solve."""
 
     def __init__(self, net):
-        super().__init__(net.liabilities, net.total_debt, net.mode)
+        super().__init__(net.debts, net.total_debt, net.mode)
         self.inputs = []
 
     def solve(self, banks, e):
@@ -557,7 +557,7 @@ def test_inflow_is_exact_outside_the_factor_scope():
     net = SEVENTHS
     trace = cf.flow._greatest_fixed_point(net, *fixed_point_cases(net)[1])
     assert [banks for banks, _, _ in trace.solves] == [(2,)]
-    factor = ZeroGroupFactor(net.liabilities, net.total_debt, net.mode)
+    factor = ZeroGroupFactor(net.debts, net.total_debt, net.mode)
     rates = [F(1), F(1), F(0)]
     e = factor.held_inflow(net, range(net.n), rates, [2])
     assert e == [F(1, 2)]

@@ -283,8 +283,8 @@ class TestBailout:
         assert not hasattr(solvers, "run_flow")
         cf.bailout_vector(net_1b)
         assert len(runs) == 2
-        assert runs[1].liabilities is net_1b.liabilities
-        assert runs[1].relative is net_1b.relative
+        assert runs[1].debts is net_1b.debts
+        assert runs[1].shares is net_1b.shares
         runs.clear()
         cf.solution_family(net_1c)
         assert len(runs) == 1

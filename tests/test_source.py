@@ -106,45 +106,30 @@ def mode_decisions(path: Path, function: str | None = None) -> list[str]:
     return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
 
 
-#: the dense fields of a network whose rows only `network.py` walks
+#: the dense views of a network, which only `network.py` reads
 DENSE_FIELDS = ("liabilities", "relative")
 
-#: calls that iterate their arguments
-ITERATING_CALLS = {
-    "all", "any", "compress", "enumerate", "filter", "frozenset", "list", "map", "max",
-    "min", "reversed", "set", "sorted", "sum", "tuple", "zip",
-}
 
-
-def dense_row_walks(path: Path) -> list[str]:
-    """Places where a module iterates a network's dense matrix or one of its
-    rows (`x.relative`, `x.liabilities[i]`): as the iterable of a `for` or a
-    comprehension, or as an argument of a call that iterates it."""
+def dense_reads(path: Path) -> list[str]:
+    """Places where a module reads a network's dense view
+    (`x.liabilities`, `x.relative`), in any expression."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-
-    def walks(node: ast.AST) -> bool:
-        if isinstance(node, ast.Subscript):
-            node = node.value
-        if isinstance(node, ast.Attribute):
-            return node.attr in DENSE_FIELDS
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ITERATING_CALLS:
-            return any(walks(arg) for arg in node.args)
-        return False
-
-    lines = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.For, ast.comprehension)) and walks(node.iter):
-            lines.add(node.iter.lineno)
-        elif isinstance(node, ast.Call) and walks(node):
-            lines.add(node.lineno)
+    lines = {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr in DENSE_FIELDS
+    }
     return [f"{path.name}:{line}" for line in sorted(lines)]
 
 
 def test_only_network_walks_dense_rows():
-    # every pass over a network's rows walks its sparse lists,
-    # FinancialNetwork.shares, which network.py builds from the dense fields
+    # every pass over a network's rows walks its sparse rows,
+    # FinancialNetwork.debts and FinancialNetwork.shares; the dense views
+    # are built for callers outside the package
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "network.py"]
-    assert [entry for path in modules for entry in dense_row_walks(path)] == []
+    assert [entry for path in modules for entry in dense_reads(path)] == []
 
 
 def test_dense_row_walk_is_reported(tmp_path):
@@ -156,10 +141,14 @@ def test_dense_row_walk_is_reported(tmp_path):
         "    rows = [x for row in net.liabilities for x in row]\n"
         "    total = sum(net.liabilities[j]) + max(zip(net.relative[0], rows))\n"
         "    return net.relative[j][0], restrict(net.relative, [j]), len(net.liabilities)\n"
-        "def g(net):\n"
-        "    return [q for _, q in net.shares[0]], [net.liabilities[i][0] for i in range(2)]\n"
+        "def g(net, args):\n"
+        "    return [q for _, q in net.shares[0]], net.debts[1], args.csv_liabilities\n"
+        "def h(net):\n"
+        "    return [net.liabilities[i][0] for i in range(2)]\n"
     )
-    assert dense_row_walks(module) == ["sample.py:2", "sample.py:4", "sample.py:5"]
+    assert dense_reads(module) == [
+        "sample.py:2", "sample.py:4", "sample.py:5", "sample.py:6", "sample.py:10",
+    ]
 
 
 def test_flow_makes_no_mode_decision():
@@ -316,10 +305,10 @@ def self_loads_outside(path: Path, names: tuple[str, ...], function: str) -> lis
 
 
 def test_only_the_record_routine_reads_the_factors_matrix():
-    # a factor reads a bank's row and d entry once, into the bank's record;
-    # every other step of the factor reads the record
+    # a factor reads a bank's sparse row and d entry once, into the bank's
+    # record; every other step of the factor reads the record
     markov = PACKAGE / "markov.py"
-    fields = ("matrix", "diagonal")
+    fields = ("rows", "diagonal")
     assert self_loads(markov, fields, "ZeroGroupFactor._record") != []
     assert self_loads_outside(markov, fields, "ZeroGroupFactor._record") == []
 
