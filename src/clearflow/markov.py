@@ -24,13 +24,15 @@ M, given by its sparse rows, with diagonal weights d (the liabilities with
 the total debts, or the proportions with ones) and a transient bank set B,
 (diag(d) - M^T)_B w = e, whose v = d * w solves v = e + Q_B^T v with
 Q = M / d row by row. On the liabilities no proportion is divided out
-before the solve. One kernel, `ZeroGroupFactor`, solves it: the exact
-adjugate and determinant of (diag(d) - M^T)_B diag(s) in rational mode
-(each s_j clears the denominators of d_j and of bank j's row, so the
-updates run on Python ints and only the answer is reduced), and its
-inverse in float mode, updated per bank that joins or leaves B: O(m^2) for
-the rank-one update, while a join's products with the factor walk only the
-joiner's nonzero debts with B, O(m) each. A factor reads a bank's sparse
+before the solve. One kernel, `ZeroGroupFactor`, solves it, updated per
+bank that joins or leaves B in O(m^2): in rational mode the exact
+adjugate and determinant of K_B = (diag(d) - M^T)_B diag(s) (each s_j
+clears the denominators of d_j and of bank j's row, so the updates run on
+Python ints and only the answer is reduced), whose join products walk only
+the joiner's nonzero debts with B; in float mode the LU factors of K_B,
+bordered on a join by two forward substitutions, refactored on a leave by
+Bennett's rank-one update, and solved by one forward and one back
+substitution. A factor reads a bank's sparse
 row and d entry once, the first time the bank joins, into one record (its
 scaled weight, pivot and nonzero row entries) that every later step reads.
 The flow carries one factor from event to event, fictitious defaults from
@@ -254,28 +256,35 @@ class ZeroGroupFactor:
     integer matrix in rational mode, and the factor is the exact pair
     (adj K_B, det K_B); its entries grow with the joined rows' own
     denominators, not with those of every row. In float mode the factor is
-    the inverse of K_B. `solve` moves it to a new set by deleting each
-    leaver (Jacobi's identity) and bordering each joiner (Sylvester's
-    identity), O(m^2) per bank for the rank-one update; a join's products
-    adj u and v^T adj cost O(m) per nonzero entry of its new column u and
-    row v, the joiner's debts with B. A fresh factor borders from the empty
-    set. Every division of the exact updates is exact.
+    K_B = L U, L unit lower and U upper triangular, in the order the banks
+    joined. `solve` moves it to a new set by deleting each leaver and
+    bordering each joiner, O(m^2) per bank; a fresh factor borders from the
+    empty set. Rational mode deletes by Jacobi's identity and borders by
+    Sylvester's: a join's products adj u and v^T adj cost O(m) per nonzero
+    entry of its new column u and row v, the joiner's debts with B, and
+    every division is exact. Float mode borders by L y = u and U^T z = v,
+    one dot product per member from the first nonzero entry of u or v on,
+    and gains the row z^T of L and the column (y, s) of U; it deletes by
+    Bennett's rank-one update of the trailing factor (J. M. Bennett,
+    Numer. Math. 7, 1965), and it solves by one forward and one back
+    substitution. It forms no inverse.
 
     When each d_i is the sum of row i of M, K_B is a Z-matrix whose column
     j sums to s_j times member j's row mass outside B, so det K_B > 0
     exactly when B is transient, and every subset of a transient set is
     transient. Both modes therefore decide a join by the sign of its Schur
     pivot s alone: a join with s not positive resets the factor and raises
-    `SingularSystemError`. The float pivot d - v^T K_B^-1 u subtracts a sum
-    of nonnegative terms; when s is not above d/2 it may have cancelled, and
-    s is recomputed from the column sums as r_k + sum_b r_b (K_B^-1 (-u))_b,
-    with r the row masses leaving B + k, summed over the records' entries
-    (Grassmann, Taksar and Heyman, Oper. Res. 33, 1985). Every term is
-    nonnegative, so on a bordered factor s is accurate and zero exactly when
-    the new set is not transient, and the bordering updates only add
-    nonnegative products. A float deletion whose Schur pivot is not above ε
-    K_pp (ε = `FLOAT_ZERO_REL`) would lose that accuracy: it resets the
-    factor instead, and the wanted set is bordered afresh.
+    `SingularSystemError`. The float pivot d - z^T y = d - v^T K_B^-1 u
+    subtracts a sum of nonnegative terms; when s is not above d/2 it may
+    have cancelled, and s is recomputed from the column sums as r_k +
+    sum_b r_b (K_B^-1 (-u))_b, with r the row masses leaving B + k, summed
+    over the records' entries, and K_B^-1 u = U^-1 y by one back
+    substitution (Grassmann, Taksar and Heyman, Oper. Res. 33, 1985). Every
+    term is nonnegative, so s is accurate and zero exactly when the new set
+    is not transient. K_B is a column diagonally dominant M-matrix, so
+    every entry of L is at most 1 in size and, off the diagonal, L and U
+    are not positive: a deletion's new pivots only add nonnegative terms,
+    Bennett's products stay on K's scale, and no deletion resets.
 
     A factor of a network's liabilities and total debts also gives in-rates
     Q^T p, where p holds some banks at fixed rates (`held_inflow`, whose
@@ -295,9 +304,15 @@ class ZeroGroupFactor:
         #: first joins
         self.records: list[_Record | None] = [None] * len(diagonal)
         self.banks: list[int] = []
-        #: adj K_B in rational mode, K_B^-1 in float mode; rows follow `banks`
-        self.adj: list[list[Scalar]] = []
+        #: rational mode: adj K_B and det K_B; rows follow `banks`
+        self.adj: list[list[int]] = []
         self.det = 1
+        #: float mode: K_B = L U, L unit lower triangular by its rows down to
+        #: the diagonal (`lower`), U upper triangular by its columns down to
+        #: the diagonal (`columns`) and by its rows from it (`upper`)
+        self.lower: list[list[float]] = []
+        self.columns: list[list[float]] = []
+        self.upper: list[list[float]] = []
         zero, _ = zero_one(mode)
         #: the held rates and, in rational mode, their carried in-rates Q^T h
         self.held: dict[int, Scalar] = {}
@@ -334,65 +349,94 @@ class ZeroGroupFactor:
 
     def _reset(self) -> None:
         self.banks, self.adj, self.det = [], [], 1
+        self.lower, self.columns, self.upper = [], [], []
 
     def _delete(self, p: int) -> None:
-        """Remove position p; in float mode, reset on a small Schur pivot."""
-        adj, pivot = self.adj, self.adj[p][p]
-        row_p = adj[p][:p] + adj[p][p + 1:]
-        rest = [(row[:p] + row[p + 1:], row[p]) for i, row in enumerate(adj) if i != p]
+        """Remove position p: Jacobi's identity on the exact adjugate, and
+        in float mode Bennett's update of the trailing factor.
+
+        Without row and column p, K_B's trailing block is L_TT U_TT + x y^T,
+        x the deleted column of L below p and y the deleted row of U right
+        of p. Bennett's update refactors it stage by stage, here one
+        trailing row of L and column of U after the other. Off the diagonal
+        L, U, x and y are not positive (K_B is a nonsingular M-matrix), so
+        each new pivot U_jj + x_j y_j adds nonnegative terms: it cannot
+        cancel, and the factor needs no reset."""
+        del self.banks[p]
         if self.exact:
-            det = self.det
+            adj, pivot, det = self.adj, self.adj[p][p], self.det
+            row_p = adj[p][:p] + adj[p][p + 1:]
+            rest = [(row[:p] + row[p + 1:], row[p]) for i, row in enumerate(adj) if i != p]
             self.adj = [
                 [(x * pivot - f * y) // det for x, y in zip(row, row_p)] for row, f in rest
             ]
             self.det = pivot
-        else:
-            # the Schur pivot of position p is 1 / pivot; K_pp is the record's pivot
-            if not (pivot > 0 and 1 / pivot > FLOAT_ZERO_REL * self.records[self.banks[p]][1]):
-                self._reset()
-                return
-            self.adj = [
-                [x - g * y for x, y in zip(row, row_p)]
-                for row, g in [(row, f / pivot) for row, f in rest]
-            ]
-        del self.banks[p]
+            return
+        lower, columns, upper = self.lower, self.columns, self.upper
+        del lower[p], columns[p], upper[p]
+        x = [row.pop(p) for row in lower[p:]]
+        y = [column.pop(p) for column in columns[p:]]
+        for i, row in enumerate(upper[:p]):
+            del row[p - i]
+        # each stage j's x_j, and its y_j over the updated pivot U_jj + x_j y_j
+        xs: list[float] = []
+        gs: list[float] = []
+        for row, column, a, b in zip(lower[p:], columns[p:], x, y):
+            tail = []
+            for xj, g, value in zip(xs, gs, row[p:-1]):
+                a -= xj * value
+                tail.append(value + g * a)
+            row[p:-1] = tail
+            tail = []
+            for xj, g, value in zip(xs, gs, column[p:-1]):
+                value += xj * b
+                tail.append(value)
+                b -= g * value
+            pivot = column[-1] + a * b
+            column[p:] = [*tail, pivot]
+            xs.append(a)
+            gs.append(b / pivot)
+        upper[p:] = [[column[i] for column in columns[i:]] for i in range(p, len(columns))]
 
     def _border(self, k: int) -> None:
         """Append bank k; reset and raise `SingularSystemError` when the
         Schur pivot is not positive.
 
-        K's new column u and row v are kept as (position, value) pairs of
-        their nonzero entries, so the products walk only those: adj u takes
-        the rows' entries at u's positions, and v^T adj adds up the rows of
-        v's positions in ascending order. Each sum adds the same nonzero
-        terms in the same order as the dense products, from the same start
-        0, so float results are bit for bit theirs (on Pythons whose `sum`
-        of floats adds in order, up to 3.11)."""
-        banks, records, adj = self.banks, self.records, self.adj
+        In rational mode K's new column u and row v are kept as (position,
+        value) pairs of their nonzero entries, so the products walk only
+        those: adj u takes the rows' entries at u's positions, and v^T adj
+        adds up the rows of v's positions in ascending order. In float mode
+        u and v are dense over B, and `_forward` solves L y = u and U^T z =
+        v, each entry one builtin `sum` of products. Every float product and
+        sum adds the same terms in the same order as the dense formulas, so
+        the factor is bit for bit theirs on any interpreter; the zeros that
+        a substitution skips before the first nonzero entry change no sum."""
+        banks, records = self.banks, self.records
         # K's new column (w_k in the members' equations, from bank k's row),
         # its row (bank k's equation, from the members' rows) and K_kk
         _, d, entries = self._record(k)
-        u = [(p, -entries[b]) for p, b in enumerate(banks) if b in entries]
-        v = [(p, -e[k]) for p, b in enumerate(banks) if k in (e := records[b][2])]
-        zero = 0 if self.exact else 0.0
-        if len(u) > 1:
-            at, values = itemgetter(*[p for p, _ in u]), [c for _, c in u]
-            au = [sum(map(mul, at(row), values)) for row in adj]
-        elif u:  # a one-index itemgetter returns the entry, not a tuple
-            [(p, c)] = u
-            # from sum's start 0, which turns a float -0.0 product into 0.0
-            au = [zero + row[p] * c for row in adj]
-        else:
-            au = [zero] * len(adj)
-        va = [zero] * len(adj)
-        for p, c in v:
-            va = [a + y * c for a, y in zip(va, adj[p])]
-        vau = sum([c * au[p] for p, c in v])
         if self.exact:
+            adj = self.adj
+            u = [(p, -entries[b]) for p, b in enumerate(banks) if b in entries]
+            v = [(p, -e[k]) for p, b in enumerate(banks) if k in (e := records[b][2])]
+            if len(u) > 1:
+                at, values = itemgetter(*[p for p, _ in u]), [c for _, c in u]
+                au = [sum(map(mul, at(row), values)) for row in adj]
+            elif u:  # a one-index itemgetter returns the entry, not a tuple
+                [(p, c)] = u
+                au = [row[p] * c for row in adj]
+            else:
+                au = [0] * len(adj)
+            va = [0] * len(adj)
+            for p, c in v:
+                va = [a + y * c for a, y in zip(va, adj[p])]
             det = self.det
-            s = d * det - vau  # det K_{B+k}
+            s = d * det - sum([c * au[p] for p, c in v])  # det K_{B+k}
         else:
-            s = d - vau
+            u = [-entries[b] if b in entries else 0.0 for b in banks]
+            v = [-e[k] if k in (e := records[b][2]) else 0.0 for b in banks]
+            y, z = _forward(self.lower, u), _forward(self.columns, v)
+            s = d - sum(map(mul, z, y))
             if not s > d / 2:
                 # the same pivot from the masses leaving B + k: no term cancels
                 inside = {*banks, k}
@@ -400,7 +444,7 @@ class ZeroGroupFactor:
                     sum(x for j, x in records[b][2].items() if j not in inside)
                     for b in (*banks, k)
                 ]
-                s = mass[-1] - sum(map(mul, mass, au))
+                s = mass[-1] - sum(map(mul, mass, _back(self.upper, y)))
         if not s > 0:
             self._reset()
             raise SingularSystemError("restriction is not transient; no unique solution")
@@ -412,11 +456,11 @@ class ZeroGroupFactor:
             self.adj.append([-y for y in va] + [det])
             self.det = s
         else:
-            ga = [a / s for a in au]
-            self.adj = [
-                [x + g * y for x, y in zip(row, va)] + [-g] for row, g in zip(adj, ga)
-            ]
-            self.adj.append([-y / s for y in va] + [1 / s])
+            self.lower.append([*z, 1.0])
+            self.columns.append([*y, s])
+            for row, c in zip(self.upper, y):
+                row.append(c)
+            self.upper.append([s])
         banks.append(k)
 
     def solve(self, banks: Sequence[int], e: Sequence[Scalar]) -> list[Scalar]:
@@ -425,13 +469,14 @@ class ZeroGroupFactor:
 
         In rational mode each input counts at its exact value (an int, a
         float or a `Fraction`, read by `as_integer_ratio`), and each answer
-        is one `scalars.reduced` of the solve's integers. An input that is
-        negative, NaN or infinite raises `NegativeInputError`."""
+        is one `scalars.reduced` of the solve's integers. In float mode w
+        is one forward substitution with L and one back substitution with
+        U. An input that is negative, NaN or infinite raises
+        `NegativeInputError`."""
         ratios = _check_input(e, len(banks), self.exact)
         wanted = set(banks)
         for p in reversed([p for p, b in enumerate(self.banks) if b not in wanted]):
-            if p < len(self.banks):  # else a float deletion has reset the factor
-                self._delete(p)
+            self._delete(p)
         current = set(self.banks)
         for k in banks:
             if k not in current:
@@ -452,7 +497,7 @@ class ZeroGroupFactor:
         scaled = [0.0] * len(banks)
         for b, x in zip(banks, e):
             scaled[position[b]] = x
-        w = [sum(map(mul, row, scaled)) for row in self.adj]
+        w = _back(self.upper, _forward(self.lower, scaled))
         return [records[b][0] * w[position[b]] for b in banks]
 
     def held_inflow(
@@ -541,6 +586,27 @@ class ZeroGroupFactor:
                 fed.append(i)
         touched.update(fed)
         return inflow
+
+
+def _forward(rows: list[list[float]], b: list[float]) -> list[float]:
+    """x with T x = b, T lower triangular by its rows down to the diagonal
+    (L's rows, or U's columns for U^T): one dot product per row. x is 0
+    before b's first nonzero entry, and each product starts there."""
+    f = next((i for i, c in enumerate(b) if c), len(b))
+    tail: list[float] = []
+    for row, c in zip(rows[f:], b[f:]):
+        tail.append((c - sum(map(mul, row[f:] if f else row, tail))) / row[-1])
+    return [0.0] * f + tail
+
+
+def _back(upper: list[list[float]], t: list[float]) -> list[float]:
+    """x with U x = t, U upper triangular by its rows from the diagonal:
+    from the last row up, each row's entries from its far end."""
+    x: list[float] = []
+    for row, c in zip(reversed(upper), reversed(t)):
+        x.append((c - sum(map(mul, reversed(row), x))) / row[0])
+    x.reverse()
+    return x
 
 
 def in_rates(

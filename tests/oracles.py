@@ -34,10 +34,13 @@ rows, with a zero in every gap. `dense_border` is one join of the balance
 factor by the dense formulas, on that matrix: the new column u and row v
 with a zero in every gap, each rational column
 scaled by its own bank's `row_scale` (the lcm of its row's denominators,
-over the dense row), adj u row by row, v^T adj column by column over the
-transposed adjugate, and in float mode the Schur pivot recomputed from
-whole-row column sums when it may have cancelled. It is the reference the
-factor's sparse bordering must match bit for bit.
+over the dense row); in rational mode adj u row by row and v^T adj column
+by column over the transposed adjugate, in float mode the bordered LU's
+substitutions on dense triangular factors, with the Schur pivot
+recomputed from whole-row column sums when it may have cancelled. Its
+float products use `dot`, the kernel's own reduction, so the two agree on
+any interpreter. It is the reference the factor's sparse bordering must
+match bit for bit.
 
 `prime_denominator_network` gives every debt its own prime denominator
 above 10^6, from the segment sieve `primes_from`: the input on which one
@@ -140,30 +143,45 @@ def dense_matrix(rows, zero) -> list[list]:
     return dense
 
 
+def dot(xs, ys):
+    """The kernel's dot reduction: builtin `sum` over the products, in
+    order. Adding the same products in the same order through the same
+    `sum` gives the same bits on any interpreter, whatever `sum` does with
+    floats, and a product with a zero changes no sum."""
+    return sum(map(mul, xs, ys))
+
+
 def dense_border(factor, k: int):
-    """The (adj, det) that a `markov.ZeroGroupFactor` holds after bank k
-    joins it, or None when the join's Schur pivot is not positive.
+    """What a `markov.ZeroGroupFactor` holds after bank k joins it, or None
+    when the join's Schur pivot is not positive: (adj, det) in rational
+    mode, and in float mode (lower, columns), L's rows with their unit
+    diagonal and U's columns down to the diagonal.
 
     K_{B+k} = (diag(d) - M^T)_{B+k} diag(s), each column j scaled by
     `row_scale` s_j in rational mode (1 in float mode), gains the column u
     (K's entries in the members' rows, -s_k M_kb) and the row v (bank k's,
     -s_b M_bk), kept dense. Rational mode: det' = d det - v^T adj u and
-    the integer Sylvester update; float mode: the inverse's rank-one
-    update, its pivot d - v^T K^-1 u recomputed from the masses leaving
-    B + k when it is not above d / 2. M is the dense matrix of the
+    the integer Sylvester update. Float mode: the bordered LU, on dense
+    L and U with a zero in every gap. L y = u and U^T z = v by forward
+    substitution, row by row, and the pivot d - z^T y, recomputed from the
+    masses leaving B + k when it is not above d / 2 with K^-1 u = U^-1 y by
+    back substitution, from the last row up and each row from its far end.
+    Every product is summed by `dot`. M is the dense matrix of the
     factor's sparse rows."""
     matrix = dense_matrix(factor.rows, Fraction(0) if factor.exact else 0.0)
-    banks, adj, det = factor.banks, factor.adj, factor.det
+    banks = factor.banks
 
     def entry(x, j):
         return int(x * row_scale(matrix, factor.diagonal, j)) if factor.exact else x
 
-    u = [-entry(matrix[k][b], k) if matrix[k][b] else 0 for b in banks]
-    v = [-entry(matrix[b][k], b) if matrix[b][k] else 0 for b in banks]
+    zero = 0 if factor.exact else 0.0
+    u = [-entry(matrix[k][b], k) if matrix[k][b] else zero for b in banks]
+    v = [-entry(matrix[b][k], b) if matrix[b][k] else zero for b in banks]
     d = entry(factor.diagonal[k] - matrix[k][k], k)
-    au = [sum(map(mul, row, u)) for row in adj]
-    va = [sum(map(mul, column, v)) for column in zip(*adj)]
     if factor.exact:
+        adj, det = factor.adj, factor.det
+        au = [sum(map(mul, row, u)) for row in adj]
+        va = [sum(map(mul, column, v)) for column in zip(*adj)]
         s = d * det - sum(map(mul, v, au))
         if not s > 0:
             return None
@@ -172,18 +190,30 @@ def dense_border(factor, k: int):
             for row, a in zip(adj, au)
         ]
         return grown + [[-y for y in va] + [det]], s
-    s = d - sum(map(mul, v, au))
+    m = len(banks)
+    lower = [row[:-1] + [1.0] + [0.0] * (m - i - 1) for i, row in enumerate(factor.lower)]
+    upper = [[0.0] * m for _ in range(m)]
+    for j, column in enumerate(factor.columns):
+        for i, x in enumerate(column):
+            upper[i][j] = x
+    y, z = [], []
+    for i in range(m):
+        y.append(u[i] - dot(lower[i][:i], y))
+        z.append((v[i] - dot([upper[t][i] for t in range(i)], z)) / upper[i][i])
+    s = d - dot(z, y)
     if not s > d / 2:
         inside = {*banks, k}
         mass = [
             sum(x for j, x in enumerate(matrix[b]) if j not in inside) for b in (*banks, k)
         ]
-        s = mass[-1] - sum(map(mul, mass, au))
+        x = [0.0] * m
+        for i in reversed(range(m)):
+            far = range(m - 1, i, -1)
+            x[i] = (y[i] - dot([upper[i][t] for t in far], [x[t] for t in far])) / upper[i][i]
+        s = mass[-1] - dot(mass, x)
     if not s > 0:
         return None
-    ga = [a / s for a in au]
-    grown = [[x + g * y for x, y in zip(row, va)] + [-g] for row, g in zip(adj, ga)]
-    return grown + [[-y / s for y in va] + [1 / s]], det
+    return [*factor.lower, [*z, 1.0]], [*factor.columns, [*y, s]]
 
 
 def reachability_transient(sub) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import fractions
+import itertools
 import math
 import random
 import sys
@@ -27,6 +28,7 @@ from conftest import swampy_network, with_cash
 from oracles import (
     dense_balance_rates,
     dense_border,
+    dense_matrix,
     exact_form,
     gauss_jordan_solve,
     prime_denominator_network,
@@ -555,10 +557,34 @@ def test_float_factor_keeps_a_small_pivot():
     assert factor.banks == [1, 2]
     exact = network_factor(binary_twin(TINY_EXITS[1], [1, 0, 0])).solve([1, 2], [F(1, 2), F(1, 2)])
     assert_relative_error_within(v, exact, 1e-15)
-    # deleting bank 2 meets the same small pivot: the factor is reset and
-    # bank 1 bordered afresh
+    # deleting bank 2, the last, leaves bank 1's row of L and column of U
     assert_relative_error_within(factor.solve([1], [0.5]), [F(1, 2)], 1e-15)
     assert factor.banks == [1]
+
+
+#: bank 3 leaves {1, 2, 3} by 1e-300 alone, and bank 2 leaks 1e-3 into it
+LEAKY_CHAIN = [[0, 0, 0, 0], [1e-14, 0, 1, 0], [1e-14, 1, 0, 1e-3], [1e-300, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("liabilities", [*TINY_EXITS, LEAKY_CHAIN])
+def test_float_factor_after_a_leave_matches_exact(liabilities):
+    # every join order of the indebted banks, then every one of them
+    # leaves; the carried factor answers as the exact solve does, within
+    # 1e-15 of each amount. A deletion that cancels misses by 5e-6 on the
+    # leaky chain's [1, 2, 3] then [1, 2].
+    n = len(liabilities)
+    cash = [1] + [0] * (n - 1)
+    net = cf.build_network(liabilities, cash, mode=cf.FLOAT)
+    twin = binary_twin(liabilities, cash)
+    e = [0.5, 0.25, 0.125][: n - 1]
+    for order in itertools.permutations(range(1, n)):
+        for leaver in order:
+            factor = network_factor(net)
+            factor.solve(list(order), e)
+            rest = [b for b in order if b != leaver]
+            got = factor.solve(rest, e[:-1])
+            exact = network_factor(twin).solve(rest, [F(x) for x in e[:-1]])
+            assert_relative_error_within(got, exact, 1e-15)
 
 
 def test_float_fallback_solves_the_balance_system():
@@ -596,10 +622,63 @@ def test_bordering_determinant_vanishes_exactly_off_transient_sets(seed, data):
         assert factor.det > 0 and sorted(factor.banks) == sorted(target)
 
 
+def hexes(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+def assert_lu_reproduces_the_balance_matrix(factor):
+    """L U equals K_B = (diag(d) - M^T)_B of a float factor, each entry
+    within 1e-12 of its column's diagonal K_jj, the column's largest."""
+    matrix = dense_matrix(factor.rows, 0.0)
+    banks = factor.banks
+    for i, bi in enumerate(banks):
+        for j, bj in enumerate(banks):
+            k = (factor.diagonal[bj] if i == j else 0.0) - matrix[bj][bi]
+            lu = sum(
+                factor.lower[i][t] * factor.columns[j][t] for t in range(min(i, j) + 1)
+            )
+            assert abs(lu - k) <= 1e-12 * (factor.diagonal[bj] - matrix[bj][bj])
+
+
+@given(st.integers(0, 2**16), st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_float_factor_follows_join_and_leave_scripts(seed, cascade, data):
+    # each step drops banks at the front, the middle or the end of the
+    # factor's order and joins new ones; after it L U reproduces K_B, and
+    # the carried solve matches a fresh factor's within 1e-12 relative
+    if cascade:
+        net = cf.generate_network(seed, 16, 0.3, "1/4", mode=cf.FLOAT)
+    else:
+        net = swampy_network(seed, cf.FLOAT)
+    indebted = [i for i in range(net.n) if net.total_debt[i] > 0]
+    factor = network_factor(net)
+    where = st.sampled_from([0, 0.5, 1])
+    for _ in range(data.draw(st.integers(1, 6))):
+        banks = list(factor.banks)
+        for place in data.draw(st.lists(where, max_size=3)):
+            if banks:
+                del banks[round(place * (len(banks) - 1))]
+        outside = [i for i in indebted if i not in banks]
+        if outside:
+            banks += data.draw(st.lists(st.sampled_from(outside), max_size=4, unique=True))
+        e = [0.25 * (1 + b % 3) for b in banks]
+        try:
+            want = network_factor(net).solve(banks, e)
+        except SingularSystemError:
+            with pytest.raises(SingularSystemError):
+                factor.solve(banks, e)
+            continue
+        got = factor.solve(banks, e)
+        scale = max([0.0, *map(abs, want)])
+        assert max([0.0, *(abs(a - b) for a, b in zip(got, want))]) <= 1e-12 * scale
+        assert_lu_reproduces_the_balance_matrix(factor)
+
+
 def join_against_dense_oracle(factor, k):
     """Border bank k through `solve` and check the factor against
-    `dense_border`: adj and det equal in rational mode, adj equal by
-    `float.hex` in float mode; a join the oracle refuses raises and resets."""
+    `dense_border`: adj and det equal in rational mode; in float mode L's
+    rows and U's columns equal by `float.hex`, and U's rows are its
+    columns transposed. A join the oracle refuses raises and resets."""
     expected = dense_border(factor, k)
     banks = [*factor.banks, k]
     zero = F(0) if factor.exact else 0.0
@@ -607,16 +686,17 @@ def join_against_dense_oracle(factor, k):
         with pytest.raises(SingularSystemError):
             factor.solve(banks, [zero] * len(banks))
         assert factor.banks == [] and factor.adj == []
+        assert factor.lower == factor.columns == factor.upper == []
         return
     factor.solve(banks, [zero] * len(banks))
-    adj, det = expected
     assert factor.banks == banks
     if factor.exact:
-        assert factor.adj == adj and factor.det == det
+        assert (factor.adj, factor.det) == expected
     else:
-        assert [[x.hex() for x in row] for row in factor.adj] == [
-            [x.hex() for x in row] for row in adj
-        ]
+        lower, columns = expected
+        assert hexes(factor.lower) == hexes(lower)
+        assert hexes(factor.columns) == hexes(columns)
+        assert factor.upper == [[c[i] for c in columns[i:]] for i in range(len(columns))]
 
 
 def nonzeros_in_group(factor, k):
@@ -661,17 +741,25 @@ def test_join_into_an_empty_factor_matches_the_dense_border_oracle(mode):
 
 
 def test_float_join_after_a_reset_matches_the_dense_border_oracle():
-    # deleting bank 2 meets a small Schur pivot and resets the factor; the
-    # joins that follow start from the empty set, and bank 2's pivot is
-    # recomputed from the masses leaving the set
-    net = cf.build_network(TINY_EXITS[1], [1, 0, 0], mode=cf.FLOAT)
+    # banks 1 and 2 owe each other 1 and bank 0 only 1e-14; banks 3 and 4
+    # owe only each other, so bank 4's join after bank 3 is refused and
+    # resets the factor. The joins that follow start from the empty set,
+    # and bank 2's pivot is recomputed from the masses leaving the set.
+    liabilities = [row + [0, 0] for row in TINY_EXITS[1]]
+    liabilities += [[0, 0, 0, 0, 1], [0, 0, 0, 1, 0]]
+    net = cf.build_network(liabilities, [1, 0, 0, 0, 0], mode=cf.FLOAT)
     factor = network_factor(net)
     factor.solve([1, 2], [0.5, 0.5])
+    # deleting the last bank drops the last row of L and column of U
     fresh = network_factor(net)
     join_against_dense_oracle(fresh, 1)
     factor.solve([1], [0.5])
     assert factor.banks == [1]
-    assert [x.hex() for x in factor.adj[0]] == [x.hex() for x in fresh.adj[0]]
+    assert hexes([*factor.lower, *factor.columns]) == hexes([*fresh.lower, *fresh.columns])
+    with pytest.raises(SingularSystemError):
+        factor.solve([1, 3, 4], [0.5, 0.5, 0.5])
+    assert factor.banks == [] and factor.lower == factor.columns == factor.upper == []
+    join_against_dense_oracle(factor, 1)
     join_against_dense_oracle(factor, 2)
     join_against_dense_oracle(factor, 0)
 
