@@ -19,13 +19,15 @@ Every pass over the proportion matrix walks each bank's nonzero entries
 fictitious-defaults round, come in two parts from the factor that solves
 it. The held banks (the positive ones in the flow, those at their cap in
 fd) give Q^T h, which is also the solve's input on the zero group; the
-solved banks give the rest. In rational mode the factor carries Q^T h from
+solved banks give the rest. In both modes the factor carries Q^T h from
 call to call, moving it by one sparse row when a bank leaves the held set,
-in the one Q^T p kernel (`scalars.scatter`, on integers), and forms the
-solved part from the integers of its solve, over each solved bank's row
-scaled to integers by its own denominators; so no O(n m) `Fraction` sum is
-built. In float mode `markov.in_rates` sums both afresh: the input in the
-order of the held banks, the in-rates bank by bank in index order.
+in the one Q^T p kernel (`scalars.scatter`). In rational mode that runs on
+integers, and the solved part comes from the integers of the solve, over
+each solved bank's row scaled to integers by its own denominators; so no
+O(n m) `Fraction` sum is built. In float mode the solved part is one more
+`scatter` at the solved rates, and the held part is summed afresh, in
+index order, when a receiver of a leaving row loses most of its in-rate,
+so no rounding residue of the terms it lost stays behind.
 
 Nonactive banks (no cash and unreachable from any cash along debt edges)
 never move money: the active set is fixed for the whole run
@@ -62,9 +64,11 @@ first read: its own anchors move to its time in place, by the routine that
 moves them at an event (`_move`). A run that records no trajectory forms
 only the last state; a recorded run forms each as it records it, so the
 next step finds every bank anchored at its time. In rational mode the
-kernels work on the integers of each `Fraction`. In float mode the
-in-rates are summed afresh and every one counts as changed, so every bank
-moves by t' at every event, bit for bit as the plain update x + r t did.
+kernels work on the integers of each `Fraction`. In float mode every
+in-rate counts as changed, so every bank moves by t' at every event, as
+the plain update x + r t did: an anchor moved once by the whole time since
+it was set would round differently, and a recorded run, whose states are
+formed event by event, would end apart from an unrecorded one.
 This module names no scalar type: exact arithmetic lives in `scalars` and
 `markov`.
 """
@@ -358,8 +362,7 @@ def equilibrium_rates(
         candidates.update(carry.solve_set)
         for i in candidates.difference(solve_set):
             out[i] = one if i in positive else zero
-    # e_i = sum of q_ji over the positive banks j, in the order of
-    # `partition.positive`
+    # e_i = sum of q_ji over the positive banks j, carried by the factor
     e = factor.held_inflow(net, positive, out, solve_set)
     if solve_set:
         try:

@@ -42,10 +42,11 @@ the block they solve. Both modes decide a join by the sign of its Schur
 pivot, which float mode recomputes as a sum of nonnegative terms when the
 usual difference may have cancelled, so a solve raises
 `SingularSystemError` exactly when its set is not transient, with no
-separate graph test. The factor also gives the flow's and fd's in-rates:
-in rational mode from a carried held part, moved by `in_rates`'s kernel
-`scalars.scatter`, and the integers of its last solve (see
-`ZeroGroupFactor.inflow`), in float mode by `in_rates`. `solve_linear`,
+separate graph test. The factor also gives the flow's and fd's in-rates,
+in both modes from a carried held part, moved by `in_rates`'s kernel
+`scalars.scatter`, and the banks of its last solve: in rational mode from
+the solve's integers, in float mode by one more `scatter` (see
+`ZeroGroupFactor.held_inflow` and `inflow`). `solve_linear`,
 Gaussian elimination with partial pivoting, is kept for reference; no
 solver calls it.
 """
@@ -289,12 +290,15 @@ class ZeroGroupFactor:
     A factor of a network's liabilities and total debts also gives in-rates
     Q^T p, where p holds some banks at fixed rates (`held_inflow`, whose
     answer on B is the solve's input) and is the last solve's answer on B
-    (`inflow`). The exact solve keeps w_j = s_j N_j / T as integers N over
-    one T = common * det. Rational mode carries the held part Q^T h from
-    call to call, moving it by `scalars.scatter`, and adds the solved part
+    (`inflow`). Both modes carry the held part Q^T h from call to call,
+    moving it by `scalars.scatter` over the rows of the banks whose held
+    rate changed. The exact solve keeps w_j = s_j N_j / T as integers N
+    over one T = common * det, and rational mode adds the solved part
     sum_j M_ji w_j from N and each solved bank's record entries s_j M_j:
-    O(n) `Fraction`s per solve rather than O(n m). Float mode sums both
-    afresh.
+    O(n) `Fraction`s per solve rather than O(n m). Float mode adds it by
+    one `scatter` over the solved banks' rows at their solved rates, and
+    sums the held part afresh when a carried in-rate may have kept a
+    residue of the terms it lost (`held_inflow`).
     """
 
     def __init__(self, rows: Rows, diagonal: Sequence[Scalar], mode: str):
@@ -314,12 +318,15 @@ class ZeroGroupFactor:
         self.columns: list[list[float]] = []
         self.upper: list[list[float]] = []
         zero, _ = zero_one(mode)
-        #: the held rates and, in rational mode, their carried in-rates Q^T h
+        #: the held rates and their carried in-rates Q^T h; in float mode each
+        #: in-rate's floor, 1/16 of its value at the last fresh sum
         self.held: dict[int, Scalar] = {}
         self.held_in = [zero] * len(diagonal)
-        #: the last exact solve since `held_in` moved: its banks, the integers
-        #: N with w_j = s_j N_j / T, and T
-        self.solution: tuple[tuple[int, ...], list[int], int] | None = None
+        self.floor = [zero] * len(diagonal)
+        #: the banks of the last solve since `held_in` moved and, in rational
+        #: mode, its integers N with w_j = s_j N_j / T, and T
+        self.solved: tuple[int, ...] = ()
+        self.solution: tuple[list[int], int] | None = None
         #: in rational mode, the receivers whose held part moved since the
         #: last `inflow`, and those the last `inflow` fed from its solve
         #: (None before the first)
@@ -491,13 +498,14 @@ class ZeroGroupFactor:
                 scaled[position[b]] = x * (common // q)
             total = common * self.det
             numerators = [sum(map(mul, row, scaled)) for row in self.adj]
-            self.solution = (tuple(self.banks), numerators, total)
+            self.solved, self.solution = tuple(self.banks), (numerators, total)
             # v_b = s_b d_b N_b / T, the record's integer weight s_b d_b
             return [reduced(records[b][0] * numerators[position[b]], total) for b in banks]
         scaled = [0.0] * len(banks)
         for b, x in zip(banks, e):
             scaled[position[b]] = x
         w = _back(self.upper, _forward(self.lower, scaled))
+        self.solved = tuple(banks)
         return [records[b][0] * w[position[b]] for b in banks]
 
     def held_inflow(
@@ -511,27 +519,36 @@ class ZeroGroupFactor:
         in-rates of `receivers` from the held vector h, `rates` on `banks`
         and 0 elsewhere.
 
-        Rational mode carries Q^T h from the last call and moves it by the
-        rows (`net.shares`) of the banks whose held rate changed, in one
+        The factor carries Q^T h from the last call and moves it by the rows
+        (`net.shares`) of the banks whose held rate changed, in one
         `scalars.scatter`: a bank leaving the held set adds its row at the
-        negated rate, so it costs one sparse row, exactly. Float mode sums
-        it afresh, row by row in the order of `banks` (`in_rates`), and
-        only when some receiver asks. Either way the next `inflow` starts
-        from this h."""
-        self.solution = None
-        if not self.exact:
-            if not receivers:
-                return []
-            inflow = in_rates(net, banks, rates)
-            return [inflow[i] for i in receivers]
+        negated rate, so it costs one sparse row. In rational mode that is
+        exact. In float mode a receiver that loses most of its in-rate
+        would keep a residue of the terms it lost, so the held part is
+        summed afresh by `in_rates`, over the held banks in index order,
+        when a receiver of a falling rate's row ends below 1/16 of its
+        in-rate at the last fresh sum (its floor) or below 0; also when a
+        held rate rises, and when more banks changed than stay held, since
+        the fresh sum then reads fewer rows. Either way the next `inflow`
+        starts from this h."""
+        self.solved = ()
         held = {j: rates[j] for j in banks if rates[j]}
-        old = self.held
-        change: dict[int, Scalar] = {}
-        # a rate held on is mostly the same object (`zero_one`'s 1, a cap):
-        # identity settles it before the integers are read, and equal
-        # rates have equal integer ratios
+        old, self.held = self.held, held
+        # a joining bank adds its row at its rate; a rate held on is mostly
+        # the same object (`zero_one`'s 1, a cap), and identity settles it
+        # before the values are read
+        change: dict[int, Scalar] = {j: held[j] for j in held.keys() - old.keys()}
+        if not self.exact:
+            for j, rate in old.items():
+                if (now := held.get(j)) is not rate and now != rate:
+                    change[j] = -rate if now is None else now - rate
+            if change and not self._carry_falls(net.shares, change):
+                self.held_in = in_rates(net, sorted(held), rates)
+                self.floor = [x * 0.0625 for x in self.held_in]
+            return [self.held_in[i] for i in receivers]
         for j, rate in old.items():
             if (now := held.get(j)) is not rate:
+                # equal rates have equal integer ratios
                 a, b = rate.as_integer_ratio()
                 if now is None:
                     change[j] = reduced(-a, b)
@@ -539,43 +556,54 @@ class ZeroGroupFactor:
                     c, d = now.as_integer_ratio()
                     if c != a or d != b:
                         change[j] = reduced(c * b - a * d, b * d)
-        for j, rate in held.items():
-            if j not in old:
-                change[j] = rate
         if change:
             self.moved.update(scatter(self.held_in, net.shares, change, change))
-        self.held = held
         return [self.held_in[i] for i in receivers]
+
+    def _carry_falls(self, shares: Rows, change: dict[int, float]) -> bool:
+        """Float mode: when every changed held rate fell, and no more banks
+        changed than stay held, move `held_in` by their rows and tell whether
+        each receiver of those rows stayed at or above its floor; else False
+        at once."""
+        if max(change.values()) > 0 or len(change) > len(self.held):
+            return False
+        held_in, floor = self.held_in, self.floor
+        scatter(held_in, shares, change, change)
+        return all(held_in[i] >= floor[i] for j in change for i, _ in shares[j])
 
     def inflow(self, net: FinancialNetwork, rates: Sequence[Scalar]) -> list[Scalar]:
         """Q^T p for p = `rates`, which must be the held vector of the last
         `held_inflow` with the answer of any solve since then on its banks.
 
-        Rational mode adds to the carried Q^T h the solved banks' part,
-        sum_j M_ji w_j = sum_j (s_j M_ji) N_j / T: one integer dot product
-        over the solved banks' record entries, and one `scalars.reduced` per
-        receiver. Float mode applies `in_rates` to `rates`, bank by bank
-        in index order.
+        Both modes add the solved banks' part to the carried Q^T h. Float
+        mode adds it in one `scalars.scatter` over their rows (`net.shares`)
+        at their solved rates, in the order of the solve's banks. Rational
+        mode adds sum_j M_ji w_j = sum_j (s_j M_ji) N_j / T: one integer dot
+        product over the solved banks' record entries, and one
+        `scalars.reduced` per receiver.
 
         Rational mode also leaves in `touched` the receivers whose in-rate
         may differ from the last call's: those whose held part moved, and
-        those either call fed from its solve. Float mode sums afresh, so it
-        leaves None there: any in-rate may have changed."""
-        if not self.exact:
-            return in_rates(net, range(net.n), rates)
+        those either call fed from its solve. Float mode leaves None there,
+        so the flow moves every bank at every event, as the plain update
+        x + r t did; its in-rates change on nearly every bank of a dense
+        network anyway."""
         inflow = list(self.held_in)
+        if not self.exact:
+            scatter(inflow, net.shares, self.solved, rates)
+            return inflow
         fed: list[int] = []
         touched, self.moved = self.moved, set()
         if self.fed is not None:
             touched.update(self.fed)
             self.touched = touched
         self.fed = fed
-        if not self.solution:
+        if not self.solved:
             return inflow
-        banks, numerators, total = self.solution
+        numerators, total = self.solution
         records = self.records
         received = [0] * net.n
-        for j, x in zip(banks, numerators):
+        for j, x in zip(self.solved, numerators):
             if x:
                 for i, a in records[j][2].items():
                     received[i] += a * x

@@ -768,6 +768,17 @@ class TestRunFlow:
                 drift = max(abs(a - float(b)) for a, b in zip(result.payments, reference.payments))
                 assert drift <= 1e-10 * scale, seed
 
+    def test_float_fd_matches_exact_fd_per_bank_on_wide_magnitudes(self):
+        # the float fd carries its held in-rates from round to round; each
+        # payment stays within 1e-14 of its own debt from exact fd
+        for seed in range(400):
+            approx = wide_magnitude_network(seed)
+            exact = cf.convert_network(approx, cf.RATIONAL)
+            result = cf.fictitious_defaults(approx)[0]
+            reference = cf.fictitious_defaults(exact)[0]
+            for a, b, debt in zip(result.payments, reference.payments, exact.total_debt):
+                assert abs(a - float(b)) <= 1e-14 * float(debt), seed
+
     def test_terminal_debt_balance(self, net_1b):
         result = cf.run_flow(net_1b)
         residual_debt = sum(

@@ -24,7 +24,7 @@ from clearflow.errors import (
     SingularSystemError,
     ZeroDebtInSwampError,
 )
-from conftest import swampy_network, with_cash
+from conftest import swampy_network, wide_magnitude_network, with_cash
 from oracles import (
     dense_balance_rates,
     dense_border,
@@ -946,6 +946,55 @@ def test_rational_held_moves_match_fraction_sums(seed, digits):
         # some stay; one bank leaves and another may join
         held.discard(rng.choice(sorted(held)))
         held.add(rng.choice(indebted))
+
+
+def test_float_held_part_drops_the_residue_of_a_leaving_rate():
+    # bank 2 is owed 1e6 by bank 0, its only debt, and 1e-6 by bank 1,
+    # which owes bank 3 another 1: its held in-rate is 1 + q, q about
+    # 1e-6. When bank 0 leaves, carrying would leave (1 + q) - 1, which
+    # is not q; the factor sums the held part afresh instead
+    net = cf.build_network(
+        [[0, 0, 1e6, 0], [0, 0, 1e-6, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [1, 1, 0, 0],
+        mode=cf.FLOAT,
+    )
+    factor = network_factor(net)
+    rates = [1.0, 1.0, 0.0, 0.0]
+    q = net.shares[1][0][1]
+    assert factor.held_inflow(net, [0, 1], rates, [2]) == [1 + q]
+    assert (1 + q) - 1 != q
+    assert factor.held_inflow(net, [1], rates, [2]) == [q]
+    assert factor.held_in == cf.markov.in_rates(net, [1], rates)
+    assert factor.inflow(net, [0.0, 1.0, 0.0, 0.0]) == factor.held_in
+
+
+@given(st.integers(0, 399), st.data())
+@settings(max_examples=60, deadline=None)
+def test_float_held_part_follows_leave_scripts(seed, data):
+    # banks held at 1, at their debt or at another rate leave one to three
+    # at a time, or have their rate lowered; the carried held in-rates are
+    # never negative and stay within 1e-12 of a fresh sum, per receiver
+    net = wide_magnitude_network(seed)
+    factor = network_factor(net)
+    indebted = [i for i in range(net.n) if net.total_debt[i]]
+    rates = [0.0] * net.n
+    for j in indebted:
+        rates[j] = data.draw(st.sampled_from([1.0, net.total_debt[j], 10 ** data.draw(st.floats(-6, 6))]))
+    held = list(indebted)
+    while True:
+        carried = factor.held_inflow(net, held, rates, range(net.n))
+        fresh = cf.markov.in_rates(net, held, rates)
+        assert min(carried) >= 0
+        for x, y in zip(carried, fresh):
+            assert abs(x - y) <= 1e-12 * y
+        if not held:
+            break
+        if data.draw(st.booleans()):
+            j = data.draw(st.sampled_from(held))
+            rates[j] *= data.draw(st.floats(1e-6, 0.5))
+        else:
+            for _ in range(data.draw(st.integers(1, min(3, len(held))))):
+                held.remove(data.draw(st.sampled_from(held)))
 
 
 @pytest.mark.parametrize("digits", [1, 4400])
