@@ -16,7 +16,8 @@ views built on demand for callers outside the package.
 
 Both input forms, a dense matrix (`build_network`) and a document of
 (from, to, amount) entries (JSON or CSV), go through one entry validator,
-which reads and checks each amount once, before repeated pairs are summed.
+which reads and checks each amount once, before repeated pairs are summed;
+so do the debts the seeded generator draws.
 
 Everything here is immutable after construction and safe to share across
 concurrent solver runs.
@@ -32,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -368,8 +370,42 @@ def _document(net: FinancialNetwork) -> dict:
 
 
 def serialize_network(net: FinancialNetwork) -> str:
-    """Emit the JSON document format; exact round-trip in rational mode."""
-    return json.dumps(_document(net), indent=2)
+    """Emit the JSON document format; exact round-trip in rational mode.
+
+    The text is `json.dumps(_document(net), indent=2)` byte for byte, written
+    from `ids`, `cash` and `debts` into a fixed indent-2 template, in O(n +
+    debts). With `indent` set, `json.dumps` runs the stdlib's pure-Python
+    encoder, whose nested closures also leave cyclic garbage on each call;
+    the template writes each leaf as that encoder does (`_json_leaf`)."""
+    names = [_json_leaf(b) for b in net.ids]
+    banks = [
+        f'    {{\n      "id": {name},\n      "cash": {_json_leaf(scalar_to_json(c))}\n    }}'
+        for name, c in zip(names, net.cash)
+    ]
+    debts = [
+        f'    {{\n      "from": {names[i]},\n      "to": {names[j]},\n'
+        f'      "amount": {_json_leaf(scalar_to_json(x))}\n    }}'
+        for i, row in enumerate(net.debts)
+        for j, x in row
+    ]
+    return f'{{\n  "banks": {_json_list(banks)},\n  "liabilities": {_json_list(debts)}\n}}'
+
+
+def _json_leaf(x) -> str:
+    """One leaf as `json.dumps` writes it: a string by the C escaper that
+    `json.dumps` uses (`ensure_ascii`), a finite float by its repr, and
+    anything else (an int, an infinity, a value JSON cannot hold) by
+    `json.dumps` itself, with its errors."""
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    if type(x) is float and math.isfinite(x):
+        return repr(x)
+    return json.dumps(x)
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of written objects at the document's second level of indent 2."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 # -- CSV alternative: one id,cash file and one from,to,amount file -------------

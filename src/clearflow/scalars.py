@@ -389,6 +389,10 @@ def to_scalar(value, mode: str) -> Scalar:
     if not isinstance(exact, (int, float, Fraction)):
         raise SchemaError(f"cannot read amount of type {type(value).__name__}: {value!r}")
     try:
+        if isinstance(exact, Fraction):
+            # the true division of its two ints, as `order_key`: what `float`
+            # computes through `numbers.Rational.__float__` and its properties
+            return exact._numerator / exact._denominator
         return float(exact)
     except OverflowError as exc:
         # the repr of an int or Fraction past 4300 digits raises ValueError

@@ -59,6 +59,11 @@ move only the banks whose rates changed.
 `reachability_transient` is the transience test walked backwards from the
 states with an exit: every state must reach one.
 
+`dense_generate_network` is the seeded generator as a dense matrix: every
+cell of an n×n list of `Fraction`s, handed to `build_network`, which reads
+and checks all n² of them. It makes the library generator's draws in the
+same order, and is the reference its sparse entries must match.
+
 `flow_bailout` is the same closed-form plan with both clearing runs made by
 the continuous flow on networks built from scratch, the route the library
 took before it ran them on fictitious defaults.
@@ -67,13 +72,15 @@ took before it ran them on fictitious defaults.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from operator import mul
 
 import clearflow as cf
 from clearflow.errors import SingularSystemError, VerificationFailedError
+from clearflow.generate import _DENOMINATORS
 from clearflow.markov import ZeroGroupFactor
-from clearflow.scalars import zero_one
+from clearflow.scalars import RATIONAL, to_scalar, zero_one
 
 
 def gauss_jordan_solve(rows: list[list], rhs: list) -> list:
@@ -249,6 +256,22 @@ def least_injection(net: cf.FinancialNetwork) -> tuple[Fraction, ...]:
     return tuple(
         max(Fraction(0), net.total_debt[i] - net.cash[i] - owed[i]) for i in range(net.n)
     )
+
+
+def dense_generate_network(seed, n, density, cash_scale=1, mode=RATIONAL) -> cf.FinancialNetwork:
+    """`generate_network` over the dense n×n matrix, every cell built and checked."""
+    scale = to_scalar(cash_scale, RATIONAL)
+    rng = random.Random(seed)
+    zero = Fraction(0)
+    liabilities = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if rng.random() < density:
+                liabilities[i][j] = Fraction(rng.randint(1, 8), rng.choice(_DENOMINATORS))
+    cash = [scale * Fraction(rng.randint(0, 8), 8) for _ in range(n)]
+    return cf.build_network(liabilities, cash, mode=mode)
 
 
 def dense_proportions(net: cf.FinancialNetwork) -> tuple[tuple, tuple]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import gc
+import hashlib
 import json
 from decimal import Decimal
 from fractions import Fraction as F
@@ -469,6 +471,34 @@ class TestGen:
         net = cf.parse_network(out)
         result = cf.run_flow(net)
         assert cf.verify_clearing(net, result.payments) == 0
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--seed", "1", "--n", "64", "--density", "0.3", "--cash-scale", "1/4", "--mode", "float"],
+         "e755ad007e6903fe580197f755652ecb6d82d1e29330dbe015a0494028b7058b"),
+        (["--seed", "7", "--n", "20", "--density", "0.3", "--cash-scale", "1/4"],
+         "2396352e8cb97ab95c12b3442630eb4cb00f4ca26d0cb3acf5fb8936fd91da83"),
+    ], ids=["float-n64", "rational-n20"])
+    def test_output_is_pinned(self, capsys, argv, digest):
+        # SHA-256 of the text written by the dense generator and json.dumps
+        code, out, _ = run_cli(capsys, "gen", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_leaves_no_cyclic_garbage(self, capsys):
+        # with indent set, json.dumps runs the pure-Python encoder, whose
+        # nested closures form reference cycles
+        gc.collect()
+        before = len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            code, _, _ = run_cli(capsys, "gen", "--seed", "3", "--n", "8", "--mode", "float")
+            gc.collect()
+            left = gc.garbage[before:]
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[before:]
+        assert code == 0
+        assert left == []
 
 
 class TestCompare:

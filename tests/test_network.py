@@ -27,7 +27,7 @@ from clearflow.errors import (
 )
 from clearflow.scalars import to_scalar
 from conftest import statuses_of, swampy_network, wide_magnitude_network, with_cash
-from oracles import dense_proportions
+from oracles import dense_generate_network, dense_proportions, prime_denominator_network
 
 
 class TestBuildNetwork:
@@ -430,6 +430,48 @@ class TestSerialization:
         assert again == net
 
 
+class TestWriter:
+    def _networks(self):
+        escaped = ['say "hi"', "back\\slash", "tab\tline\nnull\x00 \x1f\x7f", "café ü ß", "😀 𝄞"]
+        nets = [
+            cf.build_network([[0, 1, 0, 0, 2], [0, 0, 3, 0, 0], [0, 0, 0, 1, 0],
+                              [F(1, 2), 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+                             [1, 0, F(1, 3), 0, 2], ids=escaped),
+            cf.build_network([[0, 0], [0, 0]], [1, 2]),
+            cf.build_network([[0, 5e-324], [1.7976931348623157e308, 0]],
+                             [5e-324, 1.7976931348623157e308], mode=cf.FLOAT),
+            dataclasses.replace(cf.build_network([[0, 3], [0, 0]], [2, 0]),
+                                debts=(((1, 3),), ()), cash=(2, 0)),
+            wide_magnitude_network(3),
+            swampy_network(1, cf.FLOAT),
+        ]
+        nets += [cf.generate_network(seed, 9, 0.4, "1/4", mode=mode)
+                 for seed in range(10) for mode in (cf.RATIONAL, cf.FLOAT)]
+        return nets
+
+    def test_the_template_writes_the_bytes_of_json_dumps(self):
+        for net in self._networks():
+            text = cf.serialize_network(net)
+            assert text == json.dumps(network_module._document(net), indent=2)
+            again = cf.parse_network(text, mode=net.mode)
+            assert again == net
+
+    def test_networks_no_document_can_hold(self):
+        # n = 0; 4,400-digit amounts, past the digits a reader accepts; and
+        # leaves json.dumps writes itself: an infinity, a non-string id, or
+        # an int past the digit limit, which it refuses
+        net = cf.build_network([[0, 1], [0, 0]], [1.5, 0], mode=cf.FLOAT)
+        for odd in [cf.build_network([], []),
+                    cf.build_network([[0, F(10**4400 + 1, 3)], [0, 0]], [F(1, 10**4400), 0]),
+                    dataclasses.replace(net, cash=(math.inf, -math.inf), ids=(1, None))]:
+            assert cf.serialize_network(odd) == json.dumps(network_module._document(odd), indent=2)
+        huge = dataclasses.replace(net, debts=(((1, 10**4400),), ()))
+        with pytest.raises(ValueError):
+            json.dumps(network_module._document(huge), indent=2)
+        with pytest.raises(ValueError):
+            cf.serialize_network(huge)
+
+
 def _doc(banks=(("a", 1), ("b", 0)), liabilities=()):
     return {
         "banks": [{"id": bank_id, "cash": cash} for bank_id, cash in banks],
@@ -549,6 +591,36 @@ class TestGenerate:
             cf.generate_network(**params)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("n", [1, 7, 30, 64])
+    def test_the_sparse_draws_give_the_dense_generators_network(self, n):
+        # seeds 0-99 at each n; below n = 30 every seed takes each mode,
+        # density and cash scale, from n = 30 one of the twelve in turn
+        settings = list(itertools.product(
+            (cf.RATIONAL, cf.FLOAT), (0.3, 1.0), ("0", "1/4", "3/2")
+        ))
+        for seed in range(100):
+            for mode, density, scale in settings if n < 30 else [settings[seed % 12]]:
+                net = cf.generate_network(seed, n, density, scale, mode=mode)
+                dense = dense_generate_network(seed, n, density, scale, mode=mode)
+                assert net == dense and repr(net) == repr(dense)
+                assert repr(net.shares) == repr(dense.shares)
+                assert cf.serialize_network(net) == cf.serialize_network(dense)
+
+    @pytest.mark.parametrize("mode", [cf.RATIONAL, cf.FLOAT])
+    def test_generation_reads_each_debt_and_cash_amount_once(self, monkeypatch, mode):
+        # the dense matrix made the validator read all n² cells
+        calls = []
+
+        def counted(value, mode):
+            calls.append(value)
+            return to_scalar(value, mode)
+
+        monkeypatch.setattr(network_module, "to_scalar", counted)
+        for seed, n, density in [(0, 1, 1.0), (3, 30, 0.3), (5, 64, 1.0), (2, 500, 0.006)]:
+            calls.clear()
+            net = cf.generate_network(seed, n, density, "1/4", mode=mode)
+            assert len(calls) == sum(len(row) for row in net.debts) + n
+
 
 class TestConvert:
     def test_convert_to_float_and_back_scales(self, net_1a):
@@ -556,3 +628,19 @@ class TestConvert:
         assert as_float.mode == cf.FLOAT
         assert as_float.total_debt == (1.0, 2.0, 3.0, 4.0, 0.0)
         assert cf.convert_network(net_1a, cf.RATIONAL) is net_1a
+
+    def test_to_float_reads_each_amount_as_float_does(self):
+        # the networks of the dense-pattern test and prime denominators above
+        # 10^6, rebuilt from float(x) of every amount
+        nets = [swampy_network(seed) for seed in range(20)]
+        nets += [cf.generate_network(seed, 2 + seed % 14, 0.4, "1/2") for seed in range(40)]
+        nets += [cf.convert_network(wide_magnitude_network(seed), cf.RATIONAL) for seed in range(20)]
+        nets += [prime_denominator_network(seed, 12) for seed in range(4)]
+        for net in nets:
+            expected = cf.build_network(
+                [[float(x) for x in row] for row in net.liabilities],
+                [float(c) for c in net.cash], mode=cf.FLOAT, ids=net.ids,
+            )
+            converted = cf.convert_network(net, cf.FLOAT)
+            assert repr(converted) == repr(expected)
+            assert repr(converted.shares) == repr(expected.shares)

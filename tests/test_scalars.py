@@ -275,6 +275,26 @@ def test_order_key_is_the_float_of_a_fraction():
     assert order_key(F(5, 2**1076)) == 2.0**-1074 and order_key(F(-1, 10**400)).hex() == "-0x0.0p+0"
 
 
+def test_float_mode_reads_a_fraction_as_float_does():
+    # from its two ints: subnormals, ties to even at both ends of the
+    # mantissa, negatives and 4,400-digit numerators, bit for bit; past
+    # float range the same error
+    rng = random.Random(18)
+    values = [random_fraction(rng, rng.choice((4, 60, 2000))) for _ in range(300)]
+    values += [F(1, 2**1074), F(3, 2**1075), F(1, 2**1075), F(-5, 2**1076), F(1, 10**320)]
+    values += [F(2**53 + 1), F(2**54 + 2, 2), F(2**53 + 3), F(-(2**53 + 1), 3 * 2**60)]
+    values += [F(0), F(-1, 3), F(10**4400 + 1, 10**4399 * 3), F(-(10**4400), 7 * 10**4395)]
+    values += [F(2**1024 - 2**970 - 1), -F(2**1024 - 2**971)]
+    for x in values:
+        assert to_scalar(x, FLOAT).hex() == float(x).hex()
+    for x in (F(2**1024 - 2**970), F(-(10**400), 3), F(10**4400 + 1, 7)):
+        with pytest.raises(OverflowError):
+            float(x)
+        with pytest.raises(SchemaError) as info:
+            to_scalar(x, FLOAT)
+        assert str(info.value) == "amount of type Fraction is beyond float range"
+
+
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_order_keys_of_a_mode(mode):
     key = order_keys(mode)
